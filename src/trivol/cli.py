@@ -170,7 +170,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_bound < 1:
         print("error: --max-bound must be at least 1", file=sys.stderr)
         return 2
-    rng = random.Random(args.seed)
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("TRIVOL_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            print(f"error: TRIVOL_SEED must be an integer, got {text!r}", file=sys.stderr)
+            return 2
+    rng = random.Random(seed)
     trials = args.trials
 
     cases = 0
@@ -243,7 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cases += 1
     print(f"ok three-way agreement ({cases} cases)")
 
-    print(f"all checks passed ({trials} trials, seed {args.seed})")
+    print(f"all checks passed ({trials} trials, seed {seed})")
     return 0
 
 
@@ -364,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("TRIVOL_SEED", "0")),
         help="RNG seed (default: $TRIVOL_SEED or 0)",
     )
     p_verify.add_argument(

@@ -5,18 +5,24 @@ volume computed here is exact. Points and vectors are plain tuples and the
 two container types are frozen dataclasses; nothing is mutated after
 construction, which keeps all functions in this module pure.
 
-The convex-hull volume routine enumerates candidate facet planes by brute
-force over point triples. At the scale this package works with (a few
-dozen points) that is fast enough, and it avoids the degeneracy handling
-an incremental hull algorithm would need to get exact answers.
+The convex-hull volume kernel works in any dimension d. It clears
+denominators per axis so that everything after runs on Python ints,
+finds facets by brute force over point d-subsets (an integer cofactor
+normal per subset, kept when every point lies on one side), and sums
+facet contributions by Lasserre's recursive volume formula down to
+d = 1. At the scale this package works with (a few dozen points) that is
+fast enough, and it avoids the degeneracy handling an incremental hull
+algorithm would need to get exact answers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
@@ -35,15 +41,13 @@ __all__ = [
     "scale3",
     "dot3",
     "cross3",
-    "sub4",
-    "dot4",
-    "cross4",
     "det3",
     "det4",
     "orient",
     "facet_normal_set",
     "support",
     "tetra_volume",
+    "hull_volume",
     "hull_volume_3d",
     "primitive_form",
 ]
@@ -86,25 +90,6 @@ def cross3(u: Vec3, v: Vec3) -> Vec3:
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-
-
-def sub4(u: Vec4, v: Vec4) -> Vec4:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
-
-
-def dot4(u: Vec4, v: Vec4) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
-
-
-def cross4(u: Vec4, v: Vec4, w: Vec4) -> Vec4:
-    """Vector orthogonal to u, v and w; zero iff they are linearly dependent."""
-    rows = (u, v, w)
-    comps = []
-    for i in range(4):
-        minor = [[r[j] for j in range(4) if j != i] for r in rows]
-        d = det3(minor)
-        comps.append(d if i % 2 == 0 else -d)
-    return (comps[0], comps[1], comps[2], comps[3])
 
 
 def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -233,13 +218,9 @@ def primitive_form(values: Sequence[Fraction]) -> tuple[int, ...]:
     Returns coprime integers; the sign pattern of the input is preserved
     (only positive scaling is applied). An all-zero input stays zero.
     """
-    denom_lcm = 1
-    for v in values:
-        denom_lcm = lcm(denom_lcm, Fraction(v).denominator)
-    ints = [int(v * denom_lcm) for v in values]
-    g = 0
-    for z in ints:
-        g = gcd(g, z)
+    denom_lcm = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (denom_lcm // v.denominator) for v in values]
+    g = gcd(*ints)
     if g == 0:
         return tuple(ints)
     return tuple(z // g for z in ints)
@@ -256,129 +237,162 @@ def _dedupe(points: Iterable[Sequence[Fraction]]) -> list:
     return out
 
 
-def _parallel(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
+    """Dimension of the affine hull of a nonempty point set.
 
-
-def _extends_basis(basis: list, v: Sequence[Fraction]) -> bool:
-    """True when v is linearly independent of the (independent) basis."""
-    if all(c == 0 for c in v):
-        return False
-    k = len(basis)
-    if k == 0:
-        return True
-    if k == 1:
-        return not _parallel(basis[0], v)
-    if k == 2:
-        if len(v) == 3:
-            return det3([basis[0], basis[1], v]) != 0
-        return any(c != 0 for c in cross4(basis[0], basis[1], v))
-    return det4([basis[0], basis[1], basis[2], v]) != 0
-
-
-def _full_dimensional(points: Sequence[Sequence[Fraction]], dim: int) -> bool:
-    """True when the points affinely span ``dim`` dimensions (greedy basis)."""
-    if not points:
-        return False
+    Fraction-free elimination on the differences to the first point: each
+    pivot row is cross-multiplied out of the others, so integer input
+    stays integer.
+    """
     base = points[0]
-    basis: list = []
-    for p in points[1:]:
-        v = tuple(a - b for a, b in zip(p, base))
-        if _extends_basis(basis, v):
-            basis.append(v)
-            if len(basis) == dim:
-                return True
-    return False
+    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    rank = 0
+    for col in range(len(base)):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        lead = pivot[col]
+        rows = [[x * lead - y * r[col] for x, y in zip(r, pivot)] for r in rows if r is not pivot]
+    return rank
 
 
-def _centroid(points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    n = len(points)
-    return tuple(sum(col, Fraction(0)) / n for col in zip(*points))
+def _lattice_points(pts: Sequence[Sequence[Fraction]], dim: int) -> tuple[list, tuple[int, ...]]:
+    """Integer form of deduplicated points that span ``dim`` dimensions.
 
-
-def _hull_facet_planes_3d(pts: list[Point3]) -> list[tuple[Vec3, Fraction, list[Point3]]]:
-    """All facet planes of the hull, as (outward normal, offset, incident points).
-
-    A point triple spans a facet plane when every point lies on one closed
-    side of it. Coincident planes from different triples are deduplicated
-    through their primitive integer form.
+    Axis k is multiplied by the lcm of its denominators; the per-axis
+    scales are returned with the points, and the hull volume shrinks by
+    their product. Points spanning fewer dimensions raise
+    :class:`DegenerateHull`.
     """
-    found: dict[tuple[int, ...], tuple[Vec3, Fraction, list[Point3]]] = {}
-    for i, j, k in combinations(range(len(pts)), 3):
-        n = cross3(sub3(pts[j], pts[i]), sub3(pts[k], pts[i]))
-        if n[0] == 0 and n[1] == 0 and n[2] == 0:
-            continue
-        c = dot3(n, pts[i])
-        below = above = False
-        for p in pts:
-            d = dot3(n, p)
-            if d < c:
-                below = True
-            elif d > c:
-                above = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if above:
-            n = scale3(n, Fraction(-1))
-            c = -c
-        key = primitive_form((n[0], n[1], n[2], c))
-        if key in found:
-            continue
-        normal = (Fraction(key[0]), Fraction(key[1]), Fraction(key[2]))
-        offset = Fraction(key[3])
-        incident = [p for p in pts if dot3(normal, p) == offset]
-        found[key] = (normal, offset, incident)
-    return list(found.values())
+    if len(pts) > dim:
+        scales = tuple(lcm(*(p[k].denominator for p in pts)) for k in range(dim))
+        ipts = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) for p in pts]
+        if _affine_rank(ipts) == dim:
+            return ipts, scales
+    raise DegenerateHull(f"points do not span {dim} dimensions")
 
 
-def _polygon_fan(points: list[Point3], plane_normal: Vec3) -> list[tuple[Point3, Point3, Point3]]:
-    """Triangulate the convex polygon spanned by coplanar points.
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square matrix by first-row expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if len(m) == 3:
+        return det3(m)
+    total = 0
+    for j, x in enumerate(m[0]):
+        if x:
+            minor = x * _det([r[:j] + r[j + 1 :] for r in m[1:]])
+            total += -minor if j % 2 else minor
+    return total
 
-    Edge lines are found by brute force: a point pair spans one when every
-    polygon point lies on a single side of it within the plane. Fanning
-    from one vertex over the edge lines that miss it tiles the polygon,
-    including when extra input points sit on edges or in the interior.
+
+def _cofactor_normal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Signed maximal minors of d - 1 rows in d columns.
+
+    The result is orthogonal to every row, and zero exactly when the rows
+    are linearly dependent.
     """
-    apex = min(points)
-    lines: dict[tuple[int, ...], tuple[Vec3, Fraction, Point3, Point3]] = {}
-    for i, j in combinations(range(len(points)), 2):
-        direction = sub3(points[j], points[i])
-        m = cross3(plane_normal, direction)  # in-plane normal of the candidate line
-        c = dot3(m, points[i])
-        below = above = False
-        for p in points:
-            d = dot3(m, p)
-            if d < c:
-                below = True
-            elif d > c:
-                above = True
-            if below and above:
-                break
-        if below and above:
+    normal = []
+    for j in range(len(rows[0])):
+        minor = _det([r[:j] + r[j + 1 :] for r in rows])
+        normal.append(-minor if j % 2 else minor)
+    return normal
+
+
+def _hull_facets(
+    pts: Sequence[tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Facets of the hull of full-dimensional integer points in d >= 2 dimensions.
+
+    Returns (normal, offset, incident) per facet: the outward normal in
+    primitive form (coprime integers), every point x satisfies
+    normal . x <= offset, and ``incident`` lists the indices of the points
+    with equality. A d-subset spans a facet when its cofactor normal is
+    nonzero and every point lies weakly on one side. Each hyperplane is
+    tested once, so facets come out in order of their first spanning
+    subset.
+    """
+    d = len(pts[0])
+    zero = [0] * d
+    tested = set()
+    facets = []
+    for subset in combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        normal = _cofactor_normal([tuple(map(sub, pts[i], base)) for i in subset[1:]])
+        g = gcd(*normal)
+        if g == 0:
             continue
-        if above:
-            m = scale3(m, Fraction(-1))
-            c = -c
-        key = primitive_form((m[0], m[1], m[2], c))
-        if key in lines:
+        if normal < zero:
+            g = -g  # one sign per hyperplane: first nonzero entry positive
+        normal = tuple(x // g for x in normal)
+        offset = sum(map(mul, normal, base))
+        if (normal, offset) in tested:
             continue
-        on_line = sorted(p for p in points if dot3(m, p) == c)
-        # collinear points sort monotonically along the line, so the
-        # lexicographic extremes are the segment's endpoints
-        lines[key] = (m, c, on_line[0], on_line[-1])
-    triangles = []
-    for m, c, e0, e1 in lines.values():
-        if dot3(m, apex) == c:
-            continue  # apex sits on this edge line; the fan triangle is flat
-        triangles.append((apex, e0, e1))
-    return triangles
+        tested.add((normal, offset))
+        side = [sum(map(mul, normal, p)) for p in pts]
+        if offset == min(side):
+            outward = (tuple(-x for x in normal), -offset)
+        elif offset == max(side):
+            outward = (normal, offset)
+        else:
+            continue
+        facets.append((*outward, tuple(i for i, x in enumerate(side) if x == offset)))
+    return facets
+
+
+def _lattice_volume(pts: Sequence[tuple[int, ...]]) -> int:
+    """d! times the volume of the hull of full-dimensional integer points."""
+    if len(pts[0]) == 1:
+        xs = [p[0] for p in pts]
+        return max(xs) - min(xs)
+    return _lasserre_sum(pts, _hull_facets(pts))
+
+
+def _lasserre_sum(
+    pts: Sequence[tuple[int, ...]], facets: Sequence[tuple[tuple[int, ...], int, tuple[int, ...]]]
+) -> int:
+    """d! times the hull volume, summed over the facets from :func:`_hull_facets`.
+
+    Lasserre's recursion: the volume is the sum over facets F of
+    dist(c, F) * vol(F) / d for any point c of the hull. With a primitive
+    integer normal n, dist(c, F) = (offset - n . c) / |n|, and dropping a
+    coordinate k with n_k != 0 maps F onto a (d-1)-polytope of volume
+    vol(F) * |n_k| / |n|, so the |n| cancel and no square root appears.
+    Scaled by d!, each facet adds (offset - n . c) times the (d-1)!-scaled
+    volume of its projection over |n_k|, an exact integer division: the
+    projected points lie on one coset of a sublattice of index |n_k|. The
+    point c is the one on the most facets, which then add nothing.
+    """
+    hits = Counter(i for _, _, incident in facets for i in incident)
+    c = pts[hits.most_common(1)[0][0]]
+    total = 0
+    for normal, offset, incident in facets:
+        height = offset - sum(map(mul, normal, c))
+        if height:
+            k = next(i for i, x in enumerate(normal) if x)
+            face = [pts[i][:k] + pts[i][k + 1 :] for i in incident]
+            total += height * (_lattice_volume(face) // abs(normal[k]))
+    return total
+
+
+def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
+    """Exact volume of the convex hull of a point set in any dimension d >= 1.
+
+    Duplicated points are ignored. Denominators are cleared per axis, the
+    volume is found on integers by Lasserre's recursion (see
+    :func:`_lasserre_sum`) and scaled back at the end. A set that does not
+    span d dimensions raises :class:`DegenerateHull`; flat input never
+    reports volume zero.
+    """
+    pts = _dedupe(points)
+    if not pts:
+        raise DegenerateHull("hull of an empty point set")
+    dim = len(pts[0])
+    ipts, scales = _lattice_points(pts, dim)
+    return Fraction(_lattice_volume(ipts), factorial(dim) * prod(scales))
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
@@ -388,12 +402,4 @@ def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     dimensions raises :class:`DegenerateHull`; flat input never reports
     volume zero.
     """
-    pts = _dedupe(points)
-    if not pts or not _full_dimensional(pts, 3):
-        raise DegenerateHull("points do not span three dimensions")
-    origin = _centroid(pts)
-    total = Fraction(0)
-    for normal, _offset, incident in _hull_facet_planes_3d(pts):
-        for t0, t1, t2 in _polygon_fan(incident, normal):
-            total += abs(det3([sub3(t1, t0), sub3(t2, t0), sub3(origin, t0)]))
-    return total / 6
+    return hull_volume(points)

@@ -25,8 +25,7 @@ from .errors import DegenerateHull, EmptyPolytope
 from .geometry import (
     Point3,
     Tetrahedron,
-    _dedupe,
-    _full_dimensional,
+    _affine_rank,
     add3,
     facet_normal_set,
     hull_volume_3d,
@@ -145,7 +144,7 @@ def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
     for name, body in (("k", k), ("l", l)):
         if not body:
             raise EmptyPolytope(f"empty vertex list for body {name}")
-        if not _full_dimensional(_dedupe(body), 3):
+        if _affine_rank(body) < 3:
             raise DegenerateHull(f"body {name} does not span three dimensions")
     values = []
     for t in range(4):

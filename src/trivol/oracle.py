@@ -1,41 +1,40 @@
 """Brute-force verification oracles: exact volumes with no cleverness.
 
 The routines here trade speed for trustworthiness. Facets of a 4D hull
-are found by testing every 4-point subset: the hyperplane through an
-affinely independent 4-subset is a facet iff all points lie weakly on
-one side of it. Facet volumes come from enumerating ridges and edges the
-same exhaustive way (every 3-subset, every pair), fanning each face into
-simplices from its lexicographically smallest vertex, and summing cone
-determinants from the global centroid. Everything is exact rational; the
-only float code is the Monte Carlo sanity estimator at the bottom, which
-never participates in any agreement verdict.
+come from the geometry module's brute-force kernel: the hyperplane
+through an affinely independent 4-subset is a facet iff all points lie
+weakly on one side of it. The 4-volume then follows from Lasserre's
+recursion over those facets, each facet's 3-volume found the same way
+one dimension down, all on integers after clearing denominators per
+axis. Everything is exact; the only float code is the Monte Carlo sanity
+estimator at the bottom, which never participates in any agreement
+verdict.
 
-Being O(n^4) and worse, this is usable for the eight-point hulls this
-package cares about and for small test polytopes, nothing bigger.
+Every point subset of every face is tested, so this is usable for the
+eight-point hulls this package cares about and for small test
+polytopes, nothing bigger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import prod
+from operator import mul
 
 import numpy as np
 
-from .errors import DegenerateHull, InvalidBounds
+from .errors import InvalidBounds
 from .geometry import (
     Point4,
     Vec4,
-    _centroid,
     _dedupe,
-    _full_dimensional,
-    cross4,
-    det4,
-    dot4,
+    _hull_facets,
+    _lasserre_sum,
+    _lattice_points,
     hull_volume_3d,
     primitive_form,
     scale3,
-    sub4,
 )
 from .mixed_volume import minkowski_sum_vertices
 from .trilinear import Box3Bounds, omega_normalize, q_vertex_points, r_vertex_points
@@ -68,152 +67,40 @@ class Facet4:
 def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
     """Deduplicated points and all facets of their 4D convex hull.
 
-    Every 4-subset that spans a hyperplane is tested against the whole
-    point set with an early exit on the first straddle; surviving
-    hyperplanes are oriented outward and deduplicated by primitive form.
+    The hyperplane through every affinely independent 4-subset of the
+    denominator-cleared integer points is tested against the whole point
+    set; each facet found is mapped back to the original coordinates and
+    kept once, in order of its first spanning subset.
     """
     pts: list[Point4] = _dedupe(points)
-    if len(pts) < 5 or not _full_dimensional(pts, 4):
-        raise DegenerateHull("points do not span four dimensions")
-    found: dict[tuple[int, ...], Facet4] = {}
-    for i, j, k, l in combinations(range(len(pts)), 4):
-        base = pts[i]
-        n = cross4(sub4(pts[j], base), sub4(pts[k], base), sub4(pts[l], base))
-        if all(c == 0 for c in n):
-            continue
-        c = dot4(n, base)
-        below = above = False
-        for p in pts:
-            d = dot4(n, p)
-            if d < c:
-                below = True
-            elif d > c:
-                above = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if above:
-            n = tuple(-x for x in n)
-            c = -c
-        key = primitive_form((n[0], n[1], n[2], n[3], c))
-        if key in found:
-            continue
-        normal: Vec4 = (
-            Fraction(key[0]),
-            Fraction(key[1]),
-            Fraction(key[2]),
-            Fraction(key[3]),
-        )
-        offset = Fraction(key[4])
-        incident = tuple(t for t, p in enumerate(pts) if dot4(normal, p) == offset)
-        found[key] = Facet4(normal, offset, incident)
-    return pts, list(found.values())
-
-
-def _ridge_triangles(
-    rpts: list[Point4], n: Vec4, m: Vec4
-) -> list[tuple[Point4, Point4, Point4]]:
-    """Fan-triangulate a 2D face given its two independent normals n, m.
-
-    Edge lines of the polygon are found by pairwise brute force: the pair
-    (s, u) spans an edge when every face point lies weakly on one side of
-    the in-face normal cross4(u - s, n, m). Lexicographic extremes of the
-    collinear points are the edge endpoints.
-    """
-    apex = min(rpts)
-    lines: dict[tuple[int, ...], tuple[Point4, Point4]] = {}
-    for s_idx, u_idx in combinations(range(len(rpts)), 2):
-        e = cross4(sub4(rpts[u_idx], rpts[s_idx]), n, m)
-        if all(c == 0 for c in e):
-            continue
-        c = dot4(e, rpts[s_idx])
-        below = above = False
-        for p in rpts:
-            d = dot4(e, p)
-            if d < c:
-                below = True
-            elif d > c:
-                above = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if above:
-            e = tuple(-x for x in e)
-            c = -c
-        key = primitive_form((e[0], e[1], e[2], e[3], c))
-        if key in lines:
-            continue
-        if dot4(e, apex) == c:
-            continue  # apex lies on this edge line; the fan triangle is flat
-        on_line = sorted(p for p in rpts if dot4(e, p) == c)
-        lines[key] = (on_line[0], on_line[-1])
-    return [(apex, e0, e1) for e0, e1 in lines.values()]
-
-
-def _facet_tetrahedra(
-    fpts: list[Point4], normal: Vec4
-) -> list[tuple[Point4, Point4, Point4, Point4]]:
-    """Tetrahedralize a 3D facet of a 4D hull, given its outward normal.
-
-    Ridges (2D faces of the facet) are found by testing every 3-subset's
-    in-facet plane, then each ridge polygon is fan-triangulated and its
-    triangles coned to the facet's lexicographically smallest vertex.
-    """
-    apex = min(fpts)
-    ridges: dict[tuple[int, ...], tuple[Vec4, list[Point4]]] = {}
-    for i, j, k in combinations(range(len(fpts)), 3):
-        base = fpts[i]
-        m = cross4(sub4(fpts[j], base), sub4(fpts[k], base), normal)
-        if all(c == 0 for c in m):
-            continue
-        c = dot4(m, base)
-        below = above = False
-        for p in fpts:
-            d = dot4(m, p)
-            if d < c:
-                below = True
-            elif d > c:
-                above = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if above:
-            m = tuple(-x for x in m)
-            c = -c
-        key = primitive_form((m[0], m[1], m[2], m[3], c))
-        if key in ridges:
-            continue
-        if dot4(m, apex) == c:
-            continue  # apex lies on this ridge; its cone is flat
-        incident = [p for p in fpts if dot4(m, p) == c]
-        ridges[key] = (m, incident)
-    tetras = []
-    for m, rpts in ridges.values():
-        for t0, t1, t2 in _ridge_triangles(rpts, normal, m):
-            tetras.append((apex, t0, t1, t2))
-    return tetras
+    ipts, scales = _lattice_points(pts, 4)
+    facets = []
+    for normal, offset, incident in _hull_facets(ipts):
+        key = primitive_form([*map(mul, normal, scales), offset])
+        facets.append(Facet4(tuple(map(Fraction, key[:4])), Fraction(key[4]), incident))
+    return pts, facets
 
 
 def hull_volume_4d(points: list[Point4]) -> Fraction:
     """Exact 4-volume of the convex hull of a 4D point set.
 
-    Sums cone determinants from the centroid over a tetrahedralization of
-    every facet. Input that lies in a hyperplane raises
-    :class:`DegenerateHull`; flat input never reports volume zero.
+    Lasserre's recursion over the facets from :func:`hull_facets_4d`,
+    run on the denominator-cleared integer points. Input that lies in a
+    hyperplane raises :class:`DegenerateHull`; flat input never reports
+    volume zero.
     """
     pts, facets = hull_facets_4d(points)
-    origin = _centroid(pts)
-    total = Fraction(0)
+    ipts, scales = _lattice_points(pts, 4)
+    # the same hyperplanes on the integer points: normal_k / scale_k, made primitive
+    common = prod(scales)
+    lattice_facets = []
     for facet in facets:
-        fpts = [pts[i] for i in facet.incident]
-        for t0, t1, t2, t3 in _facet_tetrahedra(fpts, facet.normal):
-            total += abs(
-                det4([sub4(t1, t0), sub4(t2, t0), sub4(t3, t0), sub4(origin, t0)])
-            )
-    return total / 24
+        normal = primitive_form(
+            [c.numerator * (common // s) for c, s in zip(facet.normal, scales)]
+        )
+        offset = sum(map(mul, normal, ipts[facet.incident[0]]))
+        lattice_facets.append((normal, offset, facet.incident))
+    return Fraction(_lasserre_sum(ipts, lattice_facets), 24 * common)
 
 
 def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:

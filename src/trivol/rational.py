@@ -24,7 +24,10 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         return Fraction(str(value))
     raise ValueError(f"not a rational value: {value!r}")

@@ -55,6 +55,13 @@ def test_volume_rejects_bad_bounds(capsys):
     assert code == 2
 
 
+def test_volume_zero_denominator_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "volume", "--bounds", "1/0,1,0,1,0,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_volume_missing_source_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "volume")
     assert code == 2
@@ -81,6 +88,21 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--trials", "2")
     assert code == 0
     assert "seed 123" in out
+
+
+def test_verify_rejects_a_non_integer_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("TRIVOL_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert "TRIVOL_SEED" in err and err.count("\n") == 1
+
+
+def test_verify_rejects_a_negative_trial_count(capsys):
+    code, out, err = run_cli(capsys, "verify", "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err and err.count("\n") == 1
 
 
 def test_verify_catches_an_injected_sign_bug(capsys, monkeypatch):

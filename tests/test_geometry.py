@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -19,7 +20,7 @@ from trivol import (
     support,
     tetra_volume,
 )
-from trivol.geometry import add3, cross3, dot3, primitive_form, sub3
+from trivol.geometry import add3, cross3, dot3, hull_volume, primitive_form, sub3
 
 from testutil import random_points, random_tetrahedron
 
@@ -192,12 +193,47 @@ def test_hull_volume_3d_ignores_duplicates_and_interior_points():
     assert hull_volume_3d(noisy) == 1
 
 
+def test_hull_volume_3d_ignores_duplicate_and_interior_points_of_tetrahedra():
+    rng = random.Random(17)
+    for _ in range(40):
+        t = random_tetrahedron(rng)
+        v = t.vertices
+        # strict convex combinations lie inside; a repeated vertex is a duplicate
+        weights = [F(rng.randint(1, 9)) for _ in range(4)]
+        inner = tuple(sum(w * p[i] for w, p in zip(weights, v)) / sum(weights) for i in range(3))
+        edge_mid = tuple((a + b) / 2 for a, b in zip(v[0], v[1]))
+        noisy = [inner, v[2], *v, edge_mid, v[0]]
+        rng.shuffle(noisy)
+        assert hull_volume_3d(noisy) == tetra_volume(t)
+
+
+def test_hull_volume_unit_simplex_and_cube_in_dimensions_1_to_5():
+    for d in range(1, 6):
+        origin = (F(0),) * d
+        simplex = [origin] + [tuple(F(i == j) for i in range(d)) for j in range(d)]
+        assert hull_volume(simplex) == F(1, factorial(d))
+        cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
+        assert hull_volume(cube) == 1
+
+
 def test_hull_volume_3d_rejects_flat_input():
     square = [ORIGIN, E1, E2, (F(1), F(1), F(0))]
     with pytest.raises(DegenerateHull):
         hull_volume_3d(square)
     with pytest.raises(DegenerateHull):
         hull_volume_3d([ORIGIN, E1])
+    with pytest.raises(DegenerateHull):
+        hull_volume_3d([])
+    # a tilted plane with rational points: x + 2y + 3z = 1
+    tilted = [
+        (F(1), F(0), F(0)),
+        (F(0), F(1, 2), F(0)),
+        (F(0), F(0), F(1, 3)),
+        (F(1, 3), F(1, 6), F(1, 9)),
+        (F(1, 2), F(1, 4), F(0)),
+    ]
+    with pytest.raises(DegenerateHull):
+        hull_volume_3d(tilted)
 
 
 def test_primitive_form_scales_and_keeps_signs():

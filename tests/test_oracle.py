@@ -1,14 +1,18 @@
 """Brute-force 4D hull, cross-sections, quadrature, Monte Carlo."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
 
+from trivol import trilinear
 from trivol import (
     Box3Bounds,
     DegenerateHull,
+    Facet4,
     InvalidBounds,
     build_Q,
     build_R,
@@ -54,6 +58,12 @@ def test_hull_volume_4d_rejects_flat_input():
         hull_volume_4d(flat)
     with pytest.raises(DegenerateHull):
         hull_volume_4d(SIMPLEX_4D[:4])
+    # eight rational points on the tilted hyperplane w = x1 + x2 / 2 - x3 / 3
+    tilted = [(a + F(b, 2) - F(c, 3), F(a), F(b), F(c)) for a, b, c in product((0, 1), repeat=3)]
+    with pytest.raises(DegenerateHull):
+        hull_volume_4d(tilted)
+    with pytest.raises(DegenerateHull):
+        hull_facets_4d(tilted)
 
 
 def test_facets_are_outward_and_supported():
@@ -65,6 +75,65 @@ def test_facets_are_outward_and_supported():
             s = sum(n * c for n, c in zip(facet.normal, p))
             assert s <= facet.offset
             assert (s == facet.offset) == (idx in facet.incident)
+
+
+def test_facets_of_shifted_box_are_pinned():
+    # (normal, offset, incident) of every facet, frozen from the
+    # brute-force hull that predates the integer kernel
+    pinned = [
+        ((0, -1, 0, 0), -1, (0, 1, 2, 3)),
+        ((-1, 1, 1, 1), 2, (0, 1, 2, 4)),
+        ((1, -4, -2, -1), -6, (0, 1, 3, 7)),
+        ((0, 0, -1, 0), -1, (0, 1, 4, 5)),
+        ((1, -2, -4, -1), -6, (0, 1, 5, 7)),
+        ((1, -4, -1, -2), -6, (0, 2, 3, 7)),
+        ((0, 0, 0, -1), -1, (0, 2, 4, 6)),
+        ((1, -2, -1, -4), -6, (0, 2, 6, 7)),
+        ((1, -1, -4, -2), -6, (0, 4, 5, 7)),
+        ((1, -1, -2, -4), -6, (0, 4, 6, 7)),
+        ((-1, 2, 2, 2), 6, (1, 2, 3, 4, 5, 6)),
+        ((0, 0, 0, 1), 2, (1, 3, 5, 7)),
+        ((0, 0, 1, 0), 2, (2, 3, 6, 7)),
+        ((-1, 4, 4, 4), 16, (3, 5, 6, 7)),
+        ((0, 1, 0, 0), 2, (4, 5, 6, 7)),
+    ]
+    pts, facets = hull_facets_4d(list(extreme_points(SHIFTED)))
+    assert pts == list(extreme_points(SHIFTED))
+    assert set(facets) == {Facet4(tuple(map(F, n)), F(c), inc) for n, c, inc in pinned}
+    assert len(facets) == len(pinned)
+
+
+def test_hull_volume_4d_exact_at_extreme_magnitudes():
+    big = 10**50
+    boxes = [
+        Box3Bounds((big, big + 3, 2 * big), (big + 1, big + 7, 2 * big + 5)),
+        Box3Bounds((0, F(big + 7, big - 3), 1), (big, 2 * big, F(3 * big + 1, 3))),
+        Box3Bounds((F(1, big), F(2, big + 1), 0), (F(3, big), F(5, big - 7), F(1, big))),
+        Box3Bounds((F(1, big), F(1, 3), 1), (F(2, big + 9), F(1, 2), big)),
+    ]
+    for b in boxes:
+        assert hull_volume_4d(list(extreme_points(b))) == closed_form_volume(b), b
+
+
+def test_oracle_needs_no_trilinear_function(monkeypatch):
+    boxes = [SHIFTED, UNIT, Box3Bounds((F(1, 2), 0, 3), (F(7, 3), 5, F(9, 2)))]
+    points = [list(extreme_points(b)) for b in boxes]
+    expected = [closed_form_volume(b) for b in boxes]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "trivol"]
+    for name in trilinear.__all__:
+        original = getattr(trilinear, name)
+        if not inspect.isfunction(original):
+            continue
+
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"the oracle called trilinear.{_name}")
+
+        for mod in modules:
+            if mod.__dict__.get(name) is original:
+                monkeypatch.setattr(mod, name, forbidden)
+    with pytest.raises(AssertionError):
+        trilinear.closed_form_volume(SHIFTED)
+    assert [hull_volume_4d(p) for p in points] == expected
 
 
 def test_facet_set_stable_under_point_reordering():
