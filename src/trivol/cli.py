@@ -7,7 +7,8 @@ error, so CI can tell the two apart.
 
 All values are exact rationals printed as "p/q" strings; JSON output
 adds a companion ``*_decimal`` field per rational, rounded to 12
-significant digits, as a convenience only.
+significant digits, as a convenience only. It is ``null`` for a value
+outside the float range.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .trilinear import (
     Box3Bounds,
     closed_form_volume,
     extreme_points,
+    hull_volume_formula,
     mixed_volumes_QR,
     omega_check,
     omega_dprime_check,
@@ -48,9 +50,13 @@ from .trilinear import (
 __all__ = ["main", "run"]
 
 
-def _decimal(x: Fraction) -> float:
-    """Round to 12 significant digits, as a display convenience."""
-    return float(f"{float(x):.12g}")
+def _decimal(x: Fraction) -> float | None:
+    """Round to 12 significant digits, as a display convenience; None when
+    ``x`` is too large for a float."""
+    try:
+        return float(f"{float(x):.12g}")
+    except OverflowError:
+        return None
 
 
 def _emit_rational(out: dict, name: str, value: Fraction) -> None:
@@ -275,7 +281,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     drop_invalid = doc.get("filter") == "valid"
 
     def fmt(x: Fraction) -> str:
-        return repr(float(x)) if args.float else format_rational(x)
+        if not args.float:
+            return format_rational(x)
+        try:
+            return repr(float(x))
+        except OverflowError:
+            raise InvalidBounds(
+                f"{format_rational(x)} is too large for --float output; omit --float"
+            ) from None
 
     rows = []
     skipped = 0
@@ -287,8 +300,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             raise
-        volume = closed_form_volume(box)
-        perm = "".join(str(d) for d in omega_normalize(box).perm)
+        norm = omega_normalize(box)
+        volume = hull_volume_formula(norm.bounds.a, norm.bounds.b)
+        perm = "".join(str(d) for d in norm.perm)
         rows.append([fmt(v) for v in (a1, b1, a2, b2, a3, b3, volume)] + [perm])
 
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout

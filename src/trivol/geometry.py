@@ -1,9 +1,11 @@
 """Exact primitives for low-dimensional polytope geometry.
 
-Coordinates are ``fractions.Fraction`` throughout, so every predicate and
-volume computed here is exact. Points and vectors are plain tuples and the
-two container types are frozen dataclasses; nothing is mutated after
-construction, which keeps all functions in this module pure.
+Coordinates are ``fractions.Fraction`` or ``int`` (the two mix freely),
+so every predicate and volume computed here is exact; on int input the
+tetrahedron primitives stay on ints until their single final division.
+Points and vectors are plain tuples and the two container types are
+frozen dataclasses; nothing is mutated after construction, which keeps
+all functions in this module pure.
 
 The convex-hull volume kernel works in any dimension d. It clears
 denominators per axis so that everything after runs on Python ints,
@@ -18,7 +20,7 @@ algorithm would need to get exact answers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
@@ -110,33 +112,34 @@ def det4(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return total
 
 
-def _aug_det(vertices: Sequence[Point3]) -> Fraction:
-    """Determinant of the vertex columns under a leading row of ones.
-
-    Equals det[v1 - v0, v2 - v0, v3 - v0]; six times the signed volume.
-    """
-    ones = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
-    rows = [ones] + [tuple(v[i] for v in vertices) for i in range(3)]
-    return det4(rows)
+def _edge_det(vertices: Sequence[Point3]) -> Fraction:
+    """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume."""
+    v0 = vertices[0]
+    return det3([sub3(v, v0) for v in vertices[1:]])
 
 
 @dataclass(frozen=True)
 class Tetrahedron:
     """Four ordered vertices with strictly positive orientation.
 
-    Positive orientation means the ones-augmented determinant of the
-    vertex columns is positive. Use :func:`orient` to construct one from
-    an arbitrarily ordered vertex tuple.
+    Positive orientation means the determinant of the edge vectors
+    v1 - v0, v2 - v0, v3 - v0 is positive. ``det`` holds that determinant,
+    six times the volume; it is computed when not given, and
+    :func:`orient`, which has already computed it, passes it in. Use
+    :func:`orient` to construct one from an arbitrarily ordered vertex
+    tuple.
     """
 
     vertices: tuple[Point3, Point3, Point3, Point3]
+    det: Fraction | int = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = _aug_det(self.vertices)
+        d = _edge_det(self.vertices) if self.det is None else self.det
         if d == 0:
             raise DegenerateTetrahedron(f"affinely dependent vertices: {self.vertices}")
         if d < 0:
             raise ValueError("negatively oriented vertex order; build via orient()")
+        object.__setattr__(self, "det", d)
 
 
 @dataclass(frozen=True)
@@ -161,34 +164,37 @@ def orient(vertices: Sequence[Point3]) -> Tetrahedron:
     if len(vertices) != 4:
         raise ValueError(f"expected 4 vertices, got {len(vertices)}")
     vs = tuple(vertices)
-    d = _aug_det(vs)
+    d = _edge_det(vs)
     if d == 0:
         raise DegenerateTetrahedron(f"affinely dependent vertices: {vs}")
     if d < 0:
-        vs = (vs[1], vs[0], vs[2], vs[3])
-    return Tetrahedron(vs)
+        vs, d = (vs[1], vs[0], vs[2], vs[3]), -d
+    return Tetrahedron(vs, d)
+
+
+def _facet_cross_products(t: Tetrahedron) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """Outward facet normals of ``t``, each scaled to twice its facet's area.
+
+    Each is the edge cross product of its facet, ordered so it points away
+    from the omitted vertex; positive orientation of the tetrahedron makes
+    this fixed pattern outward-correct with no per-facet side tests. Int
+    vertices give int vectors. The order is that of
+    :func:`facet_normal_set`.
+    """
+    v0, v1, v2, v3 = t.vertices
+    return (
+        cross3(sub3(v2, v0), sub3(v1, v0)),  # facet opposite v3
+        cross3(sub3(v0, v3), sub3(v1, v3)),  # facet opposite v2
+        cross3(sub3(v0, v2), sub3(v3, v2)),  # facet opposite v1
+        cross3(sub3(v2, v1), sub3(v3, v1)),  # facet opposite v0
+    )
 
 
 def facet_normal_set(t: Tetrahedron) -> FacetNormalSet:
-    """Outward facet normals of ``t``, each scaled to its facet's area.
-
-    Each normal is half the edge cross product of its facet, signed so it
-    points away from the omitted vertex. Positive orientation of the
-    tetrahedron makes the fixed sign pattern below outward-correct, with
-    no per-facet side tests needed.
-    """
-    v0, v1, v2, v3 = t.vertices
-
-    def half_cross(p: Point3, q: Point3, r: Point3, sign: int) -> Vec3:
-        n = cross3(sub3(q, p), sub3(r, p))
-        return scale3(n, Fraction(sign, 2))
-
-    return FacetNormalSet((
-        half_cross(v0, v1, v2, -1),  # facet opposite v3
-        half_cross(v3, v0, v1, +1),  # facet opposite v2
-        half_cross(v2, v3, v0, -1),  # facet opposite v1
-        half_cross(v1, v2, v3, +1),  # facet opposite v0
-    ))
+    """Outward facet normals of ``t``, each scaled to its facet's area:
+    half of :func:`_facet_cross_products`."""
+    half = Fraction(1, 2)
+    return FacetNormalSet(tuple(scale3(n, half) for n in _facet_cross_products(t)))
 
 
 def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
@@ -208,8 +214,8 @@ def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
 
 
 def tetra_volume(t: Tetrahedron) -> Fraction:
-    """Volume of a tetrahedron: one sixth of the augmented determinant."""
-    return _aug_det(t.vertices) / 6
+    """Volume of a tetrahedron: one sixth of its stored edge determinant."""
+    return Fraction(t.det, 6)
 
 
 def primitive_form(values: Sequence[Fraction]) -> tuple[int, ...]:

@@ -26,8 +26,8 @@ from .geometry import (
     Point3,
     Tetrahedron,
     _affine_rank,
+    _facet_cross_products,
     add3,
-    facet_normal_set,
     hull_volume_3d,
     scale3,
     support,
@@ -73,16 +73,15 @@ class VolumeCubic:
 def mixed_volume_against(p: Tetrahedron, k: Sequence[Point3]) -> Fraction:
     """Mixed volume V(P, P, K) for a tetrahedron P and vertex set K.
 
-    One third of K's support summed over P's area-scaled facet normals.
+    One third of K's support summed over P's area-scaled facet normals,
+    taken as one sixth of the sum over the doubled normals (the facet
+    cross products), so int input stays on ints until that one division.
     K may be lower-dimensional (even a single point); it only enters
     through its support values.
     """
     if not k:
         raise EmptyPolytope("mixed volume against an empty vertex list")
-    total = Fraction(0)
-    for u in facet_normal_set(p).normals:
-        total += support(k, u)
-    return total / 3
+    return Fraction(sum(support(k, u) for u in _facet_cross_products(p)), 6)
 
 
 def minkowski_sum_vertices(k: Sequence[Point3], l: Sequence[Point3]) -> list[Point3]:

@@ -19,6 +19,14 @@ one per corner of the box. Its volume is computed here two exact ways:
 
 Every redundant pair of computation paths must agree exactly; a mismatch
 raises :class:`InternalDisagreement` rather than returning anything.
+
+The polynomial kernels below (``_z_values``, ``_mixed_volumes6_from_z``,
+``_mixed_volume6``, ``_hull_volume24``, ``_beta4``, ``_simpson48``) carry
+no division: each returns a fixed integer multiple of its quantity, so
+they run on ints as well as on Fractions. The public Fraction functions
+divide their result once. ``pipeline_volume`` runs them on the box with
+each axis's denominators cleared, which turns every value into an int
+until one division per reported value at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import lcm
 
 from .errors import (
     DegenerateTetrahedron,
@@ -158,9 +166,9 @@ def omega_normalize(box: Box3Bounds) -> OmegaBox:
     return OmegaBox(Box3Bounds(a, b), (perm[0], perm[1], perm[2]))
 
 
-def _slice_points(bounds: Box3Bounds, level: Fraction) -> list[Point3]:
+def _slice_points(a: tuple, b: tuple, level: Fraction | int) -> list[Point3]:
     """Vertices of the hull slice at x3 = level, in (y, x1, x2) coordinates."""
-    (a1, a2, _), (b1, b2, _) = bounds.a, bounds.b
+    (a1, a2, _), (b1, b2, _) = a, b
     return [
         (b1 * b2 * level, b1, b2),
         (a1 * a2 * level, a1, a2),
@@ -171,12 +179,12 @@ def _slice_points(bounds: Box3Bounds, level: Fraction) -> list[Point3]:
 
 def q_vertex_points(bounds: Box3Bounds) -> list[Point3]:
     """Vertices of the bottom slice (x3 = a3); flat when a3 == 0."""
-    return _slice_points(bounds, bounds.a[2])
+    return _slice_points(bounds.a, bounds.b, bounds.a[2])
 
 
 def r_vertex_points(bounds: Box3Bounds) -> list[Point3]:
     """Vertices of the top slice (x3 = b3); always a genuine tetrahedron."""
-    return _slice_points(bounds, bounds.b[2])
+    return _slice_points(bounds.a, bounds.b, bounds.b[2])
 
 
 def build_Q(box: OmegaBox) -> Tetrahedron:
@@ -223,16 +231,17 @@ def facet_prefactor(bounds: Box3Bounds) -> Fraction:
     return (b1 - a1) * (b2 - a2) / 2
 
 
-def _z_values(bounds: Box3Bounds) -> tuple[Fraction, ...]:
+def _z_values(a: tuple, b: tuple) -> tuple:
     """Closed-form support maxima behind :func:`support_max_z`.
 
     Entry i-1 is the support of the opposite slice's vertex set against
     the i-th facet direction (bottom slice's directions for i <= 4, top
     slice's for i >= 5), with the area prefactor divided out. Each entry
     is the winner of a four-way maximum; the winning corner is pinned
-    down by the ordering condition.
+    down by the ordering condition. Every term is a product of one bound
+    per axis, so scaling axis i by D_i scales each entry by D1*D2*D3.
     """
-    (a1, a2, a3), (b1, b2, b3) = bounds.a, bounds.b
+    (a1, a2, a3), (b1, b2, b3) = a, b
     return (
         b1 * b2 * b3 - b1 * a2 * a3 - b1 * b2 * a3,
         b1 * b2 * b3 - a1 * b2 * a3 - b1 * b2 * a3,
@@ -255,25 +264,26 @@ def support_max_z(i: int, box: OmegaBox) -> Fraction:
     """
     if not 1 <= i <= 8:
         raise ValueError(f"index must be in 1..8, got {i}")
-    return _z_values(box.bounds)[i - 1]
+    return _z_values(box.bounds.a, box.bounds.b)[i - 1]
 
 
-def _mixed_volume_closed_form(bounds: Box3Bounds) -> Fraction:
-    (a1, a2, a3), (b1, b2, b3) = bounds.a, bounds.b
+def _mixed_volume6(a: tuple, b: tuple):
+    """Six times the product form of both slice mixed volumes."""
+    (a1, a2, a3), (b1, b2, b3) = a, b
     return (
         (b1 - a1)
         * (b2 - a2)
         * ((b1 - a1) * (b2 * b3 - a2 * a3) + (b3 - a3) * (b1 * b2 - a1 * a2))
-        / 6
     )
 
 
-def _mixed_volumes_from_z(bounds: Box3Bounds) -> tuple[Fraction, Fraction]:
-    z = _z_values(bounds)
-    pref = facet_prefactor(bounds)
-    v_qqr = pref * (z[0] + z[1] + z[2] + z[3]) / 3
-    v_qrr = pref * (z[4] + z[5] + z[6] + z[7]) / 3
-    return v_qqr, v_qrr
+def _mixed_volumes6_from_z(a: tuple, b: tuple) -> tuple:
+    """Six times (V(Q,Q,R), V(Q,R,R)) as support sums: each mixed volume
+    is the area prefactor (b1-a1)(b2-a2)/2 times the sum of its four
+    support maxima, over 3."""
+    z = _z_values(a, b)
+    pref2 = (b[0] - a[0]) * (b[1] - a[1])
+    return pref2 * (z[0] + z[1] + z[2] + z[3]), pref2 * (z[4] + z[5] + z[6] + z[7])
 
 
 def mixed_volumes_QR(box: OmegaBox) -> tuple[Fraction, Fraction]:
@@ -283,15 +293,42 @@ def mixed_volumes_QR(box: OmegaBox) -> tuple[Fraction, Fraction]:
     applied once per sum, then checked against the direct product
     formula; for these two tetrahedra the pair is always equal.
     """
-    if box.bounds.a[2] == 0:
+    nb = box.bounds
+    if nb.a[2] == 0:
         raise DegenerateTetrahedron("bottom slice is flat when a3 == 0")
-    v_qqr, v_qrr = _mixed_volumes_from_z(box.bounds)
-    expected = _mixed_volume_closed_form(box.bounds)
+    v_qqr, v_qrr = (v / 6 for v in _mixed_volumes6_from_z(nb.a, nb.b))
+    expected = _mixed_volume6(nb.a, nb.b) / 6
     if v_qqr != expected or v_qrr != expected:
         raise InternalDisagreement(
             f"support-sum mixed volumes {v_qqr}, {v_qrr} != closed form {expected}"
         )
     return v_qqr, v_qrr
+
+
+def _beta4(m: tuple, lo, hi):
+    """Four times the integral of the slice-volume cubic, by Beta integrals.
+
+    Term k of the cubic is C(3,k) (b3-t)^(3-k) (t-a3)^k m_k / h^3, and the
+    integral of (b3-t)^(3-k) (t-a3)^k over [a3, b3] is h^4 (3-k)! k! / 4!,
+    so each term integrates to h m_k C(3,k) (3-k)! k! / 4! = h m_k / 4.
+    """
+    return (hi - lo) * (m[0] + m[1] + m[2] + m[3])
+
+
+def _simpson48(m: tuple, lo, hi):
+    """48 h^2 times the Simpson's-rule integral of the slice-volume cubic.
+
+    The cubic is sampled at t = a3, (a3+b3)/2, b3 on doubled coordinates,
+    which makes each sample 8 h^3 times the slice volume there; Simpson's
+    h (f(a3) + 4 f(mid) + f(b3)) / 6 then carries the factor 48 h^2.
+    """
+    w = (m[0], 3 * m[1], 3 * m[2], m[3])
+
+    def section8(t2):
+        s, u = 2 * hi - t2, t2 - 2 * lo
+        return w[0] * s**3 + w[1] * s**2 * u + w[2] * s * u**2 + w[3] * u**3
+
+    return section8(2 * lo) + 4 * section8(lo + hi) + section8(2 * hi)
 
 
 def integrate_cross_sections(
@@ -315,38 +352,31 @@ def integrate_cross_sections(
     lo, hi = Fraction(a3), Fraction(b3)
     if not lo < hi:
         raise InvalidBounds(f"need a3 < b3, got {lo} >= {hi}")
-    h = hi - lo
-    weights = (vol_q, 3 * v_qqr, 3 * v_qrr, vol_r)
+    m = (vol_q, v_qqr, v_qrr, vol_r)
     if method == "beta":
-        # integral of (b3-t)^(3-k) (t-a3)^k over [a3, b3] is h^4*(3-k)!k!/4!
-        total = Fraction(0)
-        for k, w in enumerate(weights):
-            total += w * Fraction(factorial(3 - k) * factorial(k), factorial(4))
-        return h * total
+        return _beta4(m, lo, hi) / 4
     if method == "simpson":
-
-        def section(t: Fraction) -> Fraction:
-            s, u = hi - t, t - lo
-            return (
-                weights[0] * s**3 + weights[1] * s**2 * u + weights[2] * s * u**2 + weights[3] * u**3
-            ) / h**3
-
-        mid = (lo + hi) / 2
-        return h * (section(lo) + 4 * section(mid) + section(hi)) / 6
+        return _simpson48(m, lo, hi) / (48 * (hi - lo) ** 2)
     raise ValueError(f"unknown integration method {method!r}")
 
 
-def hull_volume_formula(a: tuple[Fraction, Fraction, Fraction], b: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-    """Closed-form hull volume for bounds satisfying the ordering condition.
-
-    The expression is symmetric in axes 2 and 3 but not in axis 1; apply
-    it only to normalized bounds (or use :func:`closed_form_volume`).
-    """
+def _hull_volume24(a: tuple, b: tuple):
+    """24 times the closed-form hull volume; see :func:`hull_volume_formula`."""
     (a1, a2, a3), (b1, b2, b3) = a, b
     core = b1 * (5 * b2 * b3 - a2 * b3 - b2 * a3 - 3 * a2 * a3) + a1 * (
         5 * a2 * a3 - b2 * a3 - a2 * b3 - 3 * b2 * b3
     )
-    return (b1 - a1) * (b2 - a2) * (b3 - a3) * core / 24
+    return (b1 - a1) * (b2 - a2) * (b3 - a3) * core
+
+
+def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
+    """Closed-form hull volume for bounds satisfying the ordering condition.
+
+    The expression is symmetric in axes 2 and 3 but not in axis 1; apply
+    it only to normalized bounds (or use :func:`closed_form_volume`).
+    Bounds may be Fractions or ints.
+    """
+    return Fraction(_hull_volume24(a, b), 24)
 
 
 def closed_form_volume(box: Box3Bounds) -> Fraction:
@@ -381,9 +411,13 @@ class VolumeReport:
     intermediates: PipelineIntermediates
 
 
-def _require_equal(got: Fraction, expected: Fraction, what: str) -> None:
+def _require_equal(got, expected, what: str, scale: int) -> None:
+    """Raise unless ``got == expected``; both are ``scale`` times the
+    quantity the message reports."""
     if got != expected:
-        raise InternalDisagreement(f"{what}: {got} != {expected}")
+        raise InternalDisagreement(
+            f"{what}: {Fraction(got, scale)} != {Fraction(expected, scale)}"
+        )
 
 
 def pipeline_volume(box: Box3Bounds) -> VolumeReport:
@@ -395,57 +429,88 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     a3 == 0 after normalization the bottom slice is flat; its volume is 0
     and the closed forms, which remain well-defined, stand in for the
     paths that would need a nondegenerate tetrahedron.
+
+    All of this runs on ints. After normalization, axis i is scaled by
+    D_i, the lcm of its two bound denominators, giving integer bounds
+    A_i, B_i. That multiplies every ordering key by the same D1*D2*D3, so
+    the scaled box still satisfies the ordering condition the closed
+    forms need. Slice points scale by (D1*D2*D3, D1, D2), so slice volumes
+    and mixed volumes scale by D1^2*D2^2*D3 and are carried six times
+    over; the hull scales by (D1*D2*D3)^2 and its volume is carried 24
+    times over (the Simpson sum 288*(B3-A3)^2 times, see
+    :func:`_simpson48`). Each reported value is one division of such an
+    int at the end.
     """
-    norm = omega_normalize(box)
-    nb = norm.bounds
-    (a1, a2, a3), (b1, b2, b3) = nb.a, nb.b
+    nb = omega_normalize(box).bounds
+    scales = [lcm(lo.denominator, hi.denominator) for lo, hi in zip(nb.a, nb.b)]
+    a = tuple(x.numerator * (d // x.denominator) for x, d in zip(nb.a, scales))
+    b = tuple(x.numerator * (d // x.denominator) for x, d in zip(nb.b, scales))
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    d1, d2, d3 = scales
+    slice_scale = 6 * (d1 * d2) ** 2 * d3
+    hull_scale = 24 * (d1 * d2 * d3) ** 2
 
-    vol_q = a3 * (b1 - a1) ** 2 * (b2 - a2) ** 2 / 6
-    vol_r = b3 * (b1 - a1) ** 2 * (b2 - a2) ** 2 / 6
-    v_qqr, v_qrr = _mixed_volumes_from_z(nb)
-    closed = _mixed_volume_closed_form(nb)
-    _require_equal(v_qqr, closed, "bottom-slice mixed volume vs product form")
-    _require_equal(v_qrr, closed, "top-slice mixed volume vs product form")
+    # slice quantities, six times over on the scaled box
+    base = (b1 - a1) ** 2 * (b2 - a2) ** 2
+    vol_q6, vol_r6 = a3 * base, b3 * base
+    v_qqr6, v_qrr6 = _mixed_volumes6_from_z(a, b)
+    mixed6 = _mixed_volume6(a, b)
+    _require_equal(v_qqr6, mixed6, "bottom-slice mixed volume vs product form", slice_scale)
+    _require_equal(v_qrr6, mixed6, "top-slice mixed volume vs product form", slice_scale)
 
-    r_tet = build_R(norm)
-    _require_equal(tetra_volume(r_tet), vol_r, "top slice volume vs determinant")
+    r_tet = orient(_slice_points(a, b, b3))
+    _require_equal(6 * tetra_volume(r_tet), vol_r6, "top slice volume vs determinant", slice_scale)
     if a3 > 0:
-        q_tet = build_Q(norm)
-        _require_equal(tetra_volume(q_tet), vol_q, "bottom slice volume vs determinant")
+        q_tet = orient(_slice_points(a, b, a3))
         _require_equal(
-            mixed_volume_against(q_tet, list(r_tet.vertices)),
-            v_qqr,
-            "V(Q,Q,R) vs generic support sum",
+            6 * tetra_volume(q_tet), vol_q6, "bottom slice volume vs determinant", slice_scale
         )
         _require_equal(
-            mixed_volume_against(r_tet, list(q_tet.vertices)),
-            v_qrr,
+            6 * mixed_volume_against(q_tet, list(r_tet.vertices)),
+            v_qqr6,
+            "V(Q,Q,R) vs generic support sum",
+            slice_scale,
+        )
+        _require_equal(
+            6 * mixed_volume_against(r_tet, list(q_tet.vertices)),
+            v_qrr6,
             "V(Q,R,R) vs generic support sum",
+            slice_scale,
         )
     else:
         # the flat bottom slice still has well-defined support values, so
         # one generic cross-check survives the degeneracy
         _require_equal(
-            mixed_volume_against(r_tet, q_vertex_points(nb)),
-            v_qrr,
+            6 * mixed_volume_against(r_tet, _slice_points(a, b, a3)),
+            v_qrr6,
             "V(Q,R,R) vs generic support sum (flat bottom slice)",
+            slice_scale,
         )
 
-    vol_pipeline = integrate_cross_sections(vol_q, v_qqr, v_qrr, vol_r, a3, b3)
+    # hull volume, 24 times over on the scaled box: _beta4 is 4 times the
+    # integral of the six-times slice cubic, _simpson48 48 h^2 times it
+    m6 = (vol_q6, v_qqr6, v_qrr6, vol_r6)
+    vol24 = _beta4(m6, a3, b3)
+    simpson_over_beta = 12 * (b3 - a3) ** 2
     _require_equal(
-        integrate_cross_sections(vol_q, v_qqr, v_qrr, vol_r, a3, b3, method="simpson"),
-        vol_pipeline,
+        _simpson48(m6, a3, b3),
+        simpson_over_beta * vol24,
         "analytic integral vs Simpson",
+        simpson_over_beta * hull_scale,
     )
+    formula24 = _hull_volume24(a, b)
 
-    vol_formula = hull_volume_formula(nb.a, nb.b)
+    vol_pipeline = Fraction(vol24, hull_scale)
+    mixed = Fraction(mixed6, slice_scale)
     return VolumeReport(
         box=box,
-        vol_formula=vol_formula,
+        vol_formula=vol_pipeline if formula24 == vol24 else Fraction(formula24, hull_scale),
         vol_pipeline=vol_pipeline,
         vol_oracle=None,
-        agree=vol_pipeline == vol_formula,
-        intermediates=PipelineIntermediates(vol_q, vol_r, v_qqr, v_qrr),
+        agree=formula24 == vol24,
+        intermediates=PipelineIntermediates(
+            Fraction(vol_q6, slice_scale), Fraction(vol_r6, slice_scale), mixed, mixed
+        ),
     )
 
 

@@ -62,6 +62,15 @@ def test_volume_zero_denominator_is_bad_input(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_volume_decimal_is_null_outside_float_range(capsys):
+    code, out, err = run_cli(capsys, "volume", "--bounds", "0,1e400,0,1,0,1", "--method", "formula")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["vol_formula_decimal"] is None
+    box = trilinear.Box3Bounds((0, 0, 0), (10**400, 1, 1))
+    assert parse_rational(doc["vol_formula"]) == trilinear.closed_form_volume(box)
+
+
 def test_volume_missing_source_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "volume")
     assert code == 2
@@ -178,6 +187,19 @@ def test_sweep_float_mode_and_out_file(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[1].endswith(",123")
     assert repr(5 / 24) in lines[1]
+
+
+def test_sweep_float_overflow_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(
+        json.dumps({"a1": [0], "b1": ["1e400"], "a2": [0], "b2": [1], "a3": [0], "b3": [1]})
+    )
+    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--float")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
+    assert code == 0 and "1" + "0" * 400 in out
 
 
 def test_sweep_invalid_without_filter_fails(tmp_path, capsys):

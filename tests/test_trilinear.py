@@ -1,6 +1,7 @@
 """Normalization, slice tetrahedra, support maxima, integration, volumes."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from trivol import (
     Box3Bounds,
     DegenerateTetrahedron,
+    InternalDisagreement,
     InvalidBounds,
     OmegaBox,
     OmegaViolated,
@@ -35,6 +37,7 @@ from trivol import (
     support_max_z,
     tetra_volume,
 )
+from trivol import trilinear
 
 from testutil import random_box, random_rational_box
 
@@ -300,6 +303,121 @@ class TestPipeline:
             report = pipeline_volume(b)
             assert report.agree
             assert report.vol_pipeline == closed_form_volume(b)
+
+
+W = 10**20
+
+# one box per benchmark box class, with the reports the Fraction
+# implementation of the pipeline produced: (a, b), then vol_pipeline,
+# vol_q, vol_r and the two (equal) mixed volumes
+PINNED_REPORTS = {
+    "int": (((3, 1, 2), (7, 5, 4)), "1600/3", "256/3", "512/3", "1216/3"),
+    "rational": (
+        ((F(5, 2), F(1, 3), F(7, 4)), (F(9, 2), F(8, 5), F(13, 6))),
+        "12331/9720",
+        "2527/1350",
+        "4693/2025",
+        "32357/8100",
+    ),
+    "wide": (
+        (
+            (F(W + 7, 3 * W + 1), F(1, W), F(2 * W + 9, W - 3)),
+            (F(5 * W + 3, 3 * W + 1), F(W + 1, 7), F(3)),
+        ),
+        "58333333333333333320166666666666666667002500000000000000029358333333333333332810666666"
+        "66666666664894083333333333333356185000000000000000366449999999999999996031/"
+        "27562499999999999998530000000000000000014087500000000000000147000000000000000000275625"
+        "000000000000000000000000000000000000",
+        "66666666666666666669666666666666666666559999999999999999996133333333333333333418000000"
+        "000000000001173333333333333333303000000000000000000147/"
+        "5512499999999999999871374999999999999998958749999999999999998162500000000000000000000"
+        "00000000000000000",
+        "99999999999999999999999999999999999999840000000000000000001400000000000000000063999999"
+        "9999999999988800000000000000000049/"
+        "5512500000000000000036750000000000000000061250000000000000000000000000000000000000",
+        "10714285714285714284952380952380952380920714285714285714286604761904761904761926904761"
+        "904761904761578333333333333333327575000000000000000063/"
+        "3937499999999999999908124999999999999999256249999999999999998687500000000000000000000"
+        "0000000000000000",
+    ),
+    "flat": (((0, 0, 0), (F(3, 2), 4, F(2, 5))), "6/5", "0", "12/5", "24/5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_REPORTS))
+def test_pipeline_report_is_pinned(kind):
+    (a, b), vol, vol_q, vol_r, mixed = PINNED_REPORTS[kind]
+    report = pipeline_volume(Box3Bounds(a, b))
+    assert report.box == Box3Bounds(a, b)
+    assert report.vol_pipeline == report.vol_formula == F(vol)
+    assert report.vol_oracle is None and report.agree is True
+    inter = report.intermediates
+    assert (inter.vol_q, inter.vol_r, inter.v_qqr, inter.v_qrr) == tuple(
+        map(F, (vol_q, vol_r, mixed, mixed))
+    )
+    assert all(type(v) is F for v in (report.vol_pipeline, report.vol_formula, inter.vol_q))
+
+
+def _plus_one(value):
+    return value + 1
+
+
+def _perturb(monkeypatch, route, call, bump=_plus_one):
+    """Make the pipeline see ``bump`` applied to the result of the
+    ``call``-th (0-based) call of trilinear's ``route``; returns the list
+    that counts the calls."""
+    original = getattr(trilinear, route)
+    calls = []
+
+    def perturbed(*args):
+        calls.append(args)
+        value = original(*args)
+        return bump(value) if len(calls) - 1 == call else value
+
+    monkeypatch.setattr(trilinear, route, perturbed)
+    return calls
+
+
+# (route as trilinear sees it, which call, how its value is bumped, the
+# check that must fire); the first four are the generic geometry routes
+PIPELINE_CHECKS = [
+    ("tetra_volume", 0, _plus_one, "top slice volume vs determinant"),
+    ("tetra_volume", 1, _plus_one, "bottom slice volume vs determinant"),
+    ("mixed_volume_against", 0, _plus_one, "V(Q,Q,R) vs generic support sum"),
+    ("mixed_volume_against", 1, _plus_one, "V(Q,R,R) vs generic support sum"),
+    ("_mixed_volume6", 0, _plus_one, "bottom-slice mixed volume vs product form"),
+    (
+        "_mixed_volumes6_from_z",
+        0,
+        lambda v: (v[0], v[1] + 1),
+        "top-slice mixed volume vs product form",
+    ),
+    ("_simpson48", 0, _plus_one, "analytic integral vs Simpson"),
+]
+
+
+@pytest.mark.parametrize("route, call, bump, message", PIPELINE_CHECKS)
+def test_each_pipeline_cross_check_can_fire(monkeypatch, route, call, bump, message):
+    _perturb(monkeypatch, route, call, bump)
+    with pytest.raises(InternalDisagreement, match=f"^{re.escape(message)}: "):
+        pipeline_volume(SHIFTED)
+
+
+def test_flat_bottom_runs_one_check_per_generic_route(monkeypatch):
+    flat = box((0, 0, 0), (F(3, 2), 4, F(2, 5)))
+    expected = pipeline_volume(flat)
+    for route, message in (
+        ("tetra_volume", "top slice volume vs determinant"),
+        ("mixed_volume_against", "V(Q,R,R) vs generic support sum (flat bottom slice)"),
+    ):
+        with monkeypatch.context() as patch:
+            _perturb(patch, route, 0)
+            with pytest.raises(InternalDisagreement, match=f"^{re.escape(message)}: "):
+                pipeline_volume(flat)
+        with monkeypatch.context() as patch:
+            calls = _perturb(patch, route, 1)
+            assert pipeline_volume(flat) == expected
+            assert len(calls) == 1
 
 
 class TestExtremePoints:
