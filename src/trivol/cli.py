@@ -129,12 +129,13 @@ def cmd_volume(args: argparse.Namespace) -> int:
         "b": [format_rational(x) for x in box.b],
     }
     volumes = []
+    # the pipeline evaluates the formula too; its report carries the value
+    report = pipeline_volume(box) if "pipeline" in methods else None
     if "formula" in methods:
-        v = closed_form_volume(box)
+        v = closed_form_volume(box) if report is None else report.vol_formula
         _emit_rational(out, "vol_formula", v)
         volumes.append(v)
-    if "pipeline" in methods:
-        report = pipeline_volume(box)
+    if report is not None:
         _emit_rational(out, "vol_pipeline", report.vol_pipeline)
         inter: dict = {}
         _emit_rational(inter, "vol_q", report.intermediates.vol_q)

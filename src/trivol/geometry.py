@@ -11,10 +11,11 @@ The convex-hull volume kernel works in any dimension d. It clears
 denominators per axis so that everything after runs on Python ints,
 finds facets by brute force over point d-subsets (an integer cofactor
 normal per subset, kept when every point lies on one side), and sums
-facet contributions by Lasserre's recursive volume formula down to
-d = 1. At the scale this package works with (a few dozen points) that is
-fast enough, and it avoids the degeneracy handling an incremental hull
-algorithm would need to get exact answers.
+facet contributions by Lasserre's recursive volume formula. A simplex
+facet (d points) closes in one determinant; only the others recurse,
+at most down to d = 1. At the scale this package works with (a few
+dozen points) that is fast enough, and it avoids the degeneracy
+handling an incremental hull algorithm would need to get exact answers.
 """
 
 from __future__ import annotations
@@ -232,17 +233,6 @@ def primitive_form(values: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(z // g for z in ints)
 
 
-def _dedupe(points: Iterable[Sequence[Fraction]]) -> list:
-    seen = set()
-    out = []
-    for p in points:
-        t = tuple(p)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
 def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of a nonempty point set.
 
@@ -263,49 +253,78 @@ def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _lattice_points(pts: Sequence[Sequence[Fraction]], dim: int) -> tuple[list, tuple[int, ...]]:
-    """Integer form of deduplicated points that span ``dim`` dimensions.
+def _clear_denominators(
+    points: Sequence[Sequence[Fraction]], dim: int
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Integer form of rational points and the per-axis scales behind it.
 
-    Axis k is multiplied by the lcm of its denominators; the per-axis
-    scales are returned with the points, and the hull volume shrinks by
-    their product. Points spanning fewer dimensions raise
-    :class:`DegenerateHull`.
+    Axis k is multiplied by the lcm of its denominators, so the hull
+    volume of the integer points is the product of the scales times the
+    original one.
     """
-    if len(pts) > dim:
-        scales = tuple(lcm(*(p[k].denominator for p in pts)) for k in range(dim))
-        ipts = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) for p in pts]
-        if _affine_rank(ipts) == dim:
-            return ipts, scales
+    scales = tuple(lcm(*(p[k].denominator for p in points)) for k in range(dim))
+    ipts = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) for p in points]
+    return ipts, scales
+
+
+def _lattice_points(
+    points: Sequence[Sequence[Fraction]], dim: int
+) -> tuple[list[tuple], list[tuple[int, ...]], tuple[int, ...]]:
+    """Deduplicated points, their integer form and the per-axis scales.
+
+    See :func:`_clear_denominators`. Duplicates are dropped on the integer
+    form, keeping first occurrences in input order. Points that do not
+    span ``dim`` dimensions raise :class:`DegenerateHull`.
+    """
+    ints, scales = _clear_denominators(points, dim)
+    lattice: dict = {}
+    for q, p in zip(ints, points):
+        lattice.setdefault(q, tuple(p))
+    ipts = list(lattice)
+    if len(ipts) > dim and _affine_rank(ipts) == dim:
+        return list(lattice.values()), ipts, scales
     raise DegenerateHull(f"points do not span {dim} dimensions")
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square matrix by first-row expansion."""
+    """Determinant of a square matrix: its first row against the cofactors
+    of the others."""
     if len(m) == 1:
         return m[0][0]
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if len(m) == 3:
-        return det3(m)
-    total = 0
-    for j, x in enumerate(m[0]):
-        if x:
-            minor = x * _det([r[:j] + r[j + 1 :] for r in m[1:]])
-            total += -minor if j % 2 else minor
-    return total
+    return sum(map(mul, m[0], _cofactor_normal(m[1:])))
 
 
-def _cofactor_normal(rows: Sequence[Sequence[int]]) -> list[int]:
+def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Signed maximal minors of d - 1 rows in d columns.
 
-    The result is orthogonal to every row, and zero exactly when the rows
-    are linearly dependent.
+    Entry j is (-1)^j times the minor without column j. The result is
+    orthogonal to every row, and zero exactly when the rows are linearly
+    dependent. d = 2, 3 and 4 are written out; larger d expands each minor
+    by :func:`_det`.
     """
-    normal = []
-    for j in range(len(rows[0])):
-        minor = _det([r[:j] + r[j + 1 :] for r in rows])
-        normal.append(-minor if j % 2 else minor)
-    return normal
+    d = len(rows[0])
+    if d == 2:
+        ((x, y),) = rows
+        return (y, -x)
+    if d == 3:
+        return cross3(*rows)
+    if d == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        # the 2x2 minors of the last two rows, shared by all four cofactors
+        m01 = b0 * c1 - b1 * c0
+        m02 = b0 * c2 - b2 * c0
+        m03 = b0 * c3 - b3 * c0
+        m12 = b1 * c2 - b2 * c1
+        m13 = b1 * c3 - b3 * c1
+        m23 = b2 * c3 - b3 * c2
+        return (
+            a1 * m23 - a2 * m13 + a3 * m12,
+            a2 * m03 - a0 * m23 - a3 * m02,
+            a0 * m13 - a1 * m03 + a3 * m01,
+            a1 * m02 - a0 * m12 - a2 * m01,
+        )
+    minors = (_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d))
+    return tuple(-minor if j % 2 else minor for j, minor in enumerate(minors))
 
 
 def _hull_facets(
@@ -317,41 +336,47 @@ def _hull_facets(
     primitive form (coprime integers), every point x satisfies
     normal . x <= offset, and ``incident`` lists the indices of the points
     with equality. A d-subset spans a facet when its cofactor normal is
-    nonzero and every point lies weakly on one side. Each hyperplane is
-    tested once, so facets come out in order of their first spanning
-    subset.
+    nonzero and every point lies weakly on one side. Facets come out
+    once each, in order of their first spanning subset.
     """
     d = len(pts[0])
-    zero = [0] * d
-    tested = set()
+    found = set()
     facets = []
-    for subset in combinations(range(len(pts)), d):
-        base = pts[subset[0]]
-        normal = _cofactor_normal([tuple(map(sub, pts[i], base)) for i in subset[1:]])
-        g = gcd(*normal)
-        if g == 0:
-            continue
-        if normal < zero:
-            g = -g  # one sign per hyperplane: first nonzero entry positive
-        normal = tuple(x // g for x in normal)
-        offset = sum(map(mul, normal, base))
-        if (normal, offset) in tested:
-            continue
-        tested.add((normal, offset))
-        side = [sum(map(mul, normal, p)) for p in pts]
-        if offset == min(side):
-            outward = (tuple(-x for x in normal), -offset)
-        elif offset == max(side):
-            outward = (normal, offset)
-        else:
-            continue
-        facets.append((*outward, tuple(i for i, x in enumerate(side) if x == offset)))
+    for first in range(len(pts) - d + 1):
+        # every subset led by this point shares its differences to the others
+        base = pts[first]
+        diffs = [tuple(map(sub, p, base)) for p in pts]
+        for rest in combinations(range(first + 1, len(pts)), d - 1):
+            normal = _cofactor_normal([diffs[i] for i in rest])
+            if not any(normal):
+                continue
+            side = [sum(map(mul, normal, q)) for q in diffs]
+            if max(side) == 0:
+                g = gcd(*normal)
+            elif min(side) == 0:
+                g = -gcd(*normal)
+            else:
+                continue
+            outward = tuple(x // g for x in normal)
+            facet = (outward, sum(map(mul, outward, base)))
+            if facet in found:
+                continue
+            found.add(facet)
+            facets.append((*facet, tuple(i for i, x in enumerate(side) if x == 0)))
     return facets
+
+
+def _simplex_volume(pts: Sequence[tuple[int, ...]], apex: tuple[int, ...]) -> int:
+    """d! times the volume of the simplex spanned by ``apex`` and d points."""
+    return abs(_det([tuple(map(sub, p, apex)) for p in pts]))
 
 
 def _lattice_volume(pts: Sequence[tuple[int, ...]]) -> int:
     """d! times the volume of the hull of full-dimensional integer points."""
-    if len(pts[0]) == 1:
+    d = len(pts[0])
+    if len(pts) == d + 1:
+        return _simplex_volume(pts[1:], pts[0])
+    if d == 1:
         xs = [p[0] for p in pts]
         return max(xs) - min(xs)
     return _lasserre_sum(pts, _hull_facets(pts))
@@ -363,23 +388,36 @@ def _lasserre_sum(
     """d! times the hull volume, summed over the facets from :func:`_hull_facets`.
 
     Lasserre's recursion: the volume is the sum over facets F of
-    dist(c, F) * vol(F) / d for any point c of the hull. With a primitive
-    integer normal n, dist(c, F) = (offset - n . c) / |n|, and dropping a
-    coordinate k with n_k != 0 maps F onto a (d-1)-polytope of volume
-    vol(F) * |n_k| / |n|, so the |n| cancel and no square root appears.
-    Scaled by d!, each facet adds (offset - n . c) times the (d-1)!-scaled
-    volume of its projection over |n_k|, an exact integer division: the
-    projected points lie on one coset of a sublattice of index |n_k|. The
-    point c is the one on the most facets, which then add nothing.
+    dist(c, F) * vol(F) / d for any point c of the hull, the volume of the
+    pyramid from c over F. The point c is the one on the most facets,
+    which then add nothing.
+
+    A simplex facet (exactly d incident points) adds d! times its
+    pyramid's volume, |det(p_i - c)| over its d points, and nothing else
+    of it is read: a caller may pass None for its normal and offset.
+
+    Any other facet recurses. With a primitive integer normal n,
+    dist(c, F) = (offset - n . c) / |n|, and dropping a coordinate k with
+    n_k != 0 maps F onto a (d-1)-polytope of volume vol(F) * |n_k| / |n|,
+    so the |n| cancel and no square root appears. Scaled by d!, the facet
+    adds (offset - n . c) times the (d-1)!-scaled volume of its projection
+    over |n_k|, an exact integer division: the projected points lie on one
+    coset of a sublattice of index |n_k|.
     """
     hits = Counter(i for _, _, incident in facets for i in incident)
-    c = pts[hits.most_common(1)[0][0]]
+    apex = hits.most_common(1)[0][0]
+    c = pts[apex]
+    d = len(c)
     total = 0
     for normal, offset, incident in facets:
-        height = offset - sum(map(mul, normal, c))
-        if height:
+        if apex in incident:
+            continue
+        if len(incident) == d:
+            total += _simplex_volume([pts[i] for i in incident], c)
+        else:
             k = next(i for i, x in enumerate(normal) if x)
             face = [pts[i][:k] + pts[i][k + 1 :] for i in incident]
+            height = offset - sum(map(mul, normal, c))
             total += height * (_lattice_volume(face) // abs(normal[k]))
     return total
 
@@ -393,11 +431,11 @@ def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
     span d dimensions raises :class:`DegenerateHull`; flat input never
     reports volume zero.
     """
-    pts = _dedupe(points)
-    if not pts:
+    points = list(points)
+    if not points:
         raise DegenerateHull("hull of an empty point set")
-    dim = len(pts[0])
-    ipts, scales = _lattice_points(pts, dim)
+    dim = len(points[0])
+    _, ipts, scales = _lattice_points(points, dim)
     return Fraction(_lattice_volume(ipts), factorial(dim) * prod(scales))
 
 

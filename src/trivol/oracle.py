@@ -4,11 +4,12 @@ The routines here trade speed for trustworthiness. Facets of a 4D hull
 come from the geometry module's brute-force kernel: the hyperplane
 through an affinely independent 4-subset is a facet iff all points lie
 weakly on one side of it. The 4-volume then follows from Lasserre's
-recursion over those facets, each facet's 3-volume found the same way
-one dimension down, all on integers after clearing denominators per
-axis. Everything is exact; the only float code is the Monte Carlo sanity
-estimator at the bottom, which never participates in any agreement
-verdict.
+recursion over those facets, all on integers after clearing
+denominators per axis: a simplex facet (four points) closes in one 4x4
+determinant, and any other facet's 3-volume is found the same way one
+dimension down. Everything is exact; the only float code is the Monte
+Carlo sanity estimator at the bottom, which never participates in any
+agreement verdict.
 
 Every point subset of every face is tested, so this is usable for the
 eight-point hulls this package cares about and for small test
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import InvalidBounds
 from .geometry import (
     Point4,
     Vec4,
-    _dedupe,
+    _clear_denominators,
     _hull_facets,
     _lasserre_sum,
     _lattice_points,
@@ -72,12 +73,14 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
     set; each facet found is mapped back to the original coordinates and
     kept once, in order of its first spanning subset.
     """
-    pts: list[Point4] = _dedupe(points)
-    ipts, scales = _lattice_points(pts, 4)
+    pts, ipts, scales = _lattice_points(points, 4)
     facets = []
     for normal, offset, incident in _hull_facets(ipts):
-        key = primitive_form([*map(mul, normal, scales), offset])
-        facets.append(Facet4(tuple(map(Fraction, key[:4])), Fraction(key[4]), incident))
+        # the same hyperplane in the original coordinates: normal_k * scale_k, made primitive
+        coeffs = (*map(mul, normal, scales), offset)
+        g = gcd(*coeffs)
+        key = tuple(Fraction(x // g) for x in coeffs)
+        facets.append(Facet4(key[:4], key[4], incident))
     return pts, facets
 
 
@@ -85,16 +88,20 @@ def hull_volume_4d(points: list[Point4]) -> Fraction:
     """Exact 4-volume of the convex hull of a 4D point set.
 
     Lasserre's recursion over the facets from :func:`hull_facets_4d`,
-    run on the denominator-cleared integer points. Input that lies in a
-    hyperplane raises :class:`DegenerateHull`; flat input never reports
-    volume zero.
+    run on the denominator-cleared integer points. A simplex facet (four
+    incident points) adds one 4x4 determinant; only the others need their
+    normal back on the integer points. Input that lies in a hyperplane
+    raises :class:`DegenerateHull`; flat input never reports volume zero.
     """
     pts, facets = hull_facets_4d(points)
-    ipts, scales = _lattice_points(pts, 4)
-    # the same hyperplanes on the integer points: normal_k / scale_k, made primitive
+    ipts, scales = _clear_denominators(pts, 4)
     common = prod(scales)
     lattice_facets = []
     for facet in facets:
+        if len(facet.incident) == 4:
+            lattice_facets.append((None, None, facet.incident))
+            continue
+        # the same hyperplane on the integer points: normal_k / scale_k, made primitive
         normal = primitive_form(
             [c.numerator * (common // s) for c, s in zip(facet.normal, scales)]
         )

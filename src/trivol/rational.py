@@ -8,22 +8,35 @@ the CLI and by the JSON/CSV file formats.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 Rational = Fraction
+
+# the exponent of a decimal string, as the Fraction constructor reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def parse_rational(value: object) -> Fraction:
     """Parse an int, a "p/q" or decimal string, or a float into a Fraction.
 
     Floats are interpreted through their shortest decimal representation,
-    so 0.1 parses as 1/10 rather than as the underlying binary value.
+    so 0.1 parses as 1/10 rather than as the underlying binary value. A
+    decimal exponent larger in magnitude than ``sys.get_int_max_str_digits()``
+    raises ValueError, as a digit string longer than that does.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational value: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # 10**exponent has about |exponent| digits; beyond the interpreter's
+        # limit on int digit strings, building it would only hang
+        exponent = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent.group(1))) > limit:
+            raise ValueError(f"decimal exponent beyond {limit} in {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

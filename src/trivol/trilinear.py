@@ -72,6 +72,11 @@ __all__ = [
 ]
 
 
+def _fractions(values: tuple) -> tuple:
+    """The values as Fractions; values that already are one are kept."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
 @dataclass(frozen=True)
 class Box3Bounds:
     """Axis-aligned box [a1,b1] x [a2,b2] x [a3,b3] with 0 <= a_i < b_i."""
@@ -82,8 +87,8 @@ class Box3Bounds:
     def __post_init__(self) -> None:
         if len(self.a) != 3 or len(self.b) != 3:
             raise InvalidBounds("bounds need exactly three intervals")
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+        object.__setattr__(self, "a", _fractions(self.a))
+        object.__setattr__(self, "b", _fractions(self.b))
         for axis, (lo, hi) in enumerate(zip(self.a, self.b), start=1):
             if not (0 <= lo < hi):
                 raise InvalidBounds(f"need 0 <= a{axis} < b{axis}, got a{axis}={lo}, b{axis}={hi}")
@@ -146,18 +151,21 @@ class OmegaBox:
     def __post_init__(self) -> None:
         if sorted(self.perm) != [1, 2, 3]:
             raise ValueError(f"perm must be a permutation of (1, 2, 3), got {self.perm}")
-        if not omega_check(self.bounds):
+        if not omega_prime_check(self.bounds):
             raise OmegaViolated(f"bounds do not satisfy the ordering condition: {self.bounds}")
 
 
 def omega_normalize(box: Box3Bounds) -> OmegaBox:
     """Reorder the axes so the ordering condition holds.
 
-    Axes are stably sorted by their :func:`ordering_values` key, so ties
-    keep their original relative order and the result is deterministic.
+    Axes are stably sorted by their ratio a_i/b_i, so ties keep their
+    original relative order and the result is deterministic. That is the
+    order of the :func:`ordering_values` keys, ties included: with k the
+    third axis, key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i), and
+    b_k > a_k.
     """
-    keys = ordering_values(box)
-    order = sorted(range(3), key=lambda i: (keys[i], i))
+    ratios = [box.a[i] / box.b[i] for i in range(3)]
+    order = sorted(range(3), key=ratios.__getitem__)
     a = tuple(box.a[i] for i in order)
     b = tuple(box.b[i] for i in order)
     perm = [0, 0, 0]

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -79,10 +80,39 @@ def test_volume_missing_source_is_usage_error(capsys):
 
 
 def test_volume_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "closed_form_volume", lambda box: F(999))
+    # --method all reads the formula value from the pipeline's report
+    real = cli.pipeline_volume
+
+    def disagreeing(box):
+        return dataclasses.replace(real(box), vol_formula=F(999), agree=False)
+
+    monkeypatch.setattr(cli, "pipeline_volume", disagreeing)
     code, out, _ = run_cli(capsys, "volume", "--bounds", "0,1,0,1,0,1")
     assert code == 3
     assert json.loads(out)["agree"] is False
+
+
+def test_volume_all_methods_normalize_once(capsys, monkeypatch):
+    calls = []
+    real = trilinear.omega_normalize
+
+    def counted(box):
+        calls.append(box)
+        return real(box)
+
+    monkeypatch.setattr(trilinear, "omega_normalize", counted)
+    code, out, _ = run_cli(capsys, "volume", "--bounds", "1,2,1,3,2,5")
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+    assert len(calls) == 1
+
+
+def test_volume_rejects_a_huge_decimal_exponent(capsys):
+    for text in ("0,1e20000000,0,1,0,1", "0,1,0,1,1e-20000000,1"):
+        code, out, err = run_cli(capsys, "volume", "--bounds", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_passes_cleanly(capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from itertools import permutations, product
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -20,7 +21,16 @@ from trivol import (
     support,
     tetra_volume,
 )
-from trivol.geometry import add3, cross3, dot3, hull_volume, primitive_form, sub3
+from trivol.geometry import (
+    _hull_facets,
+    _lattice_points,
+    add3,
+    cross3,
+    dot3,
+    hull_volume,
+    primitive_form,
+    sub3,
+)
 
 from testutil import random_points, random_tetrahedron
 
@@ -214,6 +224,69 @@ def test_hull_volume_unit_simplex_and_cube_in_dimensions_1_to_5():
         assert hull_volume(simplex) == F(1, factorial(d))
         cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
         assert hull_volume(cube) == 1
+
+
+def _facet_sizes(points):
+    """Incident point counts of the hull's facets, in scan order."""
+    _, ipts, _ = _lattice_points(points, len(points[0]))
+    return [len(incident) for _, _, incident in _hull_facets(ipts)]
+
+
+def test_hull_volume_with_simplex_and_non_simplex_facets():
+    square = [(F(x), F(y), F(0)) for x, y in product((0, 1), repeat=2)]
+    pyramid = square + [(F(1, 2), F(1, 2), F(1))]
+    assert sorted(_facet_sizes(pyramid)) == [3, 3, 3, 3, 4]
+    assert hull_volume(pyramid) == F(1, 3)
+
+    # a pyramid of height 1 over the unit cube: every facet recurses, and
+    # the square pyramids among them mix both kinds one dimension down
+    cube = [tuple(map(F, c)) + (F(0),) for c in product((0, 1), repeat=3)]
+    cube_pyramid = cube + [(F(1, 2), F(1, 3), F(1, 4), F(1))]
+    assert sorted(_facet_sizes(cube_pyramid)) == [5] * 6 + [8]
+    assert hull_volume(cube_pyramid) == F(1, 4)
+
+    cross = [tuple(F(s * (i == j)) for i in range(4)) for j in range(4) for s in (1, -1)]
+    assert _facet_sizes(cross) == [4] * 16
+    assert hull_volume(cross) == F(2, 3)
+
+    # apexes at w = -1 and w = 1 over the square pyramid, through an
+    # interior point of it: 2 * (1/3) / 4
+    base = [p + (F(0),) for p in pyramid]
+    bipyramid = base + [(F(1, 2), F(1, 2), F(1, 4), F(w)) for w in (-1, 1)]
+    assert sorted(_facet_sizes(bipyramid)) == [4] * 8 + [5] * 2
+    assert hull_volume(bipyramid) == F(1, 6)
+
+
+def _unimodular(rng, d):
+    """A random integer matrix of determinant +-1: row additions, then a
+    row permutation."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m
+
+
+def test_hull_volume_keeps_unimodular_images_and_scales_by_lambda_to_the_d():
+    rng = random.Random(23)
+    for d in (3, 4):
+        checked = 0
+        while checked < 15:
+            n = rng.randint(d + 1, 8)
+            pts = [tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(n)]
+            try:
+                vol = hull_volume(pts)
+            except DegenerateHull:
+                continue
+            m = _unimodular(rng, d)
+            shift = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+            moved = [tuple(sum(map(mul, row, p)) + s for row, s in zip(m, shift)) for p in pts]
+            assert hull_volume(moved) == vol
+            lam = F(rng.randint(1, 7), rng.randint(1, 4))
+            assert hull_volume([tuple(lam * x for x in p) for p in pts]) == lam**d * vol
+            checked += 1
 
 
 def test_hull_volume_3d_rejects_flat_input():

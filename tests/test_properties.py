@@ -1,15 +1,26 @@
-"""Hypothesis properties of the formula and slice pipeline volumes.
+"""Hypothesis properties of the volume routes, the axis ordering and the CLI.
 
-Every property is checked on both exact routes. Runs are derandomized, so
-the suite tests the same examples on every run.
+Every volume property is checked on both exact routes. Runs are
+derandomized, so the suite tests the same examples on every run.
 """
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trivol import Box3Bounds, closed_form_volume, pipeline_volume
+from trivol import (
+    Box3Bounds,
+    cli,
+    closed_form_volume,
+    omega_check,
+    omega_normalize,
+    ordering_values,
+    pipeline_volume,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
@@ -68,3 +79,64 @@ def extreme_boxes(draw):
 @given(extreme_boxes())
 def test_routes_agree_at_extreme_magnitudes(box):
     assert both_volumes(box)[0] > 0
+
+
+@st.composite
+def tied_boxes(draw):
+    """Boxes whose axes often tie in the ordering: each lower bound is 0,
+    a ratio shared by all axes times its upper bound, or free."""
+    shared = draw(st.fractions(min_value=0, max_value=F(5, 6), max_denominator=6))
+    a, b = [], []
+    for _ in range(3):
+        hi = draw(WIDTH)
+        ratio = draw(
+            st.sampled_from((F(0), shared))
+            | st.fractions(min_value=0, max_value=F(5, 6), max_denominator=6)
+        )
+        a.append(ratio * hi)
+        b.append(hi)
+    return Box3Bounds(tuple(a), tuple(b))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(tied_boxes())
+def test_normalize_is_the_stable_sort_by_ordering_values(box):
+    keys = ordering_values(box)
+    order = sorted(range(3), key=lambda i: keys[i])
+    norm = omega_normalize(box)
+    assert norm.perm == tuple(order.index(i) + 1 for i in range(3))
+    assert norm.bounds == Box3Bounds(
+        tuple(box.a[i] for i in order), tuple(box.b[i] for i in order)
+    )
+    assert omega_check(norm.bounds)
+
+
+# bound-like text: well-formed nonnegative values, signed values with
+# exponents of up to nine digits, and anything
+UNSIGNED = st.from_regex(
+    r"[0-9]{1,3}(\.[0-9]{1,2})?([eE]-?[0-9]{1,2})?|[0-9]{1,3}/[1-9]", fullmatch=True
+)
+NUMBER = st.from_regex(r" ?[-+]?[0-9]{0,3}(\.[0-9]{0,2})?([eE][-+]?[0-9]{1,9})? ?", fullmatch=True)
+FIELD = UNSIGNED | NUMBER | st.text(max_size=4)
+
+
+@st.composite
+def box_text(draw):
+    """Six unsigned values with each axis's pair in increasing order:
+    mostly valid boxes."""
+    pairs = [sorted((draw(UNSIGNED), draw(UNSIGNED)), key=F) for _ in range(3)]
+    return ",".join(x for pair in pairs for x in pair)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.text() | st.lists(FIELD, min_size=5, max_size=7).map(",".join) | box_text())
+def test_cli_volume_never_tracebacks_on_bounds_text(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["volume", f"--bounds={text}"])
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out.getvalue())["agree"] is True
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
