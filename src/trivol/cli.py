@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -418,10 +419,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_bounds_values(argv: Sequence[str]) -> list[str]:
+    """Spell ``--bounds -1,2,...`` as ``--bounds=-1,2,...``.
+
+    argparse takes a token that starts with ``-`` and is not a plain
+    negative number for an option, so a bounds list starting with a
+    negative value would leave ``--bounds`` without its argument. Joined,
+    the value reaches the bounds check and its one-line error.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--bounds" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--bounds={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_bounds_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -9,13 +9,18 @@ all functions in this module pure.
 
 The convex-hull volume kernel works in any dimension d. It clears
 denominators per axis so that everything after runs on Python ints,
-finds facets by brute force over point d-subsets (an integer cofactor
-normal per subset, kept when every point lies on one side), and sums
-facet contributions by Lasserre's recursive volume formula. A simplex
-facet (d points) closes in one determinant; only the others recurse,
-at most down to d = 1. At the scale this package works with (a few
-dozen points) that is fast enough, and it avoids the degeneracy
-handling an incremental hull algorithm would need to get exact answers.
+finds facets by brute force over point d-subsets, and sums facet
+contributions by Lasserre's recursive volume formula. Every subset is
+tested: its integer cofactor normal spans a facet when every point lies
+on one side. The side test of a subset stops at the first point on the
+side opposite to one already seen, and the point that refuted the
+previous subset is tried first, so most subsets cost two or three dot
+products; d = 2, 3 and 4 are written out. A simplex facet (d points)
+closes in one determinant; only the others recurse, at most down to
+d = 1. At the scale this package works with (a few dozen points) that
+is fast enough, and it avoids the degeneracy handling an incremental
+hull algorithm would need to get exact answers. Flat input is found by
+the same scan, with no separate rank test.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
 
@@ -273,16 +278,17 @@ def _lattice_points(
     """Deduplicated points, their integer form and the per-axis scales.
 
     See :func:`_clear_denominators`. Duplicates are dropped on the integer
-    form, keeping first occurrences in input order. Points that do not
-    span ``dim`` dimensions raise :class:`DegenerateHull`.
+    form, keeping first occurrences in input order. Fewer than ``dim + 1``
+    distinct points raise :class:`DegenerateHull`; more that still do not
+    span ``dim`` dimensions are rejected by the volume or the facet scan
+    that follows.
     """
     ints, scales = _clear_denominators(points, dim)
     lattice: dict = {}
     for q, p in zip(ints, points):
         lattice.setdefault(q, tuple(p))
-    ipts = list(lattice)
-    if len(ipts) > dim and _affine_rank(ipts) == dim:
-        return list(lattice.values()), ipts, scales
+    if len(lattice) > dim:
+        return list(lattice.values()), list(lattice), scales
     raise DegenerateHull(f"points do not span {dim} dimensions")
 
 
@@ -327,43 +333,213 @@ def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(-minor if j % 2 else minor for j, minor in enumerate(minors))
 
 
+# what a facet scan yields per spanning subset: (normal, above, incident)
+_Spanning = tuple[tuple[int, ...], bool, tuple[int, ...]]
+
+
 def _hull_facets(
     pts: Sequence[tuple[int, ...]],
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Facets of the hull of full-dimensional integer points in d >= 2 dimensions.
+    """Facets of the hull of distinct integer points in d >= 2 dimensions.
 
     Returns (normal, offset, incident) per facet: the outward normal in
     primitive form (coprime integers), every point x satisfies
     normal . x <= offset, and ``incident`` lists the indices of the points
-    with equality. A d-subset spans a facet when its cofactor normal is
-    nonzero and every point lies weakly on one side. Facets come out
-    once each, in order of their first spanning subset.
+    with equality. Every d-subset is tested (see :func:`_scan`); one that
+    spans a facet is kept once, in order of its first spanning subset. Two
+    spanning subsets give the same facet exactly when they have the same
+    incident points, since those points span the facet's hyperplane.
+
+    Points that do not span d dimensions raise :class:`DegenerateHull`:
+    either a spanning subset has every point on its hyperplane, or no
+    subset spans a facet.
     """
     d = len(pts[0])
-    found = set()
+    scan = _WRITTEN_OUT_SCANS.get(d, _scan)
+    seen = set()
     facets = []
-    for first in range(len(pts) - d + 1):
-        # every subset led by this point shares its differences to the others
+    for normal, above, incident in scan(pts):
+        if incident in seen:
+            continue
+        if len(incident) == len(pts):
+            raise DegenerateHull(f"points do not span {d} dimensions")
+        seen.add(incident)
+        g = -gcd(*normal) if above else gcd(*normal)
+        outward = tuple(x // g for x in normal)
+        facets.append((outward, sum(map(mul, outward, pts[incident[0]])), incident))
+    if not facets:
+        raise DegenerateHull(f"points do not span {d} dimensions")
+    return facets
+
+
+def _scan(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
+    """The d-subsets of distinct integer points whose hyperplane has every
+    point weakly on one side.
+
+    Yields (normal, above, incident) per such subset, in lexicographic
+    subset order: the subset's integer cofactor normal (nonzero), whether
+    the other points lie on its positive side, and the indices of the
+    points on the hyperplane. Each subset shares its leading point's
+    differences to every point. The side test stops at the first point on
+    the opposite side to one already seen; within one leading point, the
+    point that refuted the last subset is tested first. d = 2, 3 and 4
+    are written out in :func:`_scan2`, :func:`_scan3` and :func:`_scan4`.
+    """
+    n, d = len(pts), len(pts[0])
+    for first in range(n - d + 1):
         base = pts[first]
         diffs = [tuple(map(sub, p, base)) for p in pts]
-        for rest in combinations(range(first + 1, len(pts)), d - 1):
+        ring = diffs[:first] + diffs[first + 1 :]
+        for rest in combinations(range(first + 1, n), d - 1):
             normal = _cofactor_normal([diffs[i] for i in rest])
             if not any(normal):
                 continue
-            side = [sum(map(mul, normal, q)) for q in diffs]
-            if max(side) == 0:
-                g = gcd(*normal)
-            elif min(side) == 0:
-                g = -gcd(*normal)
+            above = below = False
+            for q in ring:
+                s = sum(map(mul, normal, q))
+                if s > 0:
+                    if below:
+                        break
+                    above = True
+                elif s < 0:
+                    if above:
+                        break
+                    below = True
             else:
+                yield normal, above, tuple(
+                    i for i, q in enumerate(diffs) if not sum(map(mul, normal, q))
+                )
                 continue
-            outward = tuple(x // g for x in normal)
-            facet = (outward, sum(map(mul, outward, base)))
-            if facet in found:
+            ring[ring.index(q)] = ring[0]
+            ring[0] = q
+
+
+def _scan2(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
+    """:func:`_scan` for d = 2, with the normal (y, -x) and the dot products
+    inline."""
+    n = len(pts)
+    for first in range(n - 1):
+        b0, b1 = pts[first]
+        diffs = [(p0 - b0, p1 - b1) for p0, p1 in pts]
+        ring = diffs[:first] + diffs[first + 1 :]
+        for j in range(first + 1, n):
+            x0, x1 = diffs[j]
+            n0, n1 = x1, -x0
+            if not (n0 or n1):
                 continue
-            found.add(facet)
-            facets.append((*facet, tuple(i for i, x in enumerate(side) if x == 0)))
-    return facets
+            above = below = False
+            for q in ring:
+                q0, q1 = q
+                s = n0 * q0 + n1 * q1
+                if s > 0:
+                    if below:
+                        break
+                    above = True
+                elif s < 0:
+                    if above:
+                        break
+                    below = True
+            else:
+                yield (n0, n1), above, tuple(
+                    t for t, (q0, q1) in enumerate(diffs) if not n0 * q0 + n1 * q1
+                )
+                continue
+            ring[ring.index(q)] = ring[0]
+            ring[0] = q
+
+
+def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
+    """:func:`_scan` for d = 3, with ``cross3`` and the dot products inline."""
+    n = len(pts)
+    for first in range(n - 2):
+        b0, b1, b2 = pts[first]
+        diffs = [(p0 - b0, p1 - b1, p2 - b2) for p0, p1, p2 in pts]
+        ring = diffs[:first] + diffs[first + 1 :]
+        for i in range(first + 1, n - 1):
+            x0, x1, x2 = diffs[i]
+            for j in range(i + 1, n):
+                y0, y1, y2 = diffs[j]
+                n0 = x1 * y2 - x2 * y1
+                n1 = x2 * y0 - x0 * y2
+                n2 = x0 * y1 - x1 * y0
+                if not (n0 or n1 or n2):
+                    continue
+                above = below = False
+                for q in ring:
+                    q0, q1, q2 = q
+                    s = n0 * q0 + n1 * q1 + n2 * q2
+                    if s > 0:
+                        if below:
+                            break
+                        above = True
+                    elif s < 0:
+                        if above:
+                            break
+                        below = True
+                else:
+                    yield (n0, n1, n2), above, tuple(
+                        t for t, (q0, q1, q2) in enumerate(diffs) if not n0 * q0 + n1 * q1 + n2 * q2
+                    )
+                    continue
+                ring[ring.index(q)] = ring[0]
+                ring[0] = q
+
+
+def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
+    """:func:`_scan` for d = 4, with the cofactor normal and the dot
+    products inline.
+
+    The normal of rows (i, j, k) is :func:`_cofactor_normal` of the rows
+    cycled to (k, i, j), an even permutation with the same cofactors, so
+    the six 2x2 minors of rows i and j are computed once for every k.
+    """
+    n = len(pts)
+    for first in range(n - 3):
+        b0, b1, b2, b3 = pts[first]
+        diffs = [(p0 - b0, p1 - b1, p2 - b2, p3 - b3) for p0, p1, p2, p3 in pts]
+        ring = diffs[:first] + diffs[first + 1 :]
+        for i in range(first + 1, n - 2):
+            x0, x1, x2, x3 = diffs[i]
+            for j in range(i + 1, n - 1):
+                y0, y1, y2, y3 = diffs[j]
+                m01 = x0 * y1 - x1 * y0
+                m02 = x0 * y2 - x2 * y0
+                m03 = x0 * y3 - x3 * y0
+                m12 = x1 * y2 - x2 * y1
+                m13 = x1 * y3 - x3 * y1
+                m23 = x2 * y3 - x3 * y2
+                for k in range(j + 1, n):
+                    z0, z1, z2, z3 = diffs[k]
+                    n0 = z1 * m23 - z2 * m13 + z3 * m12
+                    n1 = z2 * m03 - z0 * m23 - z3 * m02
+                    n2 = z0 * m13 - z1 * m03 + z3 * m01
+                    n3 = z1 * m02 - z0 * m12 - z2 * m01
+                    if not (n0 or n1 or n2 or n3):
+                        continue
+                    above = below = False
+                    for q in ring:
+                        q0, q1, q2, q3 = q
+                        s = n0 * q0 + n1 * q1 + n2 * q2 + n3 * q3
+                        if s > 0:
+                            if below:
+                                break
+                            above = True
+                        elif s < 0:
+                            if above:
+                                break
+                            below = True
+                    else:
+                        yield (n0, n1, n2, n3), above, tuple(
+                            t
+                            for t, (q0, q1, q2, q3) in enumerate(diffs)
+                            if not n0 * q0 + n1 * q1 + n2 * q2 + n3 * q3
+                        )
+                        continue
+                    ring[ring.index(q)] = ring[0]
+                    ring[0] = q
+
+
+_WRITTEN_OUT_SCANS = {2: _scan2, 3: _scan3, 4: _scan4}
 
 
 def _simplex_volume(pts: Sequence[tuple[int, ...]], apex: tuple[int, ...]) -> int:
@@ -372,10 +548,14 @@ def _simplex_volume(pts: Sequence[tuple[int, ...]], apex: tuple[int, ...]) -> in
 
 
 def _lattice_volume(pts: Sequence[tuple[int, ...]]) -> int:
-    """d! times the volume of the hull of full-dimensional integer points."""
+    """d! times the volume of the hull of at least d + 1 distinct integer
+    points; points that do not span d dimensions raise :class:`DegenerateHull`."""
     d = len(pts[0])
     if len(pts) == d + 1:
-        return _simplex_volume(pts[1:], pts[0])
+        volume = _simplex_volume(pts[1:], pts[0])
+        if not volume:
+            raise DegenerateHull(f"points do not span {d} dimensions")
+        return volume
     if d == 1:
         xs = [p[0] for p in pts]
         return max(xs) - min(xs)

@@ -3,13 +3,14 @@
 The routines here trade speed for trustworthiness. Facets of a 4D hull
 come from the geometry module's brute-force kernel: the hyperplane
 through an affinely independent 4-subset is a facet iff all points lie
-weakly on one side of it. The 4-volume then follows from Lasserre's
-recursion over those facets, all on integers after clearing
-denominators per axis: a simplex facet (four points) closes in one 4x4
-determinant, and any other facet's 3-volume is found the same way one
-dimension down. Everything is exact; the only float code is the Monte
-Carlo sanity estimator at the bottom, which never participates in any
-agreement verdict.
+weakly on one side of it. Every subset is tested; the test of one stops
+at the first point on the side opposite to one already seen. The
+4-volume then follows from Lasserre's recursion over those facets, all
+on integers after clearing denominators per axis: a simplex facet (four
+points) closes in one 4x4 determinant, and any other facet's 3-volume is
+found the same way one dimension down. Everything is exact; the only
+float code is the Monte Carlo sanity estimator at the bottom, which
+never participates in any agreement verdict.
 
 Every point subset of every face is tested, so this is usable for the
 eight-point hulls this package cares about and for small test
@@ -69,9 +70,11 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
     """Deduplicated points and all facets of their 4D convex hull.
 
     The hyperplane through every affinely independent 4-subset of the
-    denominator-cleared integer points is tested against the whole point
-    set; each facet found is mapped back to the original coordinates and
-    kept once, in order of its first spanning subset.
+    denominator-cleared integer points is tested against the point set
+    until two points lie on opposite sides of it; each facet found is
+    mapped back to the original coordinates and kept once, in order of
+    its first spanning subset. Points that do not span four dimensions
+    raise :class:`DegenerateHull`.
     """
     pts, ipts, scales = _lattice_points(points, 4)
     facets = []

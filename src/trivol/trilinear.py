@@ -24,9 +24,9 @@ The polynomial kernels below (``_z_values``, ``_mixed_volumes6_from_z``,
 ``_mixed_volume6``, ``_hull_volume24``, ``_beta4``, ``_simpson48``) carry
 no division: each returns a fixed integer multiple of its quantity, so
 they run on ints as well as on Fractions. The public Fraction functions
-divide their result once. ``pipeline_volume`` runs them on the box with
-each axis's denominators cleared, which turns every value into an int
-until one division per reported value at the end.
+divide their result once. ``hull_volume_formula`` and ``pipeline_volume``
+run them on the box with each axis's denominators cleared, which turns
+every value into an int until one division per reported value at the end.
 """
 
 from __future__ import annotations
@@ -377,14 +377,30 @@ def _hull_volume24(a: tuple, b: tuple):
     return (b1 - a1) * (b2 - a2) * (b3 - a3) * core
 
 
+def _cleared_bounds(a: tuple, b: tuple) -> tuple[tuple, tuple, list[int]]:
+    """Integer bounds with each axis's denominators cleared, and the scales.
+
+    Axis i is multiplied by D_i, the lcm of its two bound denominators.
+    Every ordering key scales by the same D1*D2*D3, so the integer box
+    keeps the ordering condition.
+    """
+    scales = [lcm(lo.denominator, hi.denominator) for lo, hi in zip(a, b)]
+    ia = tuple(x.numerator * (d // x.denominator) for x, d in zip(a, scales))
+    ib = tuple(x.numerator * (d // x.denominator) for x, d in zip(b, scales))
+    return ia, ib, scales
+
+
 def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
     """Closed-form hull volume for bounds satisfying the ordering condition.
 
     The expression is symmetric in axes 2 and 3 but not in axis 1; apply
     it only to normalized bounds (or use :func:`closed_form_volume`).
-    Bounds may be Fractions or ints.
+    Bounds may be Fractions or ints. The formula runs on the integer
+    bounds from :func:`_cleared_bounds`, on which the volume is
+    (D1*D2*D3)^2 times larger, and divides once.
     """
-    return Fraction(_hull_volume24(a, b), 24)
+    ia, ib, (d1, d2, d3) = _cleared_bounds(a, b)
+    return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
 
 
 def closed_form_volume(box: Box3Bounds) -> Fraction:
@@ -440,21 +456,17 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
 
     All of this runs on ints. After normalization, axis i is scaled by
     D_i, the lcm of its two bound denominators, giving integer bounds
-    A_i, B_i. That multiplies every ordering key by the same D1*D2*D3, so
-    the scaled box still satisfies the ordering condition the closed
-    forms need. Slice points scale by (D1*D2*D3, D1, D2), so slice volumes
-    and mixed volumes scale by D1^2*D2^2*D3 and are carried six times
-    over; the hull scales by (D1*D2*D3)^2 and its volume is carried 24
-    times over (the Simpson sum 288*(B3-A3)^2 times, see
-    :func:`_simpson48`). Each reported value is one division of such an
-    int at the end.
+    A_i, B_i (see :func:`_cleared_bounds`), which still satisfy the
+    ordering condition the closed forms need. Slice points scale by
+    (D1*D2*D3, D1, D2), so slice volumes and mixed volumes scale by
+    D1^2*D2^2*D3 and are carried six times over; the hull scales by
+    (D1*D2*D3)^2 and its volume is carried 24 times over (the Simpson sum
+    288*(B3-A3)^2 times, see :func:`_simpson48`). Each reported value is
+    one division of such an int at the end.
     """
     nb = omega_normalize(box).bounds
-    scales = [lcm(lo.denominator, hi.denominator) for lo, hi in zip(nb.a, nb.b)]
-    a = tuple(x.numerator * (d // x.denominator) for x, d in zip(nb.a, scales))
-    b = tuple(x.numerator * (d // x.denominator) for x, d in zip(nb.b, scales))
+    a, b, (d1, d2, d3) = _cleared_bounds(nb.a, nb.b)
     (a1, a2, a3), (b1, b2, b3) = a, b
-    d1, d2, d3 = scales
     slice_scale = 6 * (d1 * d2) ** 2 * d3
     hull_scale = 24 * (d1 * d2 * d3) ** 2
 

@@ -56,6 +56,20 @@ def test_volume_rejects_bad_bounds(capsys):
     assert code == 2
 
 
+def test_volume_negative_first_bound_is_one_error_line_in_both_spellings(capsys):
+    for argv in (
+        ["--bounds", "-1,2,0,1,0,1"],
+        ["--bounds=-1,2,0,1,0,1"],
+        ["--bounds", "-.5,2,0,1,0,1", "--method", "oracle"],
+    ):
+        code, out, err = run_cli(capsys, "volume", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need 0 <= a1 < b1") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "normalize", "--bounds", "-1,2,0,1,0,1")
+    assert code == 2 and err.count("\n") == 1 and err.count("error:") == 1
+
+
 def test_volume_zero_denominator_is_bad_input(capsys):
     code, out, err = run_cli(capsys, "volume", "--bounds", "1/0,1,0,1,0,1")
     assert code == 2

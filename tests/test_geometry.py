@@ -2,9 +2,9 @@
 
 import random
 from fractions import Fraction as F
-from itertools import permutations, product
-from math import factorial
-from operator import mul
+from itertools import combinations, permutations, product
+from math import factorial, gcd
+from operator import mul, sub
 
 import pytest
 
@@ -22,6 +22,8 @@ from trivol import (
     tetra_volume,
 )
 from trivol.geometry import (
+    _affine_rank,
+    _cofactor_normal,
     _hull_facets,
     _lattice_points,
     add3,
@@ -31,6 +33,8 @@ from trivol.geometry import (
     primitive_form,
     sub3,
 )
+from trivol.mixed_volume import minkowski_sum_vertices
+from trivol.oracle import hull_facets_4d, hull_volume_4d
 
 from testutil import random_points, random_tetrahedron
 
@@ -287,6 +291,92 @@ def test_hull_volume_keeps_unimodular_images_and_scales_by_lambda_to_the_d():
             lam = F(rng.randint(1, 7), rng.randint(1, 4))
             assert hull_volume([tuple(lam * x for x in p) for p in pts]) == lam**d * vol
             checked += 1
+
+
+def _reference_facets(pts):
+    """The facet scan without shortcuts: every d-subset's cofactor normal,
+    side-tested against every point, facets kept once in subset order."""
+    d = len(pts[0])
+    found = set()
+    facets = []
+    for subset in combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        normal = _cofactor_normal([tuple(map(sub, pts[i], base)) for i in subset[1:]])
+        if not any(normal):
+            continue
+        side = [sum(map(mul, normal, map(sub, p, base))) for p in pts]
+        if max(side) > 0 and min(side) < 0:
+            continue
+        g = gcd(*normal) if max(side) == 0 else -gcd(*normal)
+        outward = tuple(x // g for x in normal)
+        facet = (outward, sum(map(mul, outward, base)))
+        if facet not in found:
+            found.add(facet)
+            facets.append((*facet, tuple(i for i, x in enumerate(side) if x == 0)))
+    return facets
+
+
+def _grid_cloud(rng, d, n, span):
+    """n distinct integer points of {0..span}^d spanning d dimensions."""
+    while True:
+        pts = list({tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)})
+        rng.shuffle(pts)
+        if len(pts) > d and _affine_rank(pts) == d:
+            return pts
+
+
+def _shapes():
+    rng = random.Random(41)
+    for d in (2, 3, 4):
+        yield [tuple(c) for c in product((0, 1), repeat=d)]
+        yield [tuple(s * (i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
+    for _ in range(6):
+        k, l = (list(random_tetrahedron(rng, span=3).vertices) for _ in range(2))
+        yield _lattice_points(minkowski_sum_vertices(k, l), 3)[1]
+
+
+def test_hull_facets_match_the_reference_scan():
+    rng = random.Random(31)
+    clouds = [
+        _grid_cloud(rng, d, rng.randint(d + 2, top), span)
+        for d, count, top, span in ((2, 60, 9, 3), (3, 40, 14, 2), (4, 25, 12, 2), (5, 6, 10, 1))
+        for _ in range(count)
+    ]
+    non_simplex = 0
+    for pts in clouds + list(_shapes()):
+        facets = _hull_facets(pts)
+        assert facets == _reference_facets(pts)
+        non_simplex += sum(len(incident) > len(pts[0]) for _, _, incident in facets)
+    # coplanar points on the small grids make facets that are not simplices
+    assert non_simplex > 100
+
+
+def _flat_sets(d):
+    """Point sets in d dimensions that span fewer than d."""
+    def lift(xs):
+        # onto the hyperplane x_d = 2 x_1 - x_2 / 3 (+ x_3 ...)
+        coeffs = [F(2), F(-1, 3)] + [F(1)] * d
+        return (*xs, sum(c * x for c, x in zip(coeffs, xs)))
+
+    corners = [tuple(map(F, c)) for c in product((0, 1), repeat=d - 1)]
+    simplex = [(F(0),) * (d - 1)] + [tuple(F(i == j) for i in range(d - 1)) for j in range(d - 1)]
+    # d + 1 points on one hyperplane, many points on one hyperplane
+    yield [lift(p) for p in simplex] + [lift(tuple(F(1, 2) for _ in range(d - 1)))]
+    yield [lift(p) for p in corners] + [lift(tuple(F(1, 3) for _ in range(d - 1)))]
+    # collinear points
+    yield [tuple(F(t * (i + 1), 2) for i in range(d)) for t in range(d + 2)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_flat_input_raises_in_every_dimension(d):
+    for points in _flat_sets(d):
+        with pytest.raises(DegenerateHull):
+            hull_volume(points)
+        if d == 4:
+            with pytest.raises(DegenerateHull):
+                hull_facets_4d(points)
+            with pytest.raises(DegenerateHull):
+                hull_volume_4d(points)
 
 
 def test_hull_volume_3d_rejects_flat_input():

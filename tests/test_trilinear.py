@@ -265,6 +265,38 @@ class TestClosedForm:
         assert closed_form_volume(box((0, 0, 0), (2, 1, 1))) == F(5, 6)
         assert closed_form_volume(SHIFTED) == F(5, 8)
 
+    @pytest.mark.parametrize(
+        "a, b, volume",
+        [
+            ((F(1, 3), F(2, 5), F(3, 7)), (F(1, 2), F(7, 10), F(11, 14)), F(311, 1128960)),
+            ((F(5, 6), 1, F(1, 4)), (F(7, 4), F(9, 8), F(5, 9)), F(206305, 95551488)),
+            ((0, F(1, 9), F(2, 3)), (F(1, 5), F(4, 7), 2), F(638, 127575)),
+        ],
+    )
+    def test_pinned_values_with_a_denominator_per_axis(self, a, b, volume):
+        bx = box(a, b)
+        nb = omega_normalize(bx).bounds
+        assert closed_form_volume(bx) == volume
+        assert hull_volume_formula(nb.a, nb.b) == volume
+        # the division-free kernel evaluated on the Fraction bounds themselves
+        assert F(trilinear._hull_volume24(nb.a, nb.b), 24) == volume
+
+    def test_extreme_magnitudes_match_the_fraction_kernel(self):
+        big, tiny = F(10**50), F(1, 10**50)
+        for a, b in [
+            ((tiny, big, F(3, 7)), (3 * tiny, big + F(1, 3), F(5, 2))),
+            ((F(1, 3) * tiny, F(2, 9), big / 7), (F(1, 2) * tiny, F(5, 11), big)),
+        ]:
+            bx = box(a, b)
+            nb = omega_normalize(bx).bounds
+            expected = F(trilinear._hull_volume24(nb.a, nb.b), 24)
+            assert hull_volume_formula(nb.a, nb.b) == expected
+            assert closed_form_volume(bx) == expected == pipeline_volume(bx).vol_pipeline
+
+    def test_int_bounds(self):
+        assert hull_volume_formula((0, 0, 0), (1, 1, 1)) == F(5, 24)
+        assert hull_volume_formula((1, 1, 1), (2, 2, 2)) == F(5, 8)
+
     def test_positive_everywhere(self):
         rng = random.Random(89)
         for _ in range(100):
