@@ -17,19 +17,11 @@ from .errors import (
     TrivolError,
 )
 from .geometry import (
-    FacetNormalSet,
-    Point3,
-    Point4,
     Tetrahedron,
-    Vec3,
-    Vec4,
     det3,
-    det4,
     facet_normal_set,
     hull_volume_3d,
     orient,
-    point3,
-    point4,
     support,
     tetra_volume,
 )
@@ -48,7 +40,7 @@ from .oracle import (
     monte_carlo_volume,
     quadrature_volume,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .trilinear import (
     Box3Bounds,
     OmegaBox,
@@ -85,19 +77,10 @@ __all__ = [
     "EmptyPolytope",
     "OmegaViolated",
     "InternalDisagreement",
-    "Rational",
     "parse_rational",
     "format_rational",
-    "Vec3",
-    "Vec4",
-    "Point3",
-    "Point4",
-    "point3",
-    "point4",
     "det3",
-    "det4",
     "Tetrahedron",
-    "FacetNormalSet",
     "orient",
     "facet_normal_set",
     "support",

@@ -42,38 +42,24 @@ __all__ = [
     "Point4",
     "Tetrahedron",
     "FacetNormalSet",
-    "point3",
-    "point4",
     "add3",
     "sub3",
     "scale3",
     "dot3",
     "cross3",
     "det3",
-    "det4",
     "orient",
     "facet_normal_set",
     "support",
     "tetra_volume",
     "hull_volume",
     "hull_volume_3d",
-    "primitive_form",
 ]
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 Point3 = Vec3
 Point4 = Vec4
-
-
-def point3(x: object, y: object, z: object) -> Point3:
-    """Build an exact 3D point, coercing each coordinate to Fraction."""
-    return (Fraction(x), Fraction(y), Fraction(z))
-
-
-def point4(w: object, x: object, y: object, z: object) -> Point4:
-    """Build an exact 4D point, coercing each coordinate to Fraction."""
-    return (Fraction(w), Fraction(x), Fraction(y), Fraction(z))
 
 
 def add3(u: Vec3, v: Vec3) -> Vec3:
@@ -104,18 +90,6 @@ def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a 3x3 matrix given as three rows."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def det4(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a 4x4 matrix given as four rows (first-row expansion)."""
-    total = Fraction(0)
-    for j in range(4):
-        if m[0][j] == 0:
-            continue
-        minor = [[row[k] for k in range(4) if k != j] for row in m[1:]]
-        term = m[0][j] * det3(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def _edge_det(vertices: Sequence[Point3]) -> Fraction:
@@ -222,20 +196,6 @@ def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
 def tetra_volume(t: Tetrahedron) -> Fraction:
     """Volume of a tetrahedron: one sixth of its stored edge determinant."""
     return Fraction(t.det, 6)
-
-
-def primitive_form(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector by the positive factor making it primitive.
-
-    Returns coprime integers; the sign pattern of the input is preserved
-    (only positive scaling is applied). An all-zero input stays zero.
-    """
-    denom_lcm = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (denom_lcm // v.denominator) for v in values]
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(ints)
-    return tuple(z // g for z in ints)
 
 
 def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

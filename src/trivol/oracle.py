@@ -24,18 +24,14 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 
-import numpy as np
-
 from .errors import InvalidBounds
 from .geometry import (
     Point4,
-    Vec4,
     _clear_denominators,
     _hull_facets,
     _lasserre_sum,
     _lattice_points,
     hull_volume_3d,
-    primitive_form,
     scale3,
 )
 from .mixed_volume import minkowski_sum_vertices
@@ -55,14 +51,14 @@ __all__ = [
 class Facet4:
     """One facet hyperplane of a 4D hull: normal, offset, incident points.
 
-    The normal is outward in primitive integer form (coprime entries,
-    positively scaled only, so outwardness is preserved); every hull
-    point x satisfies normal . x <= offset, with equality exactly on the
-    ``incident`` indices into the deduplicated point list.
+    The normal is outward in primitive form (coprime ints, positively
+    scaled only, so outwardness is preserved) and the offset is an int;
+    every hull point x satisfies normal . x <= offset, with equality
+    exactly on the ``incident`` indices into the deduplicated point list.
     """
 
-    normal: Vec4
-    offset: Fraction
+    normal: tuple[int, int, int, int]
+    offset: int
     incident: tuple[int, ...]
 
 
@@ -82,7 +78,7 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
         # the same hyperplane in the original coordinates: normal_k * scale_k, made primitive
         coeffs = (*map(mul, normal, scales), offset)
         g = gcd(*coeffs)
-        key = tuple(Fraction(x // g) for x in coeffs)
+        key = tuple(x // g for x in coeffs)
         facets.append(Facet4(key[:4], key[4], incident))
     return pts, facets
 
@@ -105,9 +101,9 @@ def hull_volume_4d(points: list[Point4]) -> Fraction:
             lattice_facets.append((None, None, facet.incident))
             continue
         # the same hyperplane on the integer points: normal_k / scale_k, made primitive
-        normal = primitive_form(
-            [c.numerator * (common // s) for c, s in zip(facet.normal, scales)]
-        )
+        normal = [c * (common // s) for c, s in zip(facet.normal, scales)]
+        g = gcd(*normal)
+        normal = tuple(x // g for x in normal)
         offset = sum(map(mul, normal, ipts[facet.incident[0]]))
         lattice_facets.append((normal, offset, facet.incident))
     return Fraction(_lasserre_sum(ipts, lattice_facets), 24 * common)
@@ -171,6 +167,9 @@ def monte_carlo_volume(
     """
     if samples <= 0:
         raise ValueError("need a positive sample count")
+    # imported here, its one use, so that importing trivol does not load numpy
+    import numpy as np
+
     pts, facets = hull_facets_4d(points)
     lo = np.array([float(min(p[i] for p in pts)) for i in range(4)])
     hi = np.array([float(max(p[i] for p in pts)) for i in range(4)])

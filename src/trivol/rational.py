@@ -12,8 +12,6 @@ import re
 import sys
 from fractions import Fraction
 
-Rational = Fraction
-
 # the exponent of a decimal string, as the Fraction constructor reads it
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 

@@ -346,26 +346,19 @@ def integrate_cross_sections(
     vol_r: Fraction,
     a3: object,
     b3: object,
-    method: str = "beta",
 ) -> Fraction:
     """Integrate the slice-volume cubic over [a3, b3].
 
     The slice at position t has volume
     sum_k C(3,k) * (b3-t)^(3-k) * (t-a3)^k * m_k / (b3-a3)^3 with
-    m = (vol_q, v_qqr, v_qrr, vol_r). The default evaluates the Beta
-    integrals of each term analytically; ``method="simpson"`` is a second
-    exact evaluator (Simpson's rule is exact for cubics), kept for
-    debugging the analytic path.
+    m = (vol_q, v_qqr, v_qrr, vol_r); the Beta integrals of each term are
+    evaluated analytically (see :func:`_beta4`). :func:`pipeline_volume`
+    runs the same integral on ints and checks it against Simpson's rule.
     """
     lo, hi = Fraction(a3), Fraction(b3)
     if not lo < hi:
         raise InvalidBounds(f"need a3 < b3, got {lo} >= {hi}")
-    m = (vol_q, v_qqr, v_qrr, vol_r)
-    if method == "beta":
-        return _beta4(m, lo, hi) / 4
-    if method == "simpson":
-        return _simpson48(m, lo, hi) / (48 * (hi - lo) ** 2)
-    raise ValueError(f"unknown integration method {method!r}")
+    return _beta4((vol_q, v_qqr, v_qrr, vol_r), lo, hi) / 4
 
 
 def _hull_volume24(a: tuple, b: tuple):
@@ -421,16 +414,15 @@ class PipelineIntermediates:
 
 @dataclass(frozen=True)
 class VolumeReport:
-    """Result of computing one box's hull volume by several methods.
+    """Result of computing one box's hull volume by formula and pipeline.
 
-    ``agree`` is true iff every volume present is exactly equal; no
-    tolerance is involved anywhere.
+    ``agree`` is true iff the two volumes are exactly equal; no tolerance
+    is involved anywhere.
     """
 
     box: Box3Bounds
     vol_formula: Fraction
     vol_pipeline: Fraction
-    vol_oracle: Fraction | None
     agree: bool
     intermediates: PipelineIntermediates
 
@@ -526,7 +518,6 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
         box=box,
         vol_formula=vol_pipeline if formula24 == vol24 else Fraction(formula24, hull_scale),
         vol_pipeline=vol_pipeline,
-        vol_oracle=None,
         agree=formula24 == vol24,
         intermediates=PipelineIntermediates(
             Fraction(vol_q6, slice_scale), Fraction(vol_r6, slice_scale), mixed, mixed

@@ -31,7 +31,6 @@ from trivol import (
     pipeline_volume,
     q_facet_directions,
     q_vertex_points,
-    quadrature_volume,
     r_facet_directions,
     r_vertex_points,
     support,

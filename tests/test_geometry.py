@@ -14,7 +14,6 @@ from trivol import (
     EmptyPolytope,
     Tetrahedron,
     det3,
-    det4,
     facet_normal_set,
     hull_volume_3d,
     orient,
@@ -24,13 +23,13 @@ from trivol import (
 from trivol.geometry import (
     _affine_rank,
     _cofactor_normal,
+    _det,
     _hull_facets,
     _lattice_points,
     add3,
     cross3,
     dot3,
     hull_volume,
-    primitive_form,
     sub3,
 )
 from trivol.mixed_volume import minkowski_sum_vertices
@@ -72,14 +71,14 @@ def test_det3_small_cases():
 
 
 def test_det4_small_cases():
-    identity = [[F(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    assert det4(identity) == 1
+    identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    assert _det(identity) == 1
     # an odd permutation matrix (single transposition of rows 0 and 1)
     swap = [identity[1], identity[0], identity[2], identity[3]]
-    assert det4(swap) == -1
-    ones = [F(1)] * 4
-    lifted = [ones] + [[v[i] for v in SIMPLEX] for i in range(3)]
-    assert det4(lifted) == 1
+    assert _det(swap) == -1
+    ones = [1] * 4
+    lifted = [ones] + [[int(v[i]) for v in SIMPLEX] for i in range(3)]
+    assert _det(lifted) == 1
 
 
 def test_determinants_match_permutation_expansion():
@@ -87,8 +86,8 @@ def test_determinants_match_permutation_expansion():
     for _ in range(100):
         m3 = [[F(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
         assert det3(m3) == _det_by_permutation_sum(m3)
-        m4 = [[F(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
-        assert det4(m4) == _det_by_permutation_sum(m4)
+        m4 = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        assert _det(m4) == _det_by_permutation_sum(m4)
 
 
 def test_orient_keeps_positive_input():
@@ -397,10 +396,3 @@ def test_hull_volume_3d_rejects_flat_input():
     ]
     with pytest.raises(DegenerateHull):
         hull_volume_3d(tilted)
-
-
-def test_primitive_form_scales_and_keeps_signs():
-    assert primitive_form((F(2, 3), F(-4, 3), F(0))) == (1, -2, 0)
-    assert primitive_form((F(6), F(9))) == (2, 3)
-    assert primitive_form((F(0), F(0))) == (0, 0)
-    assert primitive_form((F(-5),)) == (-1,)

@@ -1,7 +1,9 @@
 """Brute-force 4D hull, cross-sections, quadrature, Monte Carlo."""
 
 import inspect
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -101,6 +103,7 @@ def test_facets_of_shifted_box_are_pinned():
     assert pts == list(extreme_points(SHIFTED))
     assert set(facets) == {Facet4(tuple(map(F, n)), F(c), inc) for n, c, inc in pinned}
     assert len(facets) == len(pinned)
+    assert all(type(x) is int for f in facets for x in (*f.normal, f.offset))
 
 
 def test_hull_volume_4d_exact_at_extreme_magnitudes():
@@ -240,3 +243,17 @@ def test_monte_carlo_brackets_the_exact_volume():
     exact = float(closed_form_volume(SHIFTED))
     assert stderr > 0
     assert abs(estimate - exact) <= 3 * stderr
+
+
+def test_importing_the_package_and_cli_leaves_numpy_unloaded():
+    # only monte_carlo_volume imports numpy; a fresh interpreter shows it
+    src = os.path.dirname(os.path.dirname(trilinear.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, trivol, trivol.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

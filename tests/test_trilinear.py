@@ -248,15 +248,13 @@ class TestIntegration:
             vals = [F(rng.randint(0, 50), rng.randint(1, 9)) for _ in range(4)]
             lo = F(rng.randint(0, 9), rng.randint(1, 4))
             hi = lo + F(rng.randint(1, 9), rng.randint(1, 4))
-            beta = integrate_cross_sections(*vals, lo, hi)
-            simpson = integrate_cross_sections(*vals, lo, hi, method="simpson")
-            assert beta == simpson
+            simpson = trilinear._simpson48(vals, lo, hi)
+            assert simpson == 12 * (hi - lo) ** 2 * trilinear._beta4(vals, lo, hi)
+            assert integrate_cross_sections(*vals, lo, hi) == simpson / (48 * (hi - lo) ** 2)
 
     def test_bad_interval_and_method(self):
         with pytest.raises(InvalidBounds):
             integrate_cross_sections(F(1), F(1), F(1), F(1), F(2), F(2))
-        with pytest.raises(ValueError):
-            integrate_cross_sections(F(1), F(1), F(1), F(1), F(0), F(1), method="gauss")
 
 
 class TestClosedForm:
@@ -316,7 +314,6 @@ class TestPipeline:
         report = pipeline_volume(UNIT)
         assert report.vol_formula == report.vol_pipeline == F(5, 24)
         assert report.agree is True
-        assert report.vol_oracle is None
         inter = report.intermediates
         assert (inter.vol_q, inter.vol_r) == (0, F(1, 6))
         assert (inter.v_qqr, inter.v_qrr) == (F(1, 3), F(1, 3))
@@ -382,7 +379,7 @@ def test_pipeline_report_is_pinned(kind):
     report = pipeline_volume(Box3Bounds(a, b))
     assert report.box == Box3Bounds(a, b)
     assert report.vol_pipeline == report.vol_formula == F(vol)
-    assert report.vol_oracle is None and report.agree is True
+    assert report.agree is True
     inter = report.intermediates
     assert (inter.vol_q, inter.vol_r, inter.v_qqr, inter.v_qrr) == tuple(
         map(F, (vol_q, vol_r, mixed, mixed))
