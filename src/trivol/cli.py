@@ -21,11 +21,12 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import chain, product
 from typing import Sequence
 
 from . import trilinear
-from .errors import InternalDisagreement, InvalidBounds, TrivolError
+from .errors import InternalDisagreement, InvalidBounds, OmegaViolated, TrivolError
 from .geometry import support
 from .mixed_volume import volume_cubic
 from .oracle import hull_volume_4d
@@ -34,7 +35,6 @@ from .trilinear import (
     Box3Bounds,
     closed_form_volume,
     extreme_points,
-    hull_volume_formula,
     mixed_volumes_QR,
     omega_check,
     omega_dprime_check,
@@ -267,6 +267,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """CSV of closed-form volumes over the product of the grid's values.
+
+    Each axis's (a_i, b_i) pairs are checked, cleared to ints and ranked by
+    a_i/b_i once per grid; a row is a stable sort of three ranks (as in
+    omega_normalize), the ordering check and one _hull_volume24. A value is
+    formatted when a row first uses it, so errors come in row order.
+    Nothing is written on an error.
+    """
     doc = _load_json(args.file)
     if not isinstance(doc, dict):
         raise InvalidBounds(f"{args.file} must be a JSON object")
@@ -292,22 +300,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{format_rational(x)} is too large for --float output; omit --float"
             ) from None
 
+    @cache
+    def text(k: int, j: int) -> str:
+        return fmt(grids[k][j])
+
+    # per axis, its pairs [a_i, b_i, index of a_i, index of b_i, ratio,
+    # A_i, B_i, D_i]; the ratio is None when the pair is not an interval
+    axes = [
+        [
+            [lo, hi, ja, jb, lo / hi, *trilinear._cleared_axis(lo, hi)] if 0 <= lo < hi
+            else [lo, hi, ja, jb, None]
+            for (ja, lo), (jb, hi) in product(enumerate(grids[k]), enumerate(grids[k + 1]))
+        ]
+        for k in (0, 2, 4)
+    ]
+    # each ratio becomes its int rank over the whole grid; equal ratios share one
+    rank = {r: n for n, r in enumerate(sorted({p[4] for ax in axes for p in ax} - {None}))}
+    for pair in chain.from_iterable(axes):
+        pair[4] = rank.get(pair[4])
+
     rows = []
     skipped = 0
-    for a1, b1, a2, b2, a3, b3 in product(*grids):
-        try:
-            box = Box3Bounds((a1, a2, a3), (b1, b2, b3))
-        except InvalidBounds:
+    for p1, p2, p3 in product(*axes):
+        if p1[4] is None or p2[4] is None or p3[4] is None:
             if drop_invalid:
                 skipped += 1
                 continue
-            raise
-        norm = omega_normalize(box)
-        volume = hull_volume_formula(norm.bounds.a, norm.bounds.b)
-        perm = "".join(str(d) for d in norm.perm)
-        rows.append([fmt(v) for v in (a1, b1, a2, b2, a3, b3, volume)] + [perm])
+            Box3Bounds((p1[0], p2[0], p3[0]), (p1[1], p2[1], p3[1]))  # raises InvalidBounds
+        order, perm = trilinear._axis_order([p1[4], p2[4], p3[4]])
+        s1, s2, s3 = ((p1, p2, p3)[i] for i in order)
+        ia, ib = (s1[5], s2[5], s3[5]), (s1[6], s2[6], s3[6])
+        if not trilinear._ratios_ordered(ia, ib):
+            raise OmegaViolated(f"sorted axes break the ordering condition: {ia}, {ib}")
+        volume = Fraction(trilinear._hull_volume24(ia, ib), 24 * (s1[7] * s2[7] * s3[7]) ** 2)
+        rows.append(
+            [text(0, p1[2]), text(1, p1[3]), text(2, p2[2]), text(3, p2[3])]
+            + [text(4, p3[2]), text(5, p3[3]), fmt(volume), "%d%d%d" % perm]
+        )
 
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    try:
+        sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise InvalidBounds(f"cannot write {args.out}: {exc}") from exc
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["a1", "b1", "a2", "b2", "a3", "b3", "volume", "perm"])

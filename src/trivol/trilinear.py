@@ -119,7 +119,11 @@ def omega_prime_check(box: Box3Bounds) -> bool:
 
     Evaluated cross-multiplied so it stays exact without division.
     """
-    a, b = box.a, box.b
+    return _ratios_ordered(box.a, box.b)
+
+
+def _ratios_ordered(a: tuple, b: tuple) -> bool:
+    """:func:`omega_prime_check` on bound tuples, ints (cleared bounds) or Fractions."""
     return a[0] * b[1] <= a[1] * b[0] and a[1] * b[2] <= a[2] * b[1]
 
 
@@ -164,14 +168,18 @@ def omega_normalize(box: Box3Bounds) -> OmegaBox:
     third axis, key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i), and
     b_k > a_k.
     """
-    ratios = [box.a[i] / box.b[i] for i in range(3)]
-    order = sorted(range(3), key=ratios.__getitem__)
+    order, perm = _axis_order([box.a[i] / box.b[i] for i in range(3)])
     a = tuple(box.a[i] for i in order)
     b = tuple(box.b[i] for i in order)
-    perm = [0, 0, 0]
-    for pos, original in enumerate(order):
-        perm[original] = pos + 1
-    return OmegaBox(Box3Bounds(a, b), (perm[0], perm[1], perm[2]))
+    return OmegaBox(Box3Bounds(a, b), perm)
+
+
+def _axis_order(keys: list) -> tuple[list[int], tuple[int, int, int]]:
+    """Stable argsort of three axis keys, and the 1-based position each
+    axis lands in. Equal keys keep their original order."""
+    order = sorted(range(3), key=keys.__getitem__)
+    pos = order.index
+    return order, (pos(0) + 1, pos(1) + 1, pos(2) + 1)
 
 
 def _slice_points(a: tuple, b: tuple, level: Fraction | int) -> list[Point3]:
@@ -370,17 +378,14 @@ def _hull_volume24(a: tuple, b: tuple):
     return (b1 - a1) * (b2 - a2) * (b3 - a3) * core
 
 
-def _cleared_bounds(a: tuple, b: tuple) -> tuple[tuple, tuple, list[int]]:
-    """Integer bounds with each axis's denominators cleared, and the scales.
+def _cleared_axis(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """One axis's bounds times D, the lcm of their denominators, and D.
 
-    Axis i is multiplied by D_i, the lcm of its two bound denominators.
-    Every ordering key scales by the same D1*D2*D3, so the integer box
-    keeps the ordering condition.
+    With axis i scaled by D_i, every ordering key scales by the same
+    D1*D2*D3, so the integer box keeps the ordering condition.
     """
-    scales = [lcm(lo.denominator, hi.denominator) for lo, hi in zip(a, b)]
-    ia = tuple(x.numerator * (d // x.denominator) for x, d in zip(a, scales))
-    ib = tuple(x.numerator * (d // x.denominator) for x, d in zip(b, scales))
-    return ia, ib, scales
+    d = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
 def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
@@ -389,10 +394,10 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
     The expression is symmetric in axes 2 and 3 but not in axis 1; apply
     it only to normalized bounds (or use :func:`closed_form_volume`).
     Bounds may be Fractions or ints. The formula runs on the integer
-    bounds from :func:`_cleared_bounds`, on which the volume is
+    bounds from :func:`_cleared_axis`, on which the volume is
     (D1*D2*D3)^2 times larger, and divides once.
     """
-    ia, ib, (d1, d2, d3) = _cleared_bounds(a, b)
+    ia, ib, (d1, d2, d3) = zip(*map(_cleared_axis, a, b))
     return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
 
 
@@ -448,7 +453,7 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
 
     All of this runs on ints. After normalization, axis i is scaled by
     D_i, the lcm of its two bound denominators, giving integer bounds
-    A_i, B_i (see :func:`_cleared_bounds`), which still satisfy the
+    A_i, B_i (see :func:`_cleared_axis`), which still satisfy the
     ordering condition the closed forms need. Slice points scale by
     (D1*D2*D3, D1, D2), so slice volumes and mixed volumes scale by
     D1^2*D2^2*D3 and are carried six times over; the hull scales by
@@ -457,7 +462,7 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     one division of such an int at the end.
     """
     nb = omega_normalize(box).bounds
-    a, b, (d1, d2, d3) = _cleared_bounds(nb.a, nb.b)
+    a, b, (d1, d2, d3) = zip(*map(_cleared_axis, nb.a, nb.b))
     (a1, a2, a3), (b1, b2, b3) = a, b
     slice_scale = 6 * (d1 * d2) ** 2 * d3
     hull_scale = 24 * (d1 * d2 * d3) ** 2

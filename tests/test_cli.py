@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction as F
+from itertools import product
 
-from trivol import cli, parse_rational
+from trivol import InvalidBounds, cli, format_rational, parse_rational
 from trivol import trilinear
 
 
@@ -267,6 +269,113 @@ def test_sweep_rejects_malformed_input(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "sweep", "--file", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+SWEEP_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3")
+# per-axis scales: ints, a decimal, thirds and 20-digit rationals
+SWEEP_SCALES = (F(1), F(3, 2), F(7, 3), F(12345678901234567891, 3), F(98765432109876543211, 10**19))
+
+
+def _sweep_text(x: F, rng) -> object:
+    """A grid value as a JSON int, a decimal string or a "p/q" string."""
+    if x.denominator == 1 and rng.random() < 0.5:
+        return int(x)
+    if 10**20 % x.denominator == 0 and rng.random() < 0.5:
+        whole, rest = divmod(x.numerator * 10**20 // x.denominator, 10**20)
+        return f"{whole}.{rest:020d}"
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _sweep_grid(rng, all_valid: bool) -> dict:
+    """Seeded grid: per axis a scale s, a-values drawn with repeats from
+    {0, s/2, s} and b-values from {2s, 3s} (plus {s/2, s} unless
+    all_valid); s and 2s on every axis make a1/b1 = a2/b2 = a3/b3 = 1/2."""
+    doc = {}
+    for axis in (1, 2, 3):
+        s = rng.choice(SWEEP_SCALES)
+        los = [s] + rng.choices([F(0), s / 2, s], k=rng.randint(0, 2))
+        his = [2 * s] + rng.choices([2 * s, 3 * s] + ([] if all_valid else [s / 2, s]), k=2)
+        rng.shuffle(los)
+        rng.shuffle(his)
+        doc[f"a{axis}"] = [_sweep_text(x, rng) for x in los]
+        doc[f"b{axis}"] = [_sweep_text(x, rng) for x in his]
+    return doc
+
+
+def _library_sweep(doc: dict, as_float: bool) -> tuple:
+    """(exit code, stdout, stderr) of a sweep built row by row from the
+    library: Box3Bounds, omega_normalize, hull_volume_formula."""
+    fmt = (lambda x: repr(float(x))) if as_float else format_rational
+    lines = ["a1,b1,a2,b2,a3,b3,volume,perm"]
+    skipped = 0
+    for a1, b1, a2, b2, a3, b3 in product(*([parse_rational(v) for v in doc[k]] for k in SWEEP_KEYS)):
+        try:
+            box = trilinear.Box3Bounds((a1, a2, a3), (b1, b2, b3))
+        except InvalidBounds as exc:
+            if doc.get("filter") == "valid":
+                skipped += 1
+                continue
+            return 2, "", f"error: {exc}\n"
+        norm = trilinear.omega_normalize(box)
+        volume = trilinear.hull_volume_formula(norm.bounds.a, norm.bounds.b)
+        perm = "".join(str(d) for d in norm.perm)
+        lines.append(",".join([fmt(v) for v in (a1, b1, a2, b2, a3, b3, volume)] + [perm]))
+    if skipped:
+        lines.append(f"# skipped: {skipped}")
+    return 0, "\n".join(lines) + "\n", ""
+
+
+def test_sweep_matches_the_per_row_library_route(tmp_path, capsys):
+    rng = random.Random(20260)
+    grids = [_sweep_grid(rng, all_valid=n % 2 == 0) for n in range(12)]
+    grids.append({k: [1, "1/2", "3/2", 0] if k[0] == "a" else [2, "1.0", 3] for k in SWEEP_KEYS})
+    cfg = tmp_path / "sweep.json"
+    outcomes = set()
+    for grid in grids:
+        for doc in (grid, dict(grid, filter="valid")):
+            cfg.write_text(json.dumps(doc))
+            for flags in ((), ("--float",)):
+                expected = _library_sweep(doc, as_float=bool(flags))
+                assert run_cli(capsys, "sweep", "--file", str(cfg), *flags) == expected
+                outcomes.add((expected[0], "# skipped" in expected[1]))
+    # the grids reach each path: every row valid, rows dropped, an error
+    assert outcomes == {(0, False), (0, True), (2, False)}
+
+
+def test_sweep_reports_the_first_invalid_row_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    target = tmp_path / "rows.csv"
+    # four valid rows, then a2 = 3 > b2; the a1 = 2 rows come later
+    cfg.write_text(
+        json.dumps({"a1": [0, 2], "b1": [1], "a2": [0, 3], "b2": [2], "a3": [0, 4], "b3": [5, 6]})
+    )
+    for flags in ((), ("--float",), ("--out", str(target)), ("--float", "--out", str(target))):
+        code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), *flags)
+        assert (code, out, err) == (2, "", "error: need 0 <= a2 < b2, got a2=3, b2=2\n")
+        assert not target.exists()
+    # the bounds error comes first when its row does, though the row holds 1e400
+    cfg.write_text(
+        json.dumps({"a1": [2, 0], "b1": [1], "a2": [0], "b2": [1], "a3": [0], "b3": [1, "1e400"]})
+    )
+    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--float")
+    assert (code, out, err) == (2, "", "error: need 0 <= a1 < b1, got a1=2, b1=1\n")
+    # a --float overflow after a valid row leaves no file either
+    cfg.write_text(
+        json.dumps({"a1": [0], "b1": [1, "1e400"], "a2": [0], "b2": [1], "a3": [0], "b3": [1]})
+    )
+    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--float", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1" + "0" * 400 + " is too large") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_sweep_unwritable_out_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({k: [0] if k[0] == "a" else [1] for k in SWEEP_KEYS}))
+    target = tmp_path / "no" / "such" / "rows.csv"
+    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_mixed_volume_cube_octahedron(tmp_path, capsys):
