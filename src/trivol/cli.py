@@ -400,6 +400,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trivol",
@@ -418,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which computation(s) to run (default: all, cross-checked)",
     )
-    p_volume.set_defaults(handler=cmd_volume)
+    p_volume.set_defaults(handler="cmd_volume")
 
     p_verify = sub.add_parser("verify", help="run the property suites on random boxes")
     p_verify.add_argument("--trials", type=int, default=200, help="boxes per suite")
@@ -430,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-bound", type=int, default=10, help="bounds drawn from integers 0..M"
     )
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.set_defaults(handler="cmd_verify")
 
     p_sweep = sub.add_parser("sweep", help="CSV of volumes over a parameter grid")
     p_sweep.add_argument("--file", required=True, metavar="SWEEP.json")
@@ -438,17 +439,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--float", action="store_true", help="emit floats instead of p/q rationals"
     )
     p_sweep.add_argument("--out", metavar="OUT.csv", help="write CSV here instead of stdout")
-    p_sweep.set_defaults(handler=cmd_sweep)
+    p_sweep.set_defaults(handler="cmd_sweep")
 
     p_mixed = sub.add_parser(
         "mixed-volume", help="volume polynomial of Minkowski combinations of two bodies"
     )
     p_mixed.add_argument("--file", required=True, metavar="BODIES.json")
-    p_mixed.set_defaults(handler=cmd_mixed_volume)
+    p_mixed.set_defaults(handler="cmd_mixed_volume")
 
     p_norm = sub.add_parser("normalize", help="axis ordering keys and permutation")
     _add_box_source(p_norm)
-    p_norm.set_defaults(handler=cmd_normalize)
+    p_norm.set_defaults(handler="cmd_normalize")
 
     return parser
 
@@ -477,7 +478,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        # by name, so a handler rebound in this module after the parser was built runs
+        return globals()[args.handler](args)
     except InternalDisagreement as exc:
         print(f"internal disagreement (this is a bug): {exc}", file=sys.stderr)
         return 3

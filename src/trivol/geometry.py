@@ -7,20 +7,21 @@ Points and vectors are plain tuples and the two container types are
 frozen dataclasses; nothing is mutated after construction, which keeps
 all functions in this module pure.
 
-The convex-hull volume kernel works in any dimension d. It clears
-denominators per axis so that everything after runs on Python ints,
-finds facets by brute force over point d-subsets, and sums facet
+The convex-hull volume kernel works in dimensions d = 1 to 4: the
+oracle's 4-polytope and the faces Lasserre's recursion visits below it.
+It clears denominators per axis so that everything after runs on Python
+ints, finds facets by brute force over point d-subsets, and sums facet
 contributions by Lasserre's recursive volume formula. Every subset is
 tested: its integer cofactor normal spans a facet when every point lies
 on one side. The side test of a subset stops at the first point on the
 side opposite to one already seen, and the point that refuted the
 previous subset is tried first, so most subsets cost two or three dot
-products; d = 2, 3 and 4 are written out. A simplex facet (d points)
-closes in one determinant; only the others recurse, at most down to
-d = 1. At the scale this package works with (a few dozen points) that
-is fast enough, and it avoids the degeneracy handling an incremental
-hull algorithm would need to get exact answers. Flat input is found by
-the same scan, with no separate rank test.
+products; the scan is written out for each of d = 2, 3 and 4. A simplex
+facet (d points) closes in one determinant; only the others recurse, at
+most down to d = 1. At the scale this package works with (a few dozen
+points) that is fast enough, and it avoids the degeneracy handling an
+incremental hull algorithm would need to get exact answers. Flat input
+is found by the same scan, with no separate rank test.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -198,26 +198,6 @@ def tetra_volume(t: Tetrahedron) -> Fraction:
     return Fraction(t.det, 6)
 
 
-def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of a nonempty point set.
-
-    Fraction-free elimination on the differences to the first point: each
-    pivot row is cross-multiplied out of the others, so integer input
-    stays integer.
-    """
-    base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    for col in range(len(base)):
-        pivot = next((r for r in rows if r[col]), None)
-        if pivot is None:
-            continue
-        rank += 1
-        lead = pivot[col]
-        rows = [[x * lead - y * r[col] for x, y in zip(r, pivot)] for r in rows if r is not pivot]
-    return rank
-
-
 def _clear_denominators(
     points: Sequence[Sequence[Fraction]], dim: int
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -253,8 +233,8 @@ def _lattice_points(
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square matrix: its first row against the cofactors
-    of the others."""
+    """Determinant of a square matrix of size 1 to 4: its first row against
+    the cofactors of the others."""
     if len(m) == 1:
         return m[0][0]
     return sum(map(mul, m[0], _cofactor_normal(m[1:])))
@@ -265,8 +245,7 @@ def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     Entry j is (-1)^j times the minor without column j. The result is
     orthogonal to every row, and zero exactly when the rows are linearly
-    dependent. d = 2, 3 and 4 are written out; larger d expands each minor
-    by :func:`_det`.
+    dependent. d is 2, 3 or 4, each written out.
     """
     d = len(rows[0])
     if d == 2:
@@ -274,23 +253,20 @@ def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         return (y, -x)
     if d == 3:
         return cross3(*rows)
-    if d == 4:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
-        # the 2x2 minors of the last two rows, shared by all four cofactors
-        m01 = b0 * c1 - b1 * c0
-        m02 = b0 * c2 - b2 * c0
-        m03 = b0 * c3 - b3 * c0
-        m12 = b1 * c2 - b2 * c1
-        m13 = b1 * c3 - b3 * c1
-        m23 = b2 * c3 - b3 * c2
-        return (
-            a1 * m23 - a2 * m13 + a3 * m12,
-            a2 * m03 - a0 * m23 - a3 * m02,
-            a0 * m13 - a1 * m03 + a3 * m01,
-            a1 * m02 - a0 * m12 - a2 * m01,
-        )
-    minors = (_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d))
-    return tuple(-minor if j % 2 else minor for j, minor in enumerate(minors))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    # the 2x2 minors of the last two rows, shared by all four cofactors
+    m01 = b0 * c1 - b1 * c0
+    m02 = b0 * c2 - b2 * c0
+    m03 = b0 * c3 - b3 * c0
+    m12 = b1 * c2 - b2 * c1
+    m13 = b1 * c3 - b3 * c1
+    m23 = b2 * c3 - b3 * c2
+    return (
+        a1 * m23 - a2 * m13 + a3 * m12,
+        a2 * m03 - a0 * m23 - a3 * m02,
+        a0 * m13 - a1 * m03 + a3 * m01,
+        a1 * m02 - a0 * m12 - a2 * m01,
+    )
 
 
 # what a facet scan yields per spanning subset: (normal, above, incident)
@@ -300,13 +276,15 @@ _Spanning = tuple[tuple[int, ...], bool, tuple[int, ...]]
 def _hull_facets(
     pts: Sequence[tuple[int, ...]],
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Facets of the hull of distinct integer points in d >= 2 dimensions.
+    """Facets of the hull of distinct integer points in d = 2, 3 or 4
+    dimensions.
 
     Returns (normal, offset, incident) per facet: the outward normal in
     primitive form (coprime integers), every point x satisfies
     normal . x <= offset, and ``incident`` lists the indices of the points
-    with equality. Every d-subset is tested (see :func:`_scan`); one that
-    spans a facet is kept once, in order of its first spanning subset. Two
+    with equality. Every d-subset is tested by the scan for d
+    (:func:`_scan2`, :func:`_scan3` or :func:`_scan4`); one that spans a
+    facet is kept once, in order of its first spanning subset. Two
     spanning subsets give the same facet exactly when they have the same
     incident points, since those points span the facet's hyperplane.
 
@@ -315,10 +293,9 @@ def _hull_facets(
     subset spans a facet.
     """
     d = len(pts[0])
-    scan = _WRITTEN_OUT_SCANS.get(d, _scan)
     seen = set()
     facets = []
-    for normal, above, incident in scan(pts):
+    for normal, above, incident in _SCANS[d](pts):
         if incident in seen:
             continue
         if len(incident) == len(pts):
@@ -332,51 +309,13 @@ def _hull_facets(
     return facets
 
 
-def _scan(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """The d-subsets of distinct integer points whose hyperplane has every
-    point weakly on one side.
-
-    Yields (normal, above, incident) per such subset, in lexicographic
-    subset order: the subset's integer cofactor normal (nonzero), whether
-    the other points lie on its positive side, and the indices of the
-    points on the hyperplane. Each subset shares its leading point's
-    differences to every point. The side test stops at the first point on
-    the opposite side to one already seen; within one leading point, the
-    point that refuted the last subset is tested first. d = 2, 3 and 4
-    are written out in :func:`_scan2`, :func:`_scan3` and :func:`_scan4`.
-    """
-    n, d = len(pts), len(pts[0])
-    for first in range(n - d + 1):
-        base = pts[first]
-        diffs = [tuple(map(sub, p, base)) for p in pts]
-        ring = diffs[:first] + diffs[first + 1 :]
-        for rest in combinations(range(first + 1, n), d - 1):
-            normal = _cofactor_normal([diffs[i] for i in rest])
-            if not any(normal):
-                continue
-            above = below = False
-            for q in ring:
-                s = sum(map(mul, normal, q))
-                if s > 0:
-                    if below:
-                        break
-                    above = True
-                elif s < 0:
-                    if above:
-                        break
-                    below = True
-            else:
-                yield normal, above, tuple(
-                    i for i, q in enumerate(diffs) if not sum(map(mul, normal, q))
-                )
-                continue
-            ring[ring.index(q)] = ring[0]
-            ring[0] = q
-
-
 def _scan2(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """:func:`_scan` for d = 2, with the normal (y, -x) and the dot products
-    inline."""
+    """The 2-subsets of distinct integer points whose line has every point
+    weakly on one side, in lexicographic order, as (normal, above,
+    incident): the subset's nonzero cofactor normal (y, -x), whether the
+    other points lie on its positive side, and the indices of the points
+    on the line. The side test is the early-stopping one of the module
+    docstring, with the dot products inline."""
     n = len(pts)
     for first in range(n - 1):
         b0, b1 = pts[first]
@@ -409,7 +348,7 @@ def _scan2(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
 
 
 def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """:func:`_scan` for d = 3, with ``cross3`` and the dot products inline."""
+    """:func:`_scan2` for d = 3, with ``cross3`` and the dot products inline."""
     n = len(pts)
     for first in range(n - 2):
         b0, b1, b2 = pts[first]
@@ -446,7 +385,7 @@ def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
 
 
 def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """:func:`_scan` for d = 4, with the cofactor normal and the dot
+    """:func:`_scan2` for d = 4, with the cofactor normal and the dot
     products inline.
 
     The normal of rows (i, j, k) is :func:`_cofactor_normal` of the rows
@@ -499,7 +438,7 @@ def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
                     ring[0] = q
 
 
-_WRITTEN_OUT_SCANS = {2: _scan2, 3: _scan3, 4: _scan4}
+_SCANS = {2: _scan2, 3: _scan3, 4: _scan4}
 
 
 def _simplex_volume(pts: Sequence[tuple[int, ...]], apex: tuple[int, ...]) -> int:
@@ -563,18 +502,20 @@ def _lasserre_sum(
 
 
 def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
-    """Exact volume of the convex hull of a point set in any dimension d >= 1.
+    """Exact volume of the convex hull of a point set in dimension d = 1 to 4.
 
     Duplicated points are ignored. Denominators are cleared per axis, the
     volume is found on integers by Lasserre's recursion (see
     :func:`_lasserre_sum`) and scaled back at the end. A set that does not
     span d dimensions raises :class:`DegenerateHull`; flat input never
-    reports volume zero.
+    reports volume zero. Any other dimension raises :class:`ValueError`.
     """
     points = list(points)
     if not points:
         raise DegenerateHull("hull of an empty point set")
     dim = len(points[0])
+    if not 1 <= dim <= 4:
+        raise ValueError(f"hull_volume works in dimensions 1 to 4, got {dim}")
     _, ipts, scales = _lattice_points(points, dim)
     return Fraction(_lattice_volume(ipts), factorial(dim) * prod(scales))
 
@@ -584,6 +525,9 @@ def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
 
     Duplicated points are ignored. A set that does not span three
     dimensions raises :class:`DegenerateHull`; flat input never reports
-    volume zero.
+    volume zero. Points of any other dimension raise :class:`ValueError`.
     """
+    points = list(points)
+    if points and len(points[0]) != 3:
+        raise ValueError(f"hull_volume_3d takes 3D points, got dimension {len(points[0])}")
     return hull_volume(points)

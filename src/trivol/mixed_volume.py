@@ -25,7 +25,6 @@ from .errors import DegenerateHull, EmptyPolytope
 from .geometry import (
     Point3,
     Tetrahedron,
-    _affine_rank,
     _facet_cross_products,
     add3,
     hull_volume_3d,
@@ -140,13 +139,17 @@ def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
     Both vertex sets must span three dimensions; a flat body raises
     :class:`DegenerateHull` rather than being special-cased.
     """
+    volumes = []
     for name, body in (("k", k), ("l", l)):
         if not body:
             raise EmptyPolytope(f"empty vertex list for body {name}")
-        if _affine_rank(body) < 3:
-            raise DegenerateHull(f"body {name} does not span three dimensions")
-    values = []
-    for t in range(4):
+        try:
+            volumes.append(hull_volume_3d(body))
+        except DegenerateHull as exc:
+            raise DegenerateHull(f"body {name} does not span three dimensions") from exc
+    # the check above already found Vol(K + 0L) = Vol(K)
+    values = volumes[:1]
+    for t in range(1, 4):
         scaled = [scale3(p, Fraction(t)) for p in l]
         values.append(hull_volume_3d(minkowski_sum_vertices(k, scaled)))
     return fit_cubic((0, 1, 2, 3), values)

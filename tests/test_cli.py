@@ -395,10 +395,12 @@ def test_mixed_volume_rejects_flat_body(tmp_path, capsys):
     flat = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
     octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     cfg = tmp_path / "bodies.json"
-    cfg.write_text(json.dumps({"k": flat, "l": octa}))
-    code, _, err = run_cli(capsys, "mixed-volume", "--file", str(cfg))
-    assert code == 2
-    assert "span" in err
+    for name, bodies in (("k", {"k": flat, "l": octa}), ("l", {"k": octa, "l": flat})):
+        cfg.write_text(json.dumps(bodies))
+        code, out, err = run_cli(capsys, "mixed-volume", "--file", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: body {name} does not span three dimensions\n"
 
 
 def test_normalize_reverse_labeling(capsys):
@@ -408,3 +410,26 @@ def test_normalize_reverse_labeling(capsys):
     assert doc["ordering_values"] == ["4", "3", "2"]
     assert doc["perm"] == [3, 2, 1]
     assert doc["normalized"] == {"a": ["0", "1", "2"], "b": ["1", "2", "3"]}
+
+
+def test_main_dispatches_to_a_handler_rebound_after_the_first_call(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"a1": [0], "b1": [1], "a2": [0], "b2": [1], "a3": [0], "b3": [1]}))
+    assert run_cli(capsys, "sweep", "--file", str(cfg))[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.file) or 7)
+    assert run_cli(capsys, "sweep", "--file", str(cfg)) == (7, "", "")
+    assert seen == [str(cfg)]
+
+
+def test_main_repeats_the_output_of_fresh_calls(capsys):
+    calls = (
+        ["volume", "--bounds", "0,1,0,1,0,1", "--method", "bogus"],
+        ["volume", "--bounds", "0,1,0,1,0,1"],
+    )
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [2, 0]
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
