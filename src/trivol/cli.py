@@ -78,9 +78,12 @@ def _parse_bounds_text(text: str) -> Box3Bounds:
 
 
 def _load_json(path: str) -> object:
+    """The document in ``path``; a JSON number with a fraction or an
+    exponent stays its decimal text, so it parses exactly, not rounded
+    through a binary64 float."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=str)
     except OSError as exc:
         raise InvalidBounds(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -288,7 +291,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grids.append([parse_rational(v) for v in values])
         except ValueError as exc:
             raise InvalidBounds(f'sweep grid "{key}": {exc}') from exc
-    drop_invalid = doc.get("filter") == "valid"
+    drop_invalid = "filter" in doc
+    if drop_invalid and doc["filter"] != "valid":
+        raise InvalidBounds('sweep grid "filter" must be "valid"')
 
     def fmt(x: Fraction) -> str:
         if not args.float:

@@ -9,19 +9,21 @@ all functions in this module pure.
 
 The convex-hull volume kernel works in dimensions d = 1 to 4: the
 oracle's 4-polytope and the faces Lasserre's recursion visits below it.
-It clears denominators per axis so that everything after runs on Python
-ints, finds facets by brute force over point d-subsets, and sums facet
-contributions by Lasserre's recursive volume formula. Every subset is
-tested: its integer cofactor normal spans a facet when every point lies
-on one side. The side test of a subset stops at the first point on the
-side opposite to one already seen, and the point that refuted the
-previous subset is tried first, so most subsets cost two or three dot
-products; the scan is written out for each of d = 2, 3 and 4. A simplex
-facet (d points) closes in one determinant; only the others recurse, at
-most down to d = 1. At the scale this package works with (a few dozen
-points) that is fast enough, and it avoids the degeneracy handling an
-incremental hull algorithm would need to get exact answers. Flat input
-is found by the same scan, with no separate rank test.
+It moves the points once to their smallest integer lattice (per axis:
+clear denominators, subtract the minimum, divide by the gcd; see
+:func:`_clear_denominators`) so that everything after runs on small
+Python ints, finds facets by brute force over point d-subsets, and sums
+facet contributions by Lasserre's recursive volume formula. Every
+subset is tested: its integer cofactor normal spans a facet when every
+point lies on one side. The side test of a subset stops at the first
+point on the side opposite to one already seen, and the point that
+refuted the previous subset is tried first, so most subsets cost two or
+three dot products; the scan is written out for each of d = 2, 3 and 4.
+A simplex facet (d points) closes in one determinant; only the others
+recurse, at most down to d = 1. At the scale this package works with (a
+few dozen points) that is fast enough, and it avoids the degeneracy
+handling an incremental hull algorithm would need to get exact answers.
+Flat input is found by the same scan, with no separate rank test.
 """
 
 from __future__ import annotations
@@ -198,37 +200,58 @@ def tetra_volume(t: Tetrahedron) -> Fraction:
     return Fraction(t.det, 6)
 
 
+# per-axis map from rational to lattice coordinates: (scales, shifts, divisors)
+_AxisMap = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
 def _clear_denominators(
     points: Sequence[Sequence[Fraction]], dim: int
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Integer form of rational points and the per-axis scales behind it.
+) -> tuple[list[tuple[int, ...]], _AxisMap]:
+    """Points on their smallest integer lattice and the per-axis map to it.
 
-    Axis k is multiplied by the lcm of its denominators, so the hull
-    volume of the integer points is the product of the scales times the
-    original one.
+    Axis k is multiplied by the lcm s_k of its denominators, shifted by
+    the minimum m_k of the products and divided by the gcd g_k of what
+    remains (1 for an axis with one value): x_k becomes
+    (s_k * x_k - m_k) / g_k. The map is a positive per-axis affine one,
+    so it keeps incidences and facets, and the hull volume of the lattice
+    points is prod(s_k / g_k) times the original one. Returned with the
+    map as (scales, shifts, divisors).
     """
-    scales = tuple(lcm(*(p[k].denominator for p in points)) for k in range(dim))
-    ipts = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) for p in points]
-    return ipts, scales
+    columns = []
+    axes = []
+    for k in range(dim):
+        xs = [p[k] for p in points]
+        s = lcm(*[x.denominator for x in xs])
+        # an integral axis (s = 1) or a reduced one (g = 1) skips its no-op pass
+        if s > 1:
+            cs = [x.numerator * (s // x.denominator) for x in xs]
+        else:
+            cs = [x.numerator for x in xs]
+        m = min(cs, default=0)
+        ds = [c - m for c in cs]
+        g = gcd(*ds) or 1
+        columns.append([d // g for d in ds] if g > 1 else ds)
+        axes.append((s, m, g))
+    return list(zip(*columns)), tuple(zip(*axes))
 
 
 def _lattice_points(
     points: Sequence[Sequence[Fraction]], dim: int
-) -> tuple[list[tuple], list[tuple[int, ...]], tuple[int, ...]]:
-    """Deduplicated points, their integer form and the per-axis scales.
+) -> tuple[list[tuple], list[tuple[int, ...]], _AxisMap]:
+    """Deduplicated points, their lattice form and the per-axis map.
 
-    See :func:`_clear_denominators`. Duplicates are dropped on the integer
+    See :func:`_clear_denominators`. Duplicates are dropped on the lattice
     form, keeping first occurrences in input order. Fewer than ``dim + 1``
     distinct points raise :class:`DegenerateHull`; more that still do not
     span ``dim`` dimensions are rejected by the volume or the facet scan
     that follows.
     """
-    ints, scales = _clear_denominators(points, dim)
+    ints, axes = _clear_denominators(points, dim)
     lattice: dict = {}
     for q, p in zip(ints, points):
         lattice.setdefault(q, tuple(p))
     if len(lattice) > dim:
-        return list(lattice.values()), list(lattice), scales
+        return list(lattice.values()), list(lattice), axes
     raise DegenerateHull(f"points do not span {dim} dimensions")
 
 
@@ -472,8 +495,7 @@ def _lasserre_sum(
     which then add nothing.
 
     A simplex facet (exactly d incident points) adds d! times its
-    pyramid's volume, |det(p_i - c)| over its d points, and nothing else
-    of it is read: a caller may pass None for its normal and offset.
+    pyramid's volume, |det(p_i - c)| over its d points.
 
     Any other facet recurses. With a primitive integer normal n,
     dist(c, F) = (offset - n . c) / |n|, and dropping a coordinate k with
@@ -504,11 +526,12 @@ def _lasserre_sum(
 def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
     """Exact volume of the convex hull of a point set in dimension d = 1 to 4.
 
-    Duplicated points are ignored. Denominators are cleared per axis, the
-    volume is found on integers by Lasserre's recursion (see
-    :func:`_lasserre_sum`) and scaled back at the end. A set that does not
-    span d dimensions raises :class:`DegenerateHull`; flat input never
-    reports volume zero. Any other dimension raises :class:`ValueError`.
+    Duplicated points are ignored. The points are moved to their smallest
+    integer lattice once (see :func:`_clear_denominators`), the volume is
+    found there by Lasserre's recursion (see :func:`_lasserre_sum`) and
+    scaled back at the end. A set that does not span d dimensions raises
+    :class:`DegenerateHull`; flat input never reports volume zero. Any
+    other dimension raises :class:`ValueError`.
     """
     points = list(points)
     if not points:
@@ -516,8 +539,8 @@ def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
     dim = len(points[0])
     if not 1 <= dim <= 4:
         raise ValueError(f"hull_volume works in dimensions 1 to 4, got {dim}")
-    _, ipts, scales = _lattice_points(points, dim)
-    return Fraction(_lattice_volume(ipts), factorial(dim) * prod(scales))
+    _, ipts, (scales, _, divisors) = _lattice_points(points, dim)
+    return Fraction(_lattice_volume(ipts) * prod(divisors), factorial(dim) * prod(scales))
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:

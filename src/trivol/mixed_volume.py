@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import DegenerateHull, EmptyPolytope
 from .geometry import (
     Point3,
     Tetrahedron,
+    _clear_denominators,
     _facet_cross_products,
     add3,
     hull_volume_3d,
@@ -137,7 +139,11 @@ def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
     """Coefficients of Vol(K + tL) by interpolation at t = 0, 1, 2, 3.
 
     Both vertex sets must span three dimensions; a flat body raises
-    :class:`DegenerateHull` rather than being special-cased.
+    :class:`DegenerateHull` rather than being special-cased. The sums are
+    formed on the integer lattice of K and L together (see
+    :func:`trivol.geometry._clear_denominators`): a positive per-axis
+    affine map commutes with Minkowski sums up to a translation, so each
+    sum's volume is its lattice volume times one factor.
     """
     volumes = []
     for name, body in (("k", k), ("l", l)):
@@ -147,9 +153,12 @@ def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
             volumes.append(hull_volume_3d(body))
         except DegenerateHull as exc:
             raise DegenerateHull(f"body {name} does not span three dimensions") from exc
+    ipts, (scales, _, divisors) = _clear_denominators([*k, *l], 3)
+    ik, il = ipts[: len(k)], ipts[len(k) :]
+    unit = Fraction(prod(divisors), prod(scales))
     # the check above already found Vol(K + 0L) = Vol(K)
     values = volumes[:1]
     for t in range(1, 4):
-        scaled = [scale3(p, Fraction(t)) for p in l]
-        values.append(hull_volume_3d(minkowski_sum_vertices(k, scaled)))
+        scaled = [scale3(p, t) for p in il]
+        values.append(hull_volume_3d(minkowski_sum_vertices(ik, scaled)) * unit)
     return fit_cubic((0, 1, 2, 3), values)

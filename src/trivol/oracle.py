@@ -5,12 +5,14 @@ come from the geometry module's brute-force kernel: the hyperplane
 through an affinely independent 4-subset is a facet iff all points lie
 weakly on one side of it. Every subset is tested; the test of one stops
 at the first point on the side opposite to one already seen. The
-4-volume then follows from Lasserre's recursion over those facets, all
-on integers after clearing denominators per axis: a simplex facet (four
-points) closes in one 4x4 determinant, and any other facet's 3-volume is
-found the same way one dimension down. Everything is exact; the only
-float code is the Monte Carlo sanity estimator at the bottom, which
-never participates in any agreement verdict.
+4-volume then follows from Lasserre's recursion over those facets. The
+points are moved once to their smallest integer lattice (per axis: clear
+denominators, subtract the minimum, divide by the gcd), and the facet
+scan and the recursion both run on those lattice points: a simplex facet
+(four points) closes in one 4x4 determinant, and any other facet's
+3-volume is found the same way one dimension down. Everything is exact;
+the only float code is the Monte Carlo sanity estimator at the bottom,
+which never participates in any agreement verdict.
 
 Every point subset of every face is tested, so this is usable for the
 eight-point hulls this package cares about and for small test
@@ -21,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InvalidBounds
 from .geometry import (
     Point4,
-    _clear_denominators,
     _hull_facets,
     _lasserre_sum,
     _lattice_points,
@@ -66,17 +67,22 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
     """Deduplicated points and all facets of their 4D convex hull.
 
     The hyperplane through every affinely independent 4-subset of the
-    denominator-cleared integer points is tested against the point set
-    until two points lie on opposite sides of it; each facet found is
-    mapped back to the original coordinates and kept once, in order of
-    its first spanning subset. Points that do not span four dimensions
-    raise :class:`DegenerateHull`.
+    points on their integer lattice (see
+    :func:`trivol.geometry._clear_denominators`) is tested against the
+    point set until two points lie on opposite sides of it; each facet
+    found is mapped back to the original coordinates and kept once, in
+    order of its first spanning subset. On lattice points themselves the
+    map is the identity, so the facets are the lattice hyperplanes.
+    Points that do not span four dimensions raise :class:`DegenerateHull`.
     """
-    pts, ipts, scales = _lattice_points(points, 4)
+    pts, ipts, (scales, shifts, divisors) = _lattice_points(points, 4)
+    # n . ((s*x - m) / g) <= offset, times the lcm of the divisors
+    common = lcm(*divisors)
+    weights = [s * (common // g) for s, g in zip(scales, divisors)]
+    lifts = [m * (common // g) for m, g in zip(shifts, divisors)]
     facets = []
     for normal, offset, incident in _hull_facets(ipts):
-        # the same hyperplane in the original coordinates: normal_k * scale_k, made primitive
-        coeffs = (*map(mul, normal, scales), offset)
+        coeffs = (*map(mul, normal, weights), offset * common + sum(map(mul, normal, lifts)))
         g = gcd(*coeffs)
         key = tuple(x // g for x in coeffs)
         facets.append(Facet4(key[:4], key[4], incident))
@@ -86,27 +92,18 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
 def hull_volume_4d(points: list[Point4]) -> Fraction:
     """Exact 4-volume of the convex hull of a 4D point set.
 
-    Lasserre's recursion over the facets from :func:`hull_facets_4d`,
-    run on the denominator-cleared integer points. A simplex facet (four
-    incident points) adds one 4x4 determinant; only the others need their
-    normal back on the integer points. Input that lies in a hyperplane
+    The points are moved to their integer lattice once, and
+    :func:`hull_facets_4d` runs on the lattice points, so its facets are
+    the lattice hyperplanes. Lasserre's recursion sums them there; a
+    simplex facet (four incident points) adds one 4x4 determinant, any
+    other its height times its 3-volume one dimension down. The result is
+    scaled back by the lattice map. Input that lies in a hyperplane
     raises :class:`DegenerateHull`; flat input never reports volume zero.
     """
-    pts, facets = hull_facets_4d(points)
-    ipts, scales = _clear_denominators(pts, 4)
-    common = prod(scales)
-    lattice_facets = []
-    for facet in facets:
-        if len(facet.incident) == 4:
-            lattice_facets.append((None, None, facet.incident))
-            continue
-        # the same hyperplane on the integer points: normal_k / scale_k, made primitive
-        normal = [c * (common // s) for c, s in zip(facet.normal, scales)]
-        g = gcd(*normal)
-        normal = tuple(x // g for x in normal)
-        offset = sum(map(mul, normal, ipts[facet.incident[0]]))
-        lattice_facets.append((normal, offset, facet.incident))
-    return Fraction(_lasserre_sum(ipts, lattice_facets), 24 * common)
+    _, ipts, (scales, _, divisors) = _lattice_points(points, 4)
+    _, facets = hull_facets_4d(ipts)
+    lattice = [(f.normal, f.offset, f.incident) for f in facets]
+    return Fraction(_lasserre_sum(ipts, lattice) * prod(divisors), 24 * prod(scales))
 
 
 def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:

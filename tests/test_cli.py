@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from itertools import product
 
 from trivol import InvalidBounds, cli, format_rational, parse_rational
-from trivol import trilinear
+from trivol import trilinear, volume_cubic
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +269,50 @@ def test_sweep_rejects_malformed_input(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "sweep", "--file", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_sweep_filter_other_than_valid_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    grid = {"a1": [0, 2], "b1": [1], "a2": [0], "b2": [1], "a3": [0], "b3": [1]}
+    for value in ("vaild", "", None, True, ["valid"]):
+        cfg.write_text(json.dumps(dict(grid, filter=value)))
+        code, out, err = run_cli(capsys, "sweep", "--file", str(cfg))
+        assert (code, out, err) == (2, "", 'error: sweep grid "filter" must be "valid"\n')
+
+
+# a JSON number that binary64 rounds to 0.1
+LONG_DECIMAL = "0.1000000000000000000001"
+LONG_EXACT = F(LONG_DECIMAL)
+
+
+def test_json_numbers_keep_their_decimal_digits(tmp_path, capsys):
+    cfg = tmp_path / "doc.json"
+    cfg.write_text('{"a": [%s, 0, 0], "b": [1, 1, 2.5]}' % LONG_DECIMAL)
+    code, out, _ = run_cli(capsys, "volume", "--file", str(cfg), "--method", "formula")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["a"] == [format_rational(LONG_EXACT), "0", "0"]
+    box = trilinear.Box3Bounds((LONG_EXACT, 0, 0), (1, 1, F(5, 2)))
+    assert doc["vol_formula"] == format_rational(trilinear.closed_form_volume(box))
+
+    # a bare 1e400 is an exact 10**400, as the string "1e400" is
+    cfg.write_text(
+        '{"a1": [%s], "b1": [1e400], "a2": [0], "b2": [1], "a3": [0], "b3": [1]}' % LONG_DECIMAL
+    )
+    code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"{format_rational(LONG_EXACT)},1{'0' * 400},0,")
+
+    cfg.write_text(
+        '{"k": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, %s]], "l": %s}'
+        % (LONG_DECIMAL, json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+    )
+    code, out, _ = run_cli(capsys, "mixed-volume", "--file", str(cfg))
+    assert code == 0
+    k = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, LONG_EXACT)]
+    l = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    cubic = volume_cubic([tuple(map(F, p)) for p in k], [tuple(map(F, p)) for p in l])
+    assert json.loads(out)["c0"] == format_rational(cubic.c0) == format_rational(LONG_EXACT / 6)
 
 
 SWEEP_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3")

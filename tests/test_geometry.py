@@ -4,16 +4,18 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import factorial, gcd
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 
 from trivol import (
+    Box3Bounds,
     DegenerateHull,
     DegenerateTetrahedron,
     EmptyPolytope,
     Tetrahedron,
     det3,
+    extreme_points,
     facet_normal_set,
     hull_volume_3d,
     orient,
@@ -299,6 +301,45 @@ def test_hull_volume_keeps_unimodular_images_and_scales_by_lambda_to_the_d():
             assert hull_volume(moved) == vol
             lam = F(rng.randint(1, 7), rng.randint(1, 4))
             assert hull_volume([tuple(lam * x for x in p) for p in pts]) == lam**d * vol
+            checked += 1
+
+
+def test_lattice_of_a_box_graph_is_zero_one_on_the_box_axes():
+    boxes = [
+        Box3Bounds((0, 0, 0), (1, 1, 1)),
+        Box3Bounds((1, 2, 3), (2, 4, 9)),
+        Box3Bounds((F(1, 3), 0, F(5, 7)), (F(9, 2), F(11, 13), 3)),
+        Box3Bounds((F(10**30 + 1, 10**20 + 3), 7, 0), (F(10**31, 3), F(10**25, 7), F(1, 10**40))),
+    ]
+    for box in boxes:
+        pts = list(extreme_points(box))
+        _, ipts, (scales, shifts, divisors) = _lattice_points(pts, 4)
+        for k in (1, 2, 3):
+            assert {p[k] for p in ipts} == {0, 1}
+        # the map takes every point to its lattice form: x_k = (g_k * l_k + m_k) / s_k
+        for p, q in zip(pts, ipts):
+            assert p == tuple(F(g * l + m, s) for l, s, m, g in zip(q, scales, shifts, divisors))
+
+
+def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
+    rng = random.Random(29)
+    for d in (2, 3, 4):
+        checked = 0
+        while checked < 10:
+            pts = [
+                tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
+                for _ in range(rng.randint(d + 1, 9))
+            ]
+            try:
+                vol = hull_volume(pts)
+            except DegenerateHull:
+                continue
+            shift = [F(rng.randint(10**59, 10**60), rng.randint(1, 10**60)) for _ in range(d)]
+            assert hull_volume([tuple(map(add, p, shift)) for p in pts]) == vol
+            k = rng.randrange(d)
+            lam = F(rng.randint(1, 10**30), rng.randint(1, 10**30))
+            stretched = [p[:k] + (lam * p[k],) + p[k + 1 :] for p in pts]
+            assert hull_volume(stretched) == lam * vol
             checked += 1
 
 

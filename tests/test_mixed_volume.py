@@ -22,6 +22,7 @@ from trivol import (
     tetra_volume,
     volume_cubic,
 )
+from trivol.geometry import scale3
 
 from testutil import random_points, random_tetrahedron
 
@@ -163,6 +164,40 @@ def test_volume_cubic_rejects_flat_bodies():
     nb = omega_normalize(box).bounds
     with pytest.raises(DegenerateHull):
         volume_cubic(q_vertex_points(nb), r_vertex_points(nb))
+
+
+def test_volume_cubic_checks_k_then_l():
+    flat = [(F(x), F(y), F(0)) for x, y in product((0, 1), repeat=2)]
+    plane = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    cases = [
+        (([], OCTA), EmptyPolytope, "empty vertex list for body k"),
+        ((flat, []), DegenerateHull, "body k does not span three dimensions"),
+        ((flat, plane), DegenerateHull, "body k does not span three dimensions"),
+        ((CUBE, []), EmptyPolytope, "empty vertex list for body l"),
+        ((CUBE, flat), DegenerateHull, "body l does not span three dimensions"),
+        ((plane, CUBE), ValueError, "hull_volume_3d takes 3D points, got dimension 2"),
+        ((CUBE, plane), ValueError, "hull_volume_3d takes 3D points, got dimension 2"),
+    ]
+    for bodies, error, message in cases:
+        with pytest.raises(error) as caught:
+            volume_cubic(*bodies)
+        assert str(caught.value) == message
+
+
+def test_volume_cubic_on_wide_rational_bodies_matches_direct_hulls():
+    rng = random.Random(61)
+
+    def wide_point():
+        return tuple(F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**20)) for _ in range(3))
+
+    for _ in range(5):
+        k = [wide_point() for _ in range(5)]
+        l = [wide_point() for _ in range(4)]
+        values = [
+            hull_volume_3d(minkowski_sum_vertices(k, [scale3(p, F(t)) for p in l]))
+            for t in range(4)
+        ]
+        assert volume_cubic(k, l) == fit_cubic((0, 1, 2, 3), values)
 
 
 def test_fit_cubic_recovers_known_polynomial():

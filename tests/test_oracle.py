@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
@@ -28,6 +29,7 @@ from trivol import (
     quadrature_volume,
     tetra_volume,
 )
+from trivol.geometry import hull_volume
 
 from testutil import random_box
 
@@ -116,6 +118,32 @@ def test_hull_volume_4d_exact_at_extreme_magnitudes():
     ]
     for b in boxes:
         assert hull_volume_4d(list(extreme_points(b))) == closed_form_volume(b), b
+
+
+def _wide_rational_box(rng):
+    """Box whose bounds have 20- to 40-digit numerators and denominators."""
+
+    def wide():
+        return F(rng.randint(10**19, 10**40), rng.randint(10**19, 10**40))
+
+    a = [wide() for _ in range(3)]
+    return Box3Bounds(tuple(a), tuple(x + wide() for x in a))
+
+
+def test_wide_rational_boxes_agree_and_their_facets_hold_exactly():
+    rng = random.Random(113)
+    for _ in range(12):
+        box = _wide_rational_box(rng)
+        pts = list(extreme_points(box))
+        assert hull_volume_4d(pts) == hull_volume(pts) == closed_form_volume(box)
+        dpts, facets = hull_facets_4d(pts)
+        assert dpts == pts
+        for facet in facets:
+            assert gcd(*facet.normal, facet.offset) == 1
+            for idx, p in enumerate(dpts):
+                s = sum(n * c for n, c in zip(facet.normal, p))
+                assert s <= facet.offset
+                assert (s == facet.offset) == (idx in facet.incident)
 
 
 def test_oracle_needs_no_trilinear_function(monkeypatch):
