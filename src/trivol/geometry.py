@@ -7,28 +7,28 @@ Points and vectors are plain tuples and the two container types are
 frozen dataclasses; nothing is mutated after construction, which keeps
 all functions in this module pure.
 
-The convex-hull volume kernel works in dimensions d = 1 to 4: the
-oracle's 4-polytope and the faces Lasserre's recursion visits below it.
-It moves the points once to their smallest integer lattice (per axis:
-clear denominators, subtract the minimum, divide by the gcd; see
+The convex-hull volume kernel works in dimensions d = 3 and 4: the 3D
+hulls of the Minkowski-sum cubic and the oracle's 4-polytope. It moves
+the points once to their smallest integer lattice (per axis: clear
+denominators, subtract the minimum, divide by the gcd; see
 :func:`_clear_denominators`) so that everything after runs on small
-Python ints, finds facets by brute force over point d-subsets, and sums
-facet contributions by Lasserre's recursive volume formula. Every
+Python ints, and finds facets by brute force over point d-subsets. Every
 subset is tested: its integer cofactor normal spans a facet when every
 point lies on one side. The side test of a subset stops at the first
 point on the side opposite to one already seen, and the point that
 refuted the previous subset is tried first, so most subsets cost two or
-three dot products; the scan is written out for each of d = 2, 3 and 4.
-A simplex facet (d points) closes in one determinant; only the others
-recurse, at most down to d = 1. At the scale this package works with (a
-few dozen points) that is fast enough, and it avoids the degeneracy
-handling an incremental hull algorithm would need to get exact answers.
-Flat input is found by the same scan, with no separate rank test.
+three dot products; the scan is written out for each of d = 3 and 4.
+The volume is a sum of simplex determinants over a pulling
+triangulation, which reads only the facets' incident point sets: the
+faces below a facet are intersections of facets, so no hull is ever
+taken in a lower dimension. At the scale this package works with (a few
+dozen points) that is fast enough, and it avoids the degeneracy handling
+an incremental hull algorithm would need to get exact answers. Flat
+input is found by the same scan, with no separate rank test.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
@@ -215,8 +215,12 @@ def _clear_denominators(
     (s_k * x_k - m_k) / g_k. The map is a positive per-axis affine one,
     so it keeps incidences and facets, and the hull volume of the lattice
     points is prod(s_k / g_k) times the original one. Returned with the
-    map as (scales, shifts, divisors).
+    map as (scales, shifts, divisors). A point whose length is not ``dim``
+    raises :class:`ValueError`.
     """
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(f"expected points of dimension {dim}, got one of dimension {len(p)}")
     columns = []
     axes = []
     for k in range(dim):
@@ -243,8 +247,7 @@ def _lattice_points(
     See :func:`_clear_denominators`. Duplicates are dropped on the lattice
     form, keeping first occurrences in input order. Fewer than ``dim + 1``
     distinct points raise :class:`DegenerateHull`; more that still do not
-    span ``dim`` dimensions are rejected by the volume or the facet scan
-    that follows.
+    span ``dim`` dimensions are rejected by the facet scan that follows.
     """
     ints, axes = _clear_denominators(points, dim)
     lattice: dict = {}
@@ -256,10 +259,8 @@ def _lattice_points(
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square matrix of size 1 to 4: its first row against
-    the cofactors of the others."""
-    if len(m) == 1:
-        return m[0][0]
+    """Determinant of a 3x3 or 4x4 matrix: its first row against the
+    cofactors of the others."""
     return sum(map(mul, m[0], _cofactor_normal(m[1:])))
 
 
@@ -268,13 +269,9 @@ def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     Entry j is (-1)^j times the minor without column j. The result is
     orthogonal to every row, and zero exactly when the rows are linearly
-    dependent. d is 2, 3 or 4, each written out.
+    dependent. d is 3 or 4, each written out.
     """
-    d = len(rows[0])
-    if d == 2:
-        ((x, y),) = rows
-        return (y, -x)
-    if d == 3:
+    if len(rows[0]) == 3:
         return cross3(*rows)
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
     # the 2x2 minors of the last two rows, shared by all four cofactors
@@ -299,17 +296,17 @@ _Spanning = tuple[tuple[int, ...], bool, tuple[int, ...]]
 def _hull_facets(
     pts: Sequence[tuple[int, ...]],
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Facets of the hull of distinct integer points in d = 2, 3 or 4
+    """Facets of the hull of distinct integer points in d = 3 or 4
     dimensions.
 
     Returns (normal, offset, incident) per facet: the outward normal in
     primitive form (coprime integers), every point x satisfies
     normal . x <= offset, and ``incident`` lists the indices of the points
     with equality. Every d-subset is tested by the scan for d
-    (:func:`_scan2`, :func:`_scan3` or :func:`_scan4`); one that spans a
-    facet is kept once, in order of its first spanning subset. Two
-    spanning subsets give the same facet exactly when they have the same
-    incident points, since those points span the facet's hyperplane.
+    (:func:`_scan3` or :func:`_scan4`); one that spans a facet is kept
+    once, in order of its first spanning subset. Two spanning subsets give
+    the same facet exactly when they have the same incident points, since
+    those points span the facet's hyperplane.
 
     Points that do not span d dimensions raise :class:`DegenerateHull`:
     either a spanning subset has every point on its hyperplane, or no
@@ -332,46 +329,13 @@ def _hull_facets(
     return facets
 
 
-def _scan2(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """The 2-subsets of distinct integer points whose line has every point
-    weakly on one side, in lexicographic order, as (normal, above,
-    incident): the subset's nonzero cofactor normal (y, -x), whether the
-    other points lie on its positive side, and the indices of the points
-    on the line. The side test is the early-stopping one of the module
-    docstring, with the dot products inline."""
-    n = len(pts)
-    for first in range(n - 1):
-        b0, b1 = pts[first]
-        diffs = [(p0 - b0, p1 - b1) for p0, p1 in pts]
-        ring = diffs[:first] + diffs[first + 1 :]
-        for j in range(first + 1, n):
-            x0, x1 = diffs[j]
-            n0, n1 = x1, -x0
-            if not (n0 or n1):
-                continue
-            above = below = False
-            for q in ring:
-                q0, q1 = q
-                s = n0 * q0 + n1 * q1
-                if s > 0:
-                    if below:
-                        break
-                    above = True
-                elif s < 0:
-                    if above:
-                        break
-                    below = True
-            else:
-                yield (n0, n1), above, tuple(
-                    t for t, (q0, q1) in enumerate(diffs) if not n0 * q0 + n1 * q1
-                )
-                continue
-            ring[ring.index(q)] = ring[0]
-            ring[0] = q
-
-
 def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """:func:`_scan2` for d = 3, with ``cross3`` and the dot products inline."""
+    """The 3-subsets of distinct integer points whose plane has every point
+    weakly on one side, in lexicographic order, as (normal, above,
+    incident): the subset's nonzero cofactor normal, whether the other
+    points lie on its positive side, and the indices of the points on the
+    plane. The side test is the early-stopping one of the module
+    docstring, with ``cross3`` and the dot products inline."""
     n = len(pts)
     for first in range(n - 2):
         b0, b1, b2 = pts[first]
@@ -408,7 +372,7 @@ def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
 
 
 def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """:func:`_scan2` for d = 4, with the cofactor normal and the dot
+    """:func:`_scan3` for d = 4, with the cofactor normal and the dot
     products inline.
 
     The normal of rows (i, j, k) is :func:`_cofactor_normal` of the rows
@@ -461,86 +425,71 @@ def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
                     ring[0] = q
 
 
-_SCANS = {2: _scan2, 3: _scan3, 4: _scan4}
+_SCANS = {3: _scan3, 4: _scan4}
 
 
-def _simplex_volume(pts: Sequence[tuple[int, ...]], apex: tuple[int, ...]) -> int:
-    """d! times the volume of the simplex spanned by ``apex`` and d points."""
-    return abs(_det([tuple(map(sub, p, apex)) for p in pts]))
+def _pulling_simplices(facets: Sequence[Sequence[int]], d: int) -> Iterator[tuple[int, ...]]:
+    """The simplices of a pulling triangulation of a d-polytope, each as
+    d + 1 point indices, read from the incident point sets of its facets.
 
-
-def _lattice_volume(pts: Sequence[tuple[int, ...]]) -> int:
-    """d! times the volume of the hull of at least d + 1 distinct integer
-    points; points that do not span d dimensions raise :class:`DegenerateHull`."""
-    d = len(pts[0])
-    if len(pts) == d + 1:
-        volume = _simplex_volume(pts[1:], pts[0])
-        if not volume:
-            raise DegenerateHull(f"points do not span {d} dimensions")
-        return volume
-    if d == 1:
-        xs = [p[0] for p in pts]
-        return max(xs) - min(xs)
-    return _lasserre_sum(pts, _hull_facets(pts))
-
-
-def _lasserre_sum(
-    pts: Sequence[tuple[int, ...]], facets: Sequence[tuple[tuple[int, ...], int, tuple[int, ...]]]
-) -> int:
-    """d! times the hull volume, summed over the facets from :func:`_hull_facets`.
-
-    Lasserre's recursion: the volume is the sum over facets F of
-    dist(c, F) * vol(F) / d for any point c of the hull, the volume of the
-    pyramid from c over F. The point c is the one on the most facets,
-    which then add nothing.
-
-    A simplex facet (exactly d incident points) adds d! times its
-    pyramid's volume, |det(p_i - c)| over its d points.
-
-    Any other facet recurses. With a primitive integer normal n,
-    dist(c, F) = (offset - n . c) / |n|, and dropping a coordinate k with
-    n_k != 0 maps F onto a (d-1)-polytope of volume vol(F) * |n_k| / |n|,
-    so the |n| cancel and no square root appears. Scaled by d!, the facet
-    adds (offset - n . c) times the (d-1)!-scaled volume of its projection
-    over |n_k|, an exact integer division: the projected points lie on one
-    coset of a sublattice of index |n_k|.
+    The faces of a face F are the maximal proper sets among F & G over
+    the facets G. A k-face with k + 1 points is a simplex; any other face
+    is pulled from its lowest-index point v, that is, split into the
+    pyramids from v over its faces that do not contain v, each of which is
+    triangulated the same way. The polytope itself is pulled from point 0.
+    Every simplex starts with point 0, then lists the points pulled on the
+    way down, then a simplex face.
     """
-    hits = Counter(i for _, _, incident in facets for i in incident)
-    apex = hits.most_common(1)[0][0]
-    c = pts[apex]
-    d = len(c)
-    total = 0
-    for normal, offset, incident in facets:
-        if apex in incident:
-            continue
-        if len(incident) == d:
-            total += _simplex_volume([pts[i] for i in incident], c)
-        else:
-            k = next(i for i, x in enumerate(normal) if x)
-            face = [pts[i][:k] + pts[i][k + 1 :] for i in incident]
-            height = offset - sum(map(mul, normal, c))
-            total += height * (_lattice_volume(face) // abs(normal[k]))
-    return total
+    facets = [frozenset(f) for f in facets]
+
+    def pull(cone: tuple[int, ...], faces: Iterable[frozenset]) -> Iterator[tuple[int, ...]]:
+        for face in faces:
+            if cone[-1] in face:
+                continue
+            if len(cone) + len(face) == d + 1:
+                yield (*cone, *face)
+                continue
+            below = {face & g for g in facets}
+            below.discard(face)
+            maximal = [f for f in below if not any(f < g for g in below)]
+            yield from pull((*cone, min(face)), maximal)
+
+    return pull((0,), facets)
+
+
+def _pulling_volume(pts: Sequence[tuple[int, ...]], facets: Sequence[Sequence[int]]) -> int:
+    """d! times the volume of the hull of distinct integer points in
+    d = 3 or 4 dimensions, given the incident point sets of its facets:
+    the sum of |det| over the simplices of :func:`_pulling_simplices`."""
+    apex = pts[0]
+    rows = [tuple(map(sub, p, apex)) for p in pts]
+    return sum(
+        abs(_det([rows[i] for i in simplex[1:]]))
+        for simplex in _pulling_simplices(facets, len(apex))
+    )
 
 
 def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
-    """Exact volume of the convex hull of a point set in dimension d = 1 to 4.
+    """Exact volume of the convex hull of a point set in dimension d = 3 or 4.
 
     Duplicated points are ignored. The points are moved to their smallest
-    integer lattice once (see :func:`_clear_denominators`), the volume is
-    found there by Lasserre's recursion (see :func:`_lasserre_sum`) and
-    scaled back at the end. A set that does not span d dimensions raises
+    integer lattice once (see :func:`_clear_denominators`), where the facet
+    scan finds the hull's facets and the volume is summed over a pulling
+    triangulation of them (see :func:`_pulling_simplices`); it is scaled
+    back at the end. A set that does not span d dimensions raises
     :class:`DegenerateHull`; flat input never reports volume zero. Any
-    other dimension raises :class:`ValueError`.
+    other dimension, or points whose lengths differ from the first
+    point's, raise :class:`ValueError`.
     """
     points = list(points)
     if not points:
         raise DegenerateHull("hull of an empty point set")
     dim = len(points[0])
-    if not 1 <= dim <= 4:
-        raise ValueError(f"hull_volume works in dimensions 1 to 4, got {dim}")
+    if dim not in (3, 4):
+        raise ValueError(f"hull_volume works in dimensions 3 and 4, got {dim}")
     _, ipts, (scales, _, divisors) = _lattice_points(points, dim)
-    return Fraction(_lattice_volume(ipts) * prod(divisors), factorial(dim) * prod(scales))
+    facets = [incident for _, _, incident in _hull_facets(ipts)]
+    return Fraction(_pulling_volume(ipts, facets) * prod(divisors), factorial(dim) * prod(scales))
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:

@@ -5,18 +5,20 @@ come from the geometry module's brute-force kernel: the hyperplane
 through an affinely independent 4-subset is a facet iff all points lie
 weakly on one side of it. Every subset is tested; the test of one stops
 at the first point on the side opposite to one already seen. The
-4-volume then follows from Lasserre's recursion over those facets. The
-points are moved once to their smallest integer lattice (per axis: clear
+4-volume then follows from a pulling triangulation read off the facets'
+incident point sets: a face's own faces are its intersections with the
+facets, a face with one point more than its dimension is a simplex, and
+any other is split into pyramids from one of its points. The points are
+moved once to their smallest integer lattice (per axis: clear
 denominators, subtract the minimum, divide by the gcd), and the facet
-scan and the recursion both run on those lattice points: a simplex facet
-(four points) closes in one 4x4 determinant, and any other facet's
-3-volume is found the same way one dimension down. Everything is exact;
-the only float code is the Monte Carlo sanity estimator at the bottom,
-which never participates in any agreement verdict.
+scan and the triangulation's 4x4 determinants both run on those lattice
+points. Everything is exact; the only float code is the Monte Carlo
+sanity estimator at the bottom, which never participates in any
+agreement verdict.
 
-Every point subset of every face is tested, so this is usable for the
-eight-point hulls this package cares about and for small test
-polytopes, nothing bigger.
+Every 4-point subset is tested, so this is usable for the eight-point
+hulls this package cares about and for small test polytopes, nothing
+bigger.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .errors import InvalidBounds
 from .geometry import (
     Point4,
     _hull_facets,
-    _lasserre_sum,
     _lattice_points,
+    _pulling_volume,
     hull_volume_3d,
     scale3,
 )
@@ -73,7 +75,8 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
     found is mapped back to the original coordinates and kept once, in
     order of its first spanning subset. On lattice points themselves the
     map is the identity, so the facets are the lattice hyperplanes.
-    Points that do not span four dimensions raise :class:`DegenerateHull`.
+    Points that do not span four dimensions raise :class:`DegenerateHull`;
+    points that are not all 4D raise :class:`ValueError`.
     """
     pts, ipts, (scales, shifts, divisors) = _lattice_points(points, 4)
     # n . ((s*x - m) / g) <= offset, times the lcm of the divisors
@@ -93,17 +96,19 @@ def hull_volume_4d(points: list[Point4]) -> Fraction:
     """Exact 4-volume of the convex hull of a 4D point set.
 
     The points are moved to their integer lattice once, and
-    :func:`hull_facets_4d` runs on the lattice points, so its facets are
-    the lattice hyperplanes. Lasserre's recursion sums them there; a
-    simplex facet (four incident points) adds one 4x4 determinant, any
-    other its height times its 3-volume one dimension down. The result is
-    scaled back by the lattice map. Input that lies in a hyperplane
-    raises :class:`DegenerateHull`; flat input never reports volume zero.
+    :func:`hull_facets_4d` runs on the lattice points. Its facets' incident
+    point sets give a pulling triangulation (see
+    :func:`trivol.geometry._pulling_simplices`), whose 4x4 determinants
+    are summed on the lattice points; no hull is taken in a lower
+    dimension. The result is scaled back by the lattice map. Input that
+    lies in a hyperplane raises :class:`DegenerateHull`; flat input never
+    reports volume zero. Points that are not all 4D raise
+    :class:`ValueError`.
     """
     _, ipts, (scales, _, divisors) = _lattice_points(points, 4)
     _, facets = hull_facets_4d(ipts)
-    lattice = [(f.normal, f.offset, f.incident) for f in facets]
-    return Fraction(_lasserre_sum(ipts, lattice) * prod(divisors), 24 * prod(scales))
+    volume = _pulling_volume(ipts, [f.incident for f in facets])
+    return Fraction(volume * prod(divisors), 24 * prod(scales))
 
 
 def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:

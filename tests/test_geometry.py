@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import factorial, gcd
-from operator import add, mul, sub
+from operator import add, mul, ne, sub
 
 import pytest
 
@@ -14,6 +14,7 @@ from trivol import (
     DegenerateTetrahedron,
     EmptyPolytope,
     Tetrahedron,
+    closed_form_volume,
     det3,
     extreme_points,
     facet_normal_set,
@@ -27,6 +28,7 @@ from trivol.geometry import (
     _det,
     _hull_facets,
     _lattice_points,
+    _pulling_simplices,
     add3,
     cross3,
     dot3,
@@ -36,7 +38,7 @@ from trivol.geometry import (
 from trivol.mixed_volume import minkowski_sum_vertices
 from trivol.oracle import hull_facets_4d, hull_volume_4d
 
-from testutil import random_points, random_tetrahedron
+from testutil import random_box, random_points, random_rational_box, random_tetrahedron
 
 ORIGIN = (F(0), F(0), F(0))
 E1 = (F(1), F(0), F(0))
@@ -225,17 +227,22 @@ def _unit_simplex(d):
     return [(F(0),) * d] + [tuple(F(i == j) for i in range(d)) for j in range(d)]
 
 
-def test_hull_volume_unit_simplex_and_cube_in_dimensions_1_to_4():
-    for d in range(1, 5):
+def test_hull_volume_unit_simplex_and_cube_in_dimensions_3_and_4():
+    for d in (3, 4):
         assert hull_volume(_unit_simplex(d)) == F(1, factorial(d))
         cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
         assert hull_volume(cube) == 1
 
 
-def test_hull_volume_rejects_dimensions_outside_1_to_4():
-    with pytest.raises(ValueError, match="dimensions 1 to 4, got 0"):
+def test_hull_volume_rejects_dimensions_outside_3_to_4():
+    with pytest.raises(ValueError, match="dimensions 3 and 4, got 0"):
         hull_volume([(), ()])
-    with pytest.raises(ValueError, match="dimensions 1 to 4, got 5"):
+    for d in (1, 2):
+        cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
+        for points in (_unit_simplex(d), cube):
+            with pytest.raises(ValueError, match=f"dimensions 3 and 4, got {d}"):
+                hull_volume(points)
+    with pytest.raises(ValueError, match="dimensions 3 and 4, got 5"):
         hull_volume(_unit_simplex(5))
     with pytest.raises(ValueError, match="3D points, got dimension 2"):
         hull_volume_3d(_unit_simplex(2))
@@ -253,8 +260,8 @@ def test_hull_volume_with_simplex_and_non_simplex_facets():
     assert sorted(_facet_sizes(pyramid)) == [3, 3, 3, 3, 4]
     assert hull_volume(pyramid) == F(1, 3)
 
-    # a pyramid of height 1 over the unit cube: every facet recurses, and
-    # the square pyramids among them mix both kinds one dimension down
+    # a pyramid of height 1 over the unit cube: no facet is a simplex, and
+    # the square pyramids among them have both kinds of 2-face
     cube = [tuple(map(F, c)) + (F(0),) for c in product((0, 1), repeat=3)]
     cube_pyramid = cube + [(F(1, 2), F(1, 3), F(1, 4), F(1))]
     assert sorted(_facet_sizes(cube_pyramid)) == [5] * 6 + [8]
@@ -270,6 +277,95 @@ def test_hull_volume_with_simplex_and_non_simplex_facets():
     bipyramid = base + [(F(1, 2), F(1, 2), F(1, 4), F(w)) for w in (-1, 1)]
     assert sorted(_facet_sizes(bipyramid)) == [4] * 8 + [5] * 2
     assert hull_volume(bipyramid) == F(1, 6)
+
+
+def _pulled_dets(points):
+    """|det| of each simplex of the pulling triangulation of the hull of
+    ``points``, on their lattice form, in triangulation order."""
+    _, ipts, _ = _lattice_points(points, len(points[0]))
+    facets = [incident for _, _, incident in _hull_facets(ipts)]
+    rows = [tuple(map(sub, p, ipts[0])) for p in ipts]
+    return [
+        abs(_det_by_permutation_sum([rows[i] for i in simplex[1:]]))
+        for simplex in _pulling_simplices(facets, len(ipts[0]))
+    ]
+
+
+def test_pulling_splits_a_cube_into_d_factorial_unit_simplices():
+    for d in (3, 4):
+        cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
+        assert _pulled_dets(cube) == [1] * factorial(d)
+
+
+def test_pulling_from_a_point_inside_an_edge():
+    cube = [tuple(map(F, c)) for c in product((0, 1), repeat=3)]
+    # the midpoint of the edge x = z = 1 is the lowest-index point of the
+    # facets x = 1 and z = 1, neither of which holds the origin, point 0
+    pts = [cube[0], (F(1), F(1, 2), F(1)), *cube[1:]]
+    assert hull_volume(pts) == hull_volume_3d(pts) == hull_volume(cube) == 1
+    # on the lattice the y axis is doubled: 3! times volume 2
+    dets = _pulled_dets(pts)
+    assert all(dets) and sum(dets) == 12
+
+
+def _box_graph_with_non_vertex_points(box, rng):
+    """The box graph's eight points, after points in the relative
+    interiors of an edge, a 2-face and a facet of its hull and one inside
+    it, in random order.
+
+    The faces come from the box: the graph points over a box edge span a
+    hull edge, three corners of a box face a triangle of its hull face
+    (a tetrahedral facet, or a square 2-face at a zero bound), a box face
+    at an upper bound b_k > 0 a tetrahedral facet, and all eight corners
+    the hull. Each new point is the centroid of its face's points.
+    """
+    vertices = list(extreme_points(box))
+
+    def centroid(points):
+        return tuple(sum(c) / len(points) for c in zip(*points))
+
+    k, side = rng.randrange(3), rng.choice((0, 1))
+    bound = (box.a, box.b)[side][k]
+    face = [v for v in vertices if v[1 + k] == bound]
+    upper = [v for v in vertices if v[1 + k] == box.b[k]]
+    u = rng.choice(vertices)
+    # a corner one box edge away from u
+    w = rng.choice([v for v in vertices if sum(map(ne, v[1:], u[1:])) == 1])
+    extra = [centroid([u, w]), centroid(rng.sample(face, 3)), centroid(upper), centroid(vertices)]
+    rng.shuffle(extra)
+    return extra + vertices
+
+
+def test_pulling_from_non_vertex_points_of_box_graphs():
+    rng = random.Random(43)
+    boxes = [random_box(rng) for _ in range(10)] + [random_rational_box(rng) for _ in range(10)]
+    boxes.append(Box3Bounds((0, 0, 0), (1, 2, 3)))
+    for box in boxes:
+        pts = _box_graph_with_non_vertex_points(box, rng)
+        volume = closed_form_volume(box)
+        assert hull_volume_4d(pts) == hull_volume_4d(pts[4:]) == volume
+        assert hull_volume(pts) == volume
+        dets = _pulled_dets(pts)
+        assert all(dets) and F(sum(dets), 24) == hull_volume(_lattice_points(pts, 4)[1])
+
+
+def test_points_of_another_dimension_raise_value_error():
+    mixed = [
+        (SIMPLEX + [(F(1), F(1))], "dimension 3, got one of dimension 2"),
+        (SIMPLEX + [(F(1),) * 4], "dimension 3, got one of dimension 4"),
+        (_unit_simplex(4) + [(F(1),) * 3], "dimension 4, got one of dimension 3"),
+        (_unit_simplex(4) + [(F(1),) * 5], "dimension 4, got one of dimension 5"),
+    ]
+    for points, message in mixed:
+        with pytest.raises(ValueError, match=message):
+            hull_volume(points)
+    cube = [tuple(map(F, c)) for c in product((0, 1), repeat=3)]
+    for points in (SIMPLEX, cube, _unit_simplex(5), _unit_simplex(4) + [(F(1),) * 3]):
+        message = f"dimension 4, got one of dimension {len(points[-1])}"
+        with pytest.raises(ValueError, match=message):
+            hull_volume_4d(points)
+        with pytest.raises(ValueError, match=message):
+            hull_facets_4d(points)
 
 
 def _unimodular(rng, d):
@@ -321,9 +417,16 @@ def test_lattice_of_a_box_graph_is_zero_one_on_the_box_axes():
             assert p == tuple(F(g * l + m, s) for l, s, m, g in zip(q, scales, shifts, divisors))
 
 
+def _prism(points):
+    """The 3D prism of height 1 over 2D points: its volume is their hull's area."""
+    return [(*p, z) for z in (0, 1) for p in points]
+
+
 def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
     rng = random.Random(29)
     for d in (2, 3, 4):
+        # a 2D cloud is measured as the prism over it
+        lift = _prism if d == 2 else list
         checked = 0
         while checked < 10:
             pts = [
@@ -331,15 +434,15 @@ def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
                 for _ in range(rng.randint(d + 1, 9))
             ]
             try:
-                vol = hull_volume(pts)
+                vol = hull_volume(lift(pts))
             except DegenerateHull:
                 continue
             shift = [F(rng.randint(10**59, 10**60), rng.randint(1, 10**60)) for _ in range(d)]
-            assert hull_volume([tuple(map(add, p, shift)) for p in pts]) == vol
+            assert hull_volume(lift([tuple(map(add, p, shift)) for p in pts])) == vol
             k = rng.randrange(d)
             lam = F(rng.randint(1, 10**30), rng.randint(1, 10**30))
             stretched = [p[:k] + (lam * p[k],) + p[k + 1 :] for p in pts]
-            assert hull_volume(stretched) == lam * vol
+            assert hull_volume(lift(stretched)) == lam * vol
             checked += 1
 
 
@@ -379,7 +482,7 @@ def _grid_cloud(rng, d, n, span):
 
 def _shapes():
     rng = random.Random(41)
-    for d in (2, 3, 4):
+    for d in (3, 4):
         yield [tuple(c) for c in product((0, 1), repeat=d)]
         yield [tuple(s * (i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
     for _ in range(6):
@@ -394,6 +497,8 @@ def test_hull_facets_match_the_reference_scan():
         for d, count, top, span in ((2, 60, 9, 3), (3, 40, 14, 2), (4, 25, 12, 2))
         for _ in range(count)
     ]
+    # a 2D cloud is scanned as the prism over it
+    clouds = [_prism(pts) if len(pts[0]) == 2 else pts for pts in clouds]
     non_simplex = 0
     for pts in clouds + list(_shapes()):
         facets = _hull_facets(pts)
@@ -422,7 +527,8 @@ def _flat_sets(d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_flat_input_raises_in_every_dimension(d):
     for points in _flat_sets(d):
-        with pytest.raises(DegenerateHull):
+        # the kernel works in dimensions 3 and 4 only
+        with pytest.raises(DegenerateHull if d > 2 else ValueError):
             hull_volume(points)
         if d == 4:
             with pytest.raises(DegenerateHull):
