@@ -1,14 +1,16 @@
 """Command-line interface: volume, verify, sweep, mixed-volume, normalize.
 
-Exit codes: 0 success, 1 verification found a property violation, 2 bad
-input (bounds, files, arguments), 3 internal disagreement between
-computation methods. Code 3 marks a bug in this package, never a user
-error, so CI can tell the two apart.
+Exit codes: 0 success, 1 verification found a counterexample (a property
+violation, or an internal disagreement inside a suite), 2 bad input
+(bounds, files, arguments), 3 internal disagreement between computation
+methods. Code 3 marks a bug in this package, never a user error, so CI
+can tell the two apart.
 
 All values are exact rationals printed as "p/q" strings; JSON output
 adds a companion ``*_decimal`` field per rational, rounded to 12
-significant digits, as a convenience only. It is ``null`` for a value
-outside the float range.
+significant digits, as a convenience only. It is ``null`` for a nonzero
+value outside the normal float range (too large, or too small for its
+float to be nonzero and normal).
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from functools import cache
 from itertools import chain, product
 from typing import Sequence
 
-from . import trilinear
+from . import trilinear, verify
 from .errors import InternalDisagreement, InvalidBounds, OmegaViolated, TrivolError
-from .geometry import support
 from .mixed_volume import volume_cubic
 from .oracle import hull_volume_4d
 from .rational import format_rational, parse_rational
@@ -35,17 +36,9 @@ from .trilinear import (
     Box3Bounds,
     closed_form_volume,
     extreme_points,
-    mixed_volumes_QR,
-    omega_check,
-    omega_dprime_check,
     omega_normalize,
-    omega_prime_check,
     ordering_values,
     pipeline_volume,
-    q_facet_directions,
-    q_vertex_points,
-    r_facet_directions,
-    r_vertex_points,
 )
 
 __all__ = ["main", "run"]
@@ -53,11 +46,13 @@ __all__ = ["main", "run"]
 
 def _decimal(x: Fraction) -> float | None:
     """Round to 12 significant digits, as a display convenience; None when
-    ``x`` is too large for a float."""
+    ``x`` is nonzero and outside the normal float range: too large for a
+    float, or so small that its float is 0 or subnormal."""
     try:
-        return float(f"{float(x):.12g}")
+        f = float(x)
     except OverflowError:
         return None
+    return None if x and abs(f) < sys.float_info.min else float(f"{f:.12g}")
 
 
 def _emit_rational(out: dict, name: str, value: Fraction) -> None:
@@ -67,7 +62,7 @@ def _emit_rational(out: dict, name: str, value: Fraction) -> None:
 
 def _parse_bounds_text(text: str) -> Box3Bounds:
     """Bounds from the interleaved form a1,b1,a2,b2,a3,b3."""
-    parts = [p for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 6:
         raise InvalidBounds(f"--bounds needs 6 comma-separated values, got {len(parts)}")
     try:
@@ -86,7 +81,7 @@ def _load_json(path: str) -> object:
             return json.load(fh, parse_float=str)
     except OSError as exc:
         raise InvalidBounds(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidBounds(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -98,9 +93,7 @@ def _box_from_file(path: str) -> Box3Bounds:
     if not isinstance(a, list) or not isinstance(b, list) or len(a) != 3 or len(b) != 3:
         raise InvalidBounds('"a" and "b" must be lists of three rationals')
     try:
-        return Box3Bounds(
-            tuple(parse_rational(v) for v in a), tuple(parse_rational(v) for v in b)
-        )
+        return Box3Bounds(tuple(map(parse_rational, a)), tuple(map(parse_rational, b)))
     except ValueError as exc:
         raise InvalidBounds(str(exc)) from exc
 
@@ -142,10 +135,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
     if report is not None:
         _emit_rational(out, "vol_pipeline", report.vol_pipeline)
         inter: dict = {}
-        _emit_rational(inter, "vol_q", report.intermediates.vol_q)
-        _emit_rational(inter, "vol_r", report.intermediates.vol_r)
-        _emit_rational(inter, "v_qqr", report.intermediates.v_qqr)
-        _emit_rational(inter, "v_qrr", report.intermediates.v_qrr)
+        for name in ("vol_q", "vol_r", "v_qqr", "v_qrr"):
+            _emit_rational(inter, name, getattr(report.intermediates, name))
         out["intermediates"] = inter
         volumes.append(report.vol_pipeline)
     if "oracle" in methods:
@@ -160,112 +151,27 @@ def cmd_volume(args: argparse.Namespace) -> int:
     return 0 if agree else 3
 
 
-def _random_box(rng: random.Random, max_bound: int) -> Box3Bounds:
-    a = []
-    b = []
-    for _ in range(3):
-        lo = rng.randint(0, max_bound - 1)
-        hi = rng.randint(lo + 1, max_bound)
-        a.append(Fraction(lo))
-        b.append(Fraction(hi))
-    return Box3Bounds((a[0], a[1], a[2]), (b[0], b[1], b[2]))
-
-
-def _fmt_box(box: Box3Bounds) -> str:
-    a = ",".join(format_rational(x) for x in box.a)
-    b = ",".join(format_rational(x) for x in box.b)
-    return f"a=({a}) b=({b})"
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_bound < 1:
-        print("error: --max-bound must be at least 1", file=sys.stderr)
-        return 2
+        raise InvalidBounds("--max-bound must be at least 1")
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
+        raise InvalidBounds("--trials must be at least 1")
     seed = args.seed
     if seed is None:
         text = os.environ.get("TRIVOL_SEED", "0")
         try:
             seed = int(text)
         except ValueError:
-            print(f"error: TRIVOL_SEED must be an integer, got {text!r}", file=sys.stderr)
-            return 2
+            raise InvalidBounds(f"TRIVOL_SEED must be an integer, got {text!r}") from None
     rng = random.Random(seed)
-    trials = args.trials
-
-    cases = 0
-    for _ in range(trials):
-        norm = omega_normalize(_random_box(rng, args.max_bound))
-        nb = norm.bounds
-        q_dirs = q_facet_directions(nb)
-        r_dirs = r_facet_directions(nb)
-        r_pts = r_vertex_points(nb)
-        q_pts = q_vertex_points(nb)
-        for i in range(1, 9):
-            closed = trilinear.support_max_z(i, norm)
-            if i <= 4:
-                generic = support(r_pts, q_dirs[i - 1])
-            else:
-                generic = support(q_pts, r_dirs[i - 5])
-            if closed != generic:
-                print(
-                    f"FAIL support-max closed forms: index {i} at {_fmt_box(nb)}: "
-                    f"closed form {closed} != generic max {generic}"
-                )
-                return 1
-            cases += 1
-    print(f"ok support-max closed forms ({cases} cases)")
-
-    cases = 0
-    for _ in range(trials):
-        box = _random_box(rng, args.max_bound)
-        flags = (omega_check(box), omega_prime_check(box), omega_dprime_check(box))
-        if len(set(flags)) != 1:
-            print(
-                f"FAIL ordering-condition equivalence at {_fmt_box(box)}: "
-                f"key form {flags[0]}, ratio form {flags[1]}, difference form {flags[2]}"
-            )
+    for suite in verify.SUITES:
+        boxes = (verify.random_box(rng, args.max_bound) for _ in range(args.trials))
+        cases, counterexample = suite(boxes)
+        if counterexample is not None:
+            print(f"FAIL {counterexample[1]}")
             return 1
-        cases += 1
-    print(f"ok ordering-condition equivalence ({cases} cases)")
-
-    cases = 0
-    for _ in range(trials):
-        norm = omega_normalize(_random_box(rng, args.max_bound))
-        if norm.bounds.a[2] == 0:
-            continue
-        v_qqr, v_qrr = mixed_volumes_QR(norm)
-        if v_qqr != v_qrr:
-            print(
-                f"FAIL mixed-volume symmetry at {_fmt_box(norm.bounds)}: "
-                f"{v_qqr} != {v_qrr}"
-            )
-            return 1
-        cases += 1
-    print(f"ok mixed-volume symmetry ({cases} cases)")
-
-    cases = 0
-    for _ in range(trials):
-        box = _random_box(rng, args.max_bound)
-        try:
-            formula = closed_form_volume(box)
-            pipeline = pipeline_volume(box).vol_pipeline
-            oracle = hull_volume_4d(list(extreme_points(box)))
-        except InternalDisagreement as exc:
-            print(f"FAIL three-way agreement at {_fmt_box(box)}: {exc}")
-            return 1
-        if not (formula == pipeline == oracle):
-            print(
-                f"FAIL three-way agreement at {_fmt_box(box)}: "
-                f"formula {formula}, pipeline {pipeline}, oracle {oracle}"
-            )
-            return 1
-        cases += 1
-    print(f"ok three-way agreement ({cases} cases)")
-
-    print(f"all checks passed ({trials} trials, seed {seed})")
+        print(f"ok {suite.name} ({cases} cases)")
+    print(f"all checks passed ({args.trials} trials, seed {seed})")
     return 0
 
 
@@ -380,12 +286,9 @@ def cmd_mixed_volume(args: argparse.Namespace) -> int:
 
     cubic = volume_cubic(body("k"), body("l"))
     out: dict = {}
-    _emit_rational(out, "c0", cubic.c0)
-    _emit_rational(out, "c1", cubic.c1)
-    _emit_rational(out, "c2", cubic.c2)
-    _emit_rational(out, "c3", cubic.c3)
-    _emit_rational(out, "V_KKL", cubic.v_kkl)
-    _emit_rational(out, "V_KLL", cubic.v_kll)
+    values = (*cubic.coefficients, cubic.v_kkl, cubic.v_kll)
+    for name, value in zip(("c0", "c1", "c2", "c3", "V_KKL", "V_KLL"), values):
+        _emit_rational(out, name, value)
     print(json.dumps(out, indent=2))
     return 0
 
@@ -488,10 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalDisagreement as exc:
         print(f"internal disagreement (this is a bug): {exc}", file=sys.stderr)
         return 3
-    except TrivolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (TrivolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

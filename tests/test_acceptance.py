@@ -22,22 +22,13 @@ from trivol import (
     hull_volume_3d,
     hull_volume_4d,
     minkowski_sum_vertices,
-    mixed_volumes_QR,
     monte_carlo_volume,
-    omega_check,
-    omega_dprime_check,
     omega_normalize,
-    omega_prime_check,
     pipeline_volume,
-    q_facet_directions,
-    q_vertex_points,
-    r_facet_directions,
-    r_vertex_points,
-    support,
-    support_max_z,
     tetra_volume,
     volume_cubic,
 )
+from trivol import verify
 
 from testutil import random_box
 
@@ -59,13 +50,8 @@ def test_criterion_01_three_way_agreement_on_200_boxes():
     with criterion(1, "three-way exact agreement on 200 seeded boxes, under 60 s"):
         rng = random.Random(1)
         start = time.monotonic()
-        for _ in range(200):
-            box = random_box(rng, max_bound=10)
-            formula = closed_form_volume(box)
-            pipeline = pipeline_volume(box)
-            oracle = hull_volume_4d(list(extreme_points(box)))
-            assert pipeline.agree
-            assert formula == pipeline.vol_pipeline == oracle, box
+        boxes = (random_box(rng, max_bound=10) for _ in range(200))
+        assert verify.three_way_agreement(boxes) == (200, None)
         elapsed = time.monotonic() - start
         assert elapsed < 60, f"took {elapsed:.1f} s"
 
@@ -80,41 +66,20 @@ def test_criterion_02_unit_box_value():
 def test_criterion_03_support_max_closed_forms_on_1000_boxes():
     with criterion(3, "all 8 support-max closed forms equal the generic maxima, 1000 boxes"):
         rng = random.Random(3)
-        for _ in range(1000):
-            norm = omega_normalize(random_box(rng))
-            nb = norm.bounds
-            q_dirs, r_dirs = q_facet_directions(nb), r_facet_directions(nb)
-            q_pts, r_pts = q_vertex_points(nb), r_vertex_points(nb)
-            for i in range(1, 9):
-                generic = (
-                    support(r_pts, q_dirs[i - 1])
-                    if i <= 4
-                    else support(q_pts, r_dirs[i - 5])
-                )
-                assert support_max_z(i, norm) == generic, (nb, i)
+        assert verify.support_maxima(random_box(rng) for _ in range(1000)) == (8000, None)
 
 
 def test_criterion_04_ordering_condition_equivalence_on_1000_tuples():
     with criterion(4, "the three ordering-condition forms agree on 1000 bound tuples"):
         rng = random.Random(4)
-        for _ in range(1000):
-            raw = random_box(rng)
-            for box in (raw, omega_normalize(raw).bounds):
-                flags = {
-                    omega_check(box),
-                    omega_prime_check(box),
-                    omega_dprime_check(box),
-                }
-                assert len(flags) == 1, box
+        assert verify.ordering_equivalence(random_box(rng) for _ in range(1000)) == (1000, None)
 
 
 def test_criterion_05_mixed_volume_symmetry():
     with criterion(5, "V(Q,Q,R) equals V(Q,R,R) on 300 boxes with full-dimensional Q"):
         rng = random.Random(5)
-        for _ in range(300):
-            norm = omega_normalize(random_box(rng, nonzero_lower=True))
-            v_qqr, v_qrr = mixed_volumes_QR(norm)
-            assert v_qqr == v_qrr, norm.bounds
+        boxes = (random_box(rng, nonzero_lower=True) for _ in range(300))
+        assert verify.mixed_volume_symmetry(boxes) == (300, None)
 
 
 def test_criterion_06_cube_octahedron_volume_polynomial():

@@ -7,13 +7,21 @@ from fractions import Fraction as F
 from itertools import product
 
 from trivol import InvalidBounds, cli, format_rational, parse_rational
-from trivol import trilinear, volume_cubic
+from trivol import trilinear, verify, volume_cubic
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bad_input(capsys, *argv):
+    """stderr of a run that exits 2 with no output and one error line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def test_volume_all_methods_unit_box(capsys):
@@ -49,13 +57,9 @@ def test_volume_from_file(tmp_path, capsys):
 
 
 def test_volume_rejects_bad_bounds(capsys):
-    code, _, err = run_cli(capsys, "volume", "--bounds", "1,1,0,1,0,1")
-    assert code == 2
-    assert "a1" in err
-    code, _, _ = run_cli(capsys, "volume", "--bounds", "1,2,3")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "volume", "--bounds", "0,1,0,1,0,x")
-    assert code == 2
+    assert "a1" in bad_input(capsys, "volume", "--bounds", "1,1,0,1,0,1")
+    bad_input(capsys, "volume", "--bounds", "1,2,3")
+    bad_input(capsys, "volume", "--bounds", "0,1,0,1,0,x")
 
 
 def test_volume_negative_first_bound_is_one_error_line_in_both_spellings(capsys):
@@ -64,28 +68,25 @@ def test_volume_negative_first_bound_is_one_error_line_in_both_spellings(capsys)
         ["--bounds=-1,2,0,1,0,1"],
         ["--bounds", "-.5,2,0,1,0,1", "--method", "oracle"],
     ):
-        code, out, err = run_cli(capsys, "volume", *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: need 0 <= a1 < b1") and err.count("\n") == 1
+        assert bad_input(capsys, "volume", *argv).startswith("error: need 0 <= a1 < b1")
     code, out, err = run_cli(capsys, "normalize", "--bounds", "-1,2,0,1,0,1")
     assert code == 2 and err.count("\n") == 1 and err.count("error:") == 1
 
 
 def test_volume_zero_denominator_is_bad_input(capsys):
-    code, out, err = run_cli(capsys, "volume", "--bounds", "1/0,1,0,1,0,1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    bad_input(capsys, "volume", "--bounds", "1/0,1,0,1,0,1")
 
 
 def test_volume_decimal_is_null_outside_float_range(capsys):
-    code, out, err = run_cli(capsys, "volume", "--bounds", "0,1e400,0,1,0,1", "--method", "formula")
-    assert code == 0 and err == ""
-    doc = json.loads(out)
-    assert doc["vol_formula_decimal"] is None
-    box = trilinear.Box3Bounds((0, 0, 0), (10**400, 1, 1))
-    assert parse_rational(doc["vol_formula"]) == trilinear.closed_form_volume(box)
+    # volumes of about 1e400 (too large for a float) and 2e-401 (its float is 0)
+    for b1, exact in (("1e400", F(10**400)), ("1e-200", F(1, 10**200))):
+        bounds = f"0,{b1},0,1,0,1"
+        code, out, err = run_cli(capsys, "volume", "--bounds", bounds, "--method", "formula")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["vol_formula_decimal"] is None
+        box = trilinear.Box3Bounds((0, 0, 0), (exact, 1, 1))
+        assert parse_rational(doc["vol_formula"]) == trilinear.closed_form_volume(box) > 0
 
 
 def test_volume_missing_source_is_usage_error(capsys):
@@ -125,17 +126,19 @@ def test_volume_all_methods_normalize_once(capsys, monkeypatch):
 
 def test_volume_rejects_a_huge_decimal_exponent(capsys):
     for text in ("0,1e20000000,0,1,0,1", "0,1,0,1,1e-20000000,1"):
-        code, out, err = run_cli(capsys, "volume", "--bounds", text)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        bad_input(capsys, "volume", "--bounds", text)
 
 
 def test_verify_passes_cleanly(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--trials", "15", "--seed", "3")
-    assert code == 0
-    assert "all checks passed" in out
-    assert out.count("ok ") == 4
+    assert run_cli(capsys, "verify", "--trials", "15", "--seed", "3") == (
+        0,
+        "ok support-max closed forms (120 cases)\n"
+        "ok ordering-condition equivalence (15 cases)\n"
+        "ok mixed-volume symmetry (15 cases)\n"
+        "ok three-way agreement (15 cases)\n"
+        "all checks passed (15 trials, seed 3)\n",
+        "",
+    )
 
 
 def test_verify_seed_env_fallback(capsys, monkeypatch):
@@ -147,17 +150,11 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
 
 def test_verify_rejects_a_non_integer_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("TRIVOL_SEED", "abc")
-    code, out, err = run_cli(capsys, "verify", "--trials", "2")
-    assert code == 2
-    assert out == ""
-    assert "TRIVOL_SEED" in err and err.count("\n") == 1
+    assert "TRIVOL_SEED" in bad_input(capsys, "verify", "--trials", "2")
 
 
 def test_verify_rejects_a_negative_trial_count(capsys):
-    code, out, err = run_cli(capsys, "verify", "--trials", "-3")
-    assert code == 2
-    assert out == ""
-    assert "--trials" in err and err.count("\n") == 1
+    assert "--trials" in bad_input(capsys, "verify", "--trials", "-3")
 
 
 def test_verify_catches_an_injected_sign_bug(capsys, monkeypatch):
@@ -172,6 +169,48 @@ def test_verify_catches_an_injected_sign_bug(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "a=(" in out  # counterexample box is printed
+
+
+def test_verify_reports_a_mixed_volume_disagreement_as_a_counterexample(capsys, monkeypatch):
+    true_m6 = trilinear._mixed_volumes6_from_z
+
+    def broken_m6(a, b):
+        v_qqr6, v_qrr6 = true_m6(a, b)
+        return (v_qqr6, v_qrr6 + 6) if a[2] > 1 else (v_qqr6, v_qrr6)
+
+    monkeypatch.setattr(trilinear, "_mixed_volumes6_from_z", broken_m6)
+    code, out, err = run_cli(capsys, "verify", "--trials", "25", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        "FAIL mixed-volume symmetry at a=(5,9,9) b=(8,10,10): "
+        "support-sum mixed volumes 46, 47 != closed form 46"
+    ]
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100000)
+    for command in ("volume", "sweep", "mixed-volume"):
+        err = bad_input(capsys, command, "--file", str(cfg))
+        assert err.startswith(f"error: {cfg} is not valid JSON: ")
+
+
+def test_verify_suites_check_the_normalized_box_and_the_pipeline_verdict(monkeypatch):
+    raw = trilinear.Box3Bounds((1, 1, 1), (2, 4, 3))  # unordered: every form is False
+    # a key form that is always False is right on raw, so only the normalized box shows it
+    monkeypatch.setattr(trilinear, "omega_check", lambda b: False)
+    cases, (box, message) = verify.ordering_equivalence([raw])
+    assert (cases, box) == (0, trilinear.omega_normalize(raw).bounds)
+    assert message == (
+        "ordering-condition equivalence at a=(1,1,1) b=(4,3,2): "
+        "key form False, ratio form True, difference form True"
+    )
+    real = trilinear.pipeline_volume
+    monkeypatch.setattr(
+        trilinear, "pipeline_volume", lambda b: dataclasses.replace(real(b), agree=False)
+    )
+    cases, (box, _) = verify.three_way_agreement([raw])
+    assert (cases, box) == (0, raw)
 
 
 def test_sweep_csv_and_determinism(tmp_path, capsys):
@@ -240,10 +279,7 @@ def test_sweep_float_overflow_is_bad_input(tmp_path, capsys):
     cfg.write_text(
         json.dumps({"a1": [0], "b1": ["1e400"], "a2": [0], "b2": [1], "a3": [0], "b3": [1]})
     )
-    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--float")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    bad_input(capsys, "sweep", "--file", str(cfg), "--float")
     code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
     assert code == 0 and "1" + "0" * 400 in out
 
@@ -253,22 +289,16 @@ def test_sweep_invalid_without_filter_fails(tmp_path, capsys):
     cfg.write_text(
         json.dumps({"a1": [2], "b1": [1], "a2": [0], "b2": [1], "a3": [0], "b3": [1]})
     )
-    code, _, err = run_cli(capsys, "sweep", "--file", str(cfg))
-    assert code == 2
-    assert "a1" in err
+    assert "a1" in bad_input(capsys, "sweep", "--file", str(cfg))
 
 
 def test_sweep_rejects_malformed_input(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"a1": [0], "b1": [1]}))
-    code, _, err = run_cli(capsys, "sweep", "--file", str(cfg))
-    assert code == 2
-    assert "a2" in err
+    assert "a2" in bad_input(capsys, "sweep", "--file", str(cfg))
     cfg.write_text("not json at all{")
-    code, _, _ = run_cli(capsys, "sweep", "--file", str(cfg))
-    assert code == 2
-    code, _, _ = run_cli(capsys, "sweep", "--file", str(tmp_path / "missing.json"))
-    assert code == 2
+    bad_input(capsys, "sweep", "--file", str(cfg))
+    bad_input(capsys, "sweep", "--file", str(tmp_path / "missing.json"))
 
 
 def test_sweep_filter_other_than_valid_is_bad_input(tmp_path, capsys):
@@ -407,9 +437,8 @@ def test_sweep_reports_the_first_invalid_row_and_writes_nothing(tmp_path, capsys
     cfg.write_text(
         json.dumps({"a1": [0], "b1": [1, "1e400"], "a2": [0], "b2": [1], "a3": [0], "b3": [1]})
     )
-    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--float", "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith("error: 1" + "0" * 400 + " is too large") and err.count("\n") == 1
+    err = bad_input(capsys, "sweep", "--file", str(cfg), "--float", "--out", str(target))
+    assert err.startswith("error: 1" + "0" * 400 + " is too large")
     assert not target.exists()
 
 
@@ -417,9 +446,8 @@ def test_sweep_unwritable_out_is_bad_input(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({k: [0] if k[0] == "a" else [1] for k in SWEEP_KEYS}))
     target = tmp_path / "no" / "such" / "rows.csv"
-    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg), "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    err = bad_input(capsys, "sweep", "--file", str(cfg), "--out", str(target))
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_mixed_volume_cube_octahedron(tmp_path, capsys):
@@ -441,9 +469,7 @@ def test_mixed_volume_rejects_flat_body(tmp_path, capsys):
     cfg = tmp_path / "bodies.json"
     for name, bodies in (("k", {"k": flat, "l": octa}), ("l", {"k": octa, "l": flat})):
         cfg.write_text(json.dumps(bodies))
-        code, out, err = run_cli(capsys, "mixed-volume", "--file", str(cfg))
-        assert code == 2
-        assert out == ""
+        err = bad_input(capsys, "mixed-volume", "--file", str(cfg))
         assert err == f"error: body {name} does not span three dimensions\n"
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from trivol import Box3Bounds, DegenerateTetrahedron, Tetrahedron, orient
+from trivol import Box3Bounds, DegenerateTetrahedron, Tetrahedron, orient, verify
 
 
 def random_box(rng: random.Random, max_bound: int = 10, nonzero_lower: bool = False) -> Box3Bounds:
@@ -15,16 +15,10 @@ def random_box(rng: random.Random, max_bound: int = 10, nonzero_lower: bool = Fa
     exactly the condition for the normalized third interval to start
     above zero (a flat bottom slice happens only at a = (0,0,0)).
     """
-    while True:
-        a, b = [], []
-        for _ in range(3):
-            lo = rng.randint(0, max_bound - 1)
-            hi = rng.randint(lo + 1, max_bound)
-            a.append(Fraction(lo))
-            b.append(Fraction(hi))
-        if nonzero_lower and all(x == 0 for x in a):
-            continue
-        return Box3Bounds((a[0], a[1], a[2]), (b[0], b[1], b[2]))
+    box = verify.random_box(rng, max_bound)
+    while nonzero_lower and not any(box.a):
+        box = verify.random_box(rng, max_bound)
+    return box
 
 
 def random_rational_box(rng: random.Random) -> Box3Bounds:
