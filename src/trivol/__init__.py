@@ -18,7 +18,6 @@ from .errors import (
 )
 from .geometry import (
     Tetrahedron,
-    det3,
     facet_normal_set,
     hull_volume_3d,
     orient,
@@ -79,7 +78,6 @@ __all__ = [
     "InternalDisagreement",
     "parse_rational",
     "format_rational",
-    "det3",
     "Tetrahedron",
     "orient",
     "facet_normal_set",

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 verification found a counterexample (a property
 violation, or an internal disagreement inside a suite), 2 bad input
-(bounds, files, arguments), 3 internal disagreement between computation
-methods. Code 3 marks a bug in this package, never a user error, so CI
-can tell the two apart.
+(bounds, files, arguments) or output that cannot be written (an
+unwritable ``--out``, a reader that closed the pipe early), 3 internal
+disagreement between computation methods. Code 3 marks a bug in this
+package, never a user error, so CI can tell the two apart.
 
 All values are exact rationals printed as "p/q" strings; JSON output
 adds a companion ``*_decimal`` field per rational, rounded to 12
 significant digits, as a convenience only. It is ``null`` for a nonzero
 value outside the normal float range (too large, or too small for its
-float to be nonzero and normal).
+float to be nonzero and normal); ``sweep --float`` exits 2 on such a
+value instead.
 """
 
 from __future__ import annotations
@@ -44,20 +46,21 @@ from .trilinear import (
 __all__ = ["main", "run"]
 
 
-def _decimal(x: Fraction) -> float | None:
-    """Round to 12 significant digits, as a display convenience; None when
-    ``x`` is nonzero and outside the normal float range: too large for a
-    float, or so small that its float is 0 or subnormal."""
+def _float(x: Fraction) -> float | None:
+    """``float(x)``, or None when ``x`` is nonzero and outside the normal
+    float range: too large for a float, or so small that its float is 0
+    or subnormal."""
     try:
         f = float(x)
     except OverflowError:
         return None
-    return None if x and abs(f) < sys.float_info.min else float(f"{f:.12g}")
+    return None if x and abs(f) < sys.float_info.min else f
 
 
 def _emit_rational(out: dict, name: str, value: Fraction) -> None:
     out[name] = format_rational(value)
-    out[name + "_decimal"] = _decimal(value)
+    f = _float(value)  # rounded to 12 significant digits, for display only
+    out[name + "_decimal"] = None if f is None else float(f"{f:.12g}")
 
 
 def _parse_bounds_text(text: str) -> Box3Bounds:
@@ -204,12 +207,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def fmt(x: Fraction) -> str:
         if not args.float:
             return format_rational(x)
-        try:
-            return repr(float(x))
-        except OverflowError:
+        f = _float(x)
+        if f is None:
+            size = "large" if abs(x) > 1 else "small"
             raise InvalidBounds(
-                f"{format_rational(x)} is too large for --float output; omit --float"
-            ) from None
+                f"{format_rational(x)} is too {size} for --float output; omit --float"
+            )
+        return repr(f)
 
     @cache
     def text(k: int, j: int) -> str:
@@ -387,7 +391,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         # by name, so a handler rebound in this module after the parser was built runs
-        return globals()[args.handler](args)
+        code = globals()[args.handler](args)
+        sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        # the rest of the buffered output goes nowhere, so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except InternalDisagreement as exc:
         print(f"internal disagreement (this is a bug): {exc}", file=sys.stderr)
         return 3

@@ -39,7 +39,6 @@ from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
 
 __all__ = [
     "Vec3",
-    "Vec4",
     "Point3",
     "Point4",
     "Tetrahedron",
@@ -49,7 +48,6 @@ __all__ = [
     "scale3",
     "dot3",
     "cross3",
-    "det3",
     "orient",
     "facet_normal_set",
     "support",
@@ -59,9 +57,8 @@ __all__ = [
 ]
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
-Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 Point3 = Vec3
-Point4 = Vec4
+Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def add3(u: Vec3, v: Vec3) -> Vec3:
@@ -88,16 +85,10 @@ def cross3(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a 3x3 matrix given as three rows."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _edge_det(vertices: Sequence[Point3]) -> Fraction:
     """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume."""
     v0 = vertices[0]
-    return det3([sub3(v, v0) for v in vertices[1:]])
+    return _det([sub3(v, v0) for v in vertices[1:]])
 
 
 @dataclass(frozen=True)

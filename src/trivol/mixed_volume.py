@@ -11,8 +11,10 @@ coefficients carry the mixed volumes:
     c0 = Vol(K), c1 = 3 V(K,K,L), c2 = 3 V(K,L,L), c3 = Vol(L).
 
 ``volume_cubic`` recovers the coefficients by exact interpolation of hull
-volumes at t = 0, 1, 2, 3, giving a route to the same quantities that
-never touches a support function.
+volumes at t = 0, 1, 2, 3 (Newton's divided differences, expanded into
+monomial coefficients), giving a route to the same quantities that never
+touches a support function. The fitted c3 must equal Vol(L), computed
+directly; a mismatch raises :class:`InternalDisagreement`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .errors import DegenerateHull, EmptyPolytope
+from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
 from .geometry import (
     Point3,
     Tetrahedron,
@@ -105,33 +107,25 @@ def minkowski_sum_vertices(k: Sequence[Point3], l: Sequence[Point3]) -> list[Poi
     return out
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a small exact linear system by Gaussian elimination."""
-    n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular interpolation system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def fit_cubic(ts: Sequence[object], values: Sequence[Fraction]) -> VolumeCubic:
-    """Exact degree-3 interpolation through four (t, value) pairs."""
+    """Exact degree-3 interpolation through four (t, value) pairs: Newton's
+    divided differences d0..d3, expanded into monomial coefficients by three
+    Horner steps."""
     if len(ts) != 4 or len(values) != 4:
         raise ValueError("cubic interpolation needs exactly four nodes")
-    nodes = [Fraction(t) for t in ts]
-    if len(set(nodes)) != 4:
+    x = [Fraction(t) for t in ts]
+    if len(set(x)) != 4:
         raise ValueError("interpolation nodes must be distinct")
-    vandermonde = [[t**p for p in range(4)] for t in nodes]
-    c0, c1, c2, c3 = _solve_linear(vandermonde, list(values))
+    d = list(values)
+    # in place, highest index first: d[i] becomes f[x_(i-k), ..., x_i]
+    for k in range(1, 4):
+        for i in range(3, k - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (x[i] - x[i - k])
+    # highest degree first; each step multiplies by (t - x_k) and adds d_k
+    c = [d[3]]
+    for k in (2, 1, 0):
+        c = [a - x[k] * b for a, b in zip([*c, d[k]], [0, *c])]
+    c3, c2, c1, c0 = c
     return VolumeCubic(c0, c1, c2, c3)
 
 
@@ -161,4 +155,8 @@ def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
     for t in range(1, 4):
         scaled = [scale3(p, t) for p in il]
         values.append(hull_volume_3d(minkowski_sum_vertices(ik, scaled)) * unit)
-    return fit_cubic((0, 1, 2, 3), values)
+    cubic = fit_cubic((0, 1, 2, 3), values)
+    # the leading coefficient is Vol(L), which the check above also found
+    if cubic.c3 != volumes[1]:
+        raise InternalDisagreement(f"fitted c3 = {cubic.c3} != Vol(L) = {volumes[1]}")
+    return cubic

@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
 
-from trivol import InvalidBounds, cli, format_rational, parse_rational
-from trivol import trilinear, verify, volume_cubic
+import pytest
+
+from trivol import InternalDisagreement, InvalidBounds, cli, format_rational, parse_rational
+from trivol import mixed_volume, trilinear, verify, volume_cubic
 
 
 def run_cli(capsys, *argv):
@@ -284,6 +289,24 @@ def test_sweep_float_overflow_is_bad_input(tmp_path, capsys):
     assert code == 0 and "1" + "0" * 400 in out
 
 
+def test_sweep_float_rejects_a_volume_below_the_normal_float_range(tmp_path, capsys):
+    # volumes of about 2e-401 (its float is 0) and 2e-161 (its float is subnormal)
+    cfg = tmp_path / "sweep.json"
+    target = tmp_path / "rows.csv"
+    for b1 in ("1e-200", "1e-160"):
+        grid = {"a1": [0], "b1": [b1], "a2": [0], "b2": [1], "a3": [0], "b3": [1]}
+        cfg.write_text(json.dumps(grid))
+        volume = trilinear.closed_form_volume(
+            trilinear.Box3Bounds((0, 0, 0), (parse_rational(b1), 1, 1))
+        )
+        err = bad_input(capsys, "sweep", "--file", str(cfg), "--float", "--out", str(target))
+        too_small = f"{format_rational(volume)} is too small for --float output; omit --float"
+        assert err == f"error: {too_small}\n"
+        assert not target.exists()
+        code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
+        assert code == 0 and f",{format_rational(volume)},123" in out
+
+
 def test_sweep_invalid_without_filter_fails(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(
@@ -450,6 +473,29 @@ def test_sweep_unwritable_out_is_bad_input(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {target}: ")
 
 
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # 5^6 rows, several times a pipe buffer; the reader leaves after one line
+    cfg = tmp_path / "sweep.json"
+    grid = {k: [0, 1, 2, 3, 4] if k[0] == "a" else [5, 6, 7, 8, 9] for k in SWEEP_KEYS}
+    cfg.write_text(json.dumps(grid))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trivol.cli", "sweep", "--file", str(cfg)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline() == b"a1,b1,a2,b2,a3,b3,volume,perm\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
 def test_mixed_volume_cube_octahedron(tmp_path, capsys):
     cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
     octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
@@ -461,6 +507,30 @@ def test_mixed_volume_cube_octahedron(tmp_path, capsys):
     assert [doc[k] for k in ("c0", "c1", "c2", "c3")] == ["8", "24", "12", "4/3"]
     assert doc["V_KKL"] == "8"
     assert doc["V_KLL"] == "4"
+
+
+def test_mixed_volume_fit_disagreeing_with_vol_l_exits_3(tmp_path, capsys, monkeypatch):
+    cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    real = mixed_volume.hull_volume_3d
+    calls = []
+
+    def faulty(points):
+        # calls go K, L, then the sums at t = 1, 2, 3; the sum at t = 2 is off
+        calls.append(None)
+        return real(points) + 1 if len(calls) == 4 else real(points)
+
+    monkeypatch.setattr(mixed_volume, "hull_volume_3d", faulty)
+    points = [[tuple(map(F, p)) for p in body] for body in (cube, octa)]
+    with pytest.raises(InternalDisagreement, match="^fitted c3 = .* != Vol\\(L\\) = 4/3$"):
+        volume_cubic(*points)
+    calls.clear()
+    cfg = tmp_path / "bodies.json"
+    cfg.write_text(json.dumps({"k": cube, "l": octa}))
+    code, out, err = run_cli(capsys, "mixed-volume", "--file", str(cfg))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal disagreement (this is a bug): fitted c3 = ")
+    assert err.endswith(" != Vol(L) = 4/3\n")
 
 
 def test_mixed_volume_rejects_flat_body(tmp_path, capsys):

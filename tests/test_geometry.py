@@ -15,7 +15,6 @@ from trivol import (
     EmptyPolytope,
     Tetrahedron,
     closed_form_volume,
-    det3,
     extreme_points,
     facet_normal_set,
     hull_volume_3d,
@@ -64,13 +63,13 @@ def _det_by_permutation_sum(m):
     return total
 
 
-def test_det3_small_cases():
+def test_det_small_3x3_cases():
     identity = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert det3(identity) == 1
+    assert _det(identity) == 1
     repeated = [[F(1), F(2), F(3)], [F(1), F(2), F(3)], [F(4), F(5), F(6)]]
-    assert det3(repeated) == 0
+    assert _det(repeated) == 0
     m = [[F(1), F(2), F(3)], [F(0), F(1), F(4)], [F(5), F(6), F(0)]]
-    assert det3(m) == 1
+    assert _det(m) == 1
 
 
 def test_det4_small_cases():
@@ -88,7 +87,7 @@ def test_determinants_match_permutation_expansion():
     rng = random.Random(31)
     for _ in range(100):
         m3 = [[F(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-        assert det3(m3) == _det_by_permutation_sum(m3)
+        assert _det(m3) == _det_by_permutation_sum(m3)
         m4 = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
         assert _det(m4) == _det_by_permutation_sum(m4)
 

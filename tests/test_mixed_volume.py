@@ -210,8 +210,27 @@ def test_fit_cubic_recovers_known_polynomial():
     assert cubic.value_at(F(11, 3)) == poly(F(11, 3))
 
 
+def test_fit_cubic_recovers_random_cubics_at_unsorted_rational_nodes():
+    rng = random.Random(67)
+
+    def rational():
+        return F(rng.randint(-50, 50), rng.randint(1, 12))
+
+    for _ in range(300):
+        coefficients = tuple(rational() for _ in range(4))
+        ts = []
+        while len(ts) < 4:
+            t = rational()
+            if t not in ts:
+                ts.append(t)
+        values = [sum(c * t**p for p, c in enumerate(coefficients)) for t in ts]
+        cubic = fit_cubic(ts, values)
+        assert cubic.coefficients == coefficients, ts
+        assert [cubic.value_at(t) for t in ts] == values
+
+
 def test_fit_cubic_rejects_bad_nodes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cubic interpolation needs exactly four nodes$"):
         fit_cubic([F(0), F(1), F(2)], [F(0), F(1), F(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^interpolation nodes must be distinct$"):
         fit_cubic([F(0), F(1), F(1), F(2)], [F(0)] * 4)
