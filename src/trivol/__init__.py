@@ -33,11 +33,9 @@ from .mixed_volume import (
 )
 from .oracle import (
     Facet4,
-    cross_section_volume,
     hull_facets_4d,
     hull_volume_4d,
     monte_carlo_volume,
-    quadrature_volume,
 )
 from .rational import format_rational, parse_rational
 from .trilinear import (
@@ -48,6 +46,7 @@ from .trilinear import (
     build_Q,
     build_R,
     closed_form_volume,
+    cross_section_volume,
     extreme_points,
     facet_prefactor,
     hull_volume_formula,
@@ -100,6 +99,7 @@ __all__ = [
     "omega_dprime_check",
     "q_vertex_points",
     "r_vertex_points",
+    "cross_section_volume",
     "build_Q",
     "build_R",
     "q_facet_directions",
@@ -115,8 +115,6 @@ __all__ = [
     "Facet4",
     "hull_facets_4d",
     "hull_volume_4d",
-    "cross_section_volume",
-    "quadrature_volume",
     "monte_carlo_volume",
     "__version__",
 ]

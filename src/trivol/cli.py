@@ -68,10 +68,7 @@ def _parse_bounds_text(text: str) -> Box3Bounds:
     parts = text.split(",")
     if len(parts) != 6:
         raise InvalidBounds(f"--bounds needs 6 comma-separated values, got {len(parts)}")
-    try:
-        vals = [parse_rational(p) for p in parts]
-    except ValueError as exc:
-        raise InvalidBounds(str(exc)) from exc
+    vals = [parse_rational(p) for p in parts]
     return Box3Bounds((vals[0], vals[2], vals[4]), (vals[1], vals[3], vals[5]))
 
 
@@ -84,7 +81,7 @@ def _load_json(path: str) -> object:
             return json.load(fh, parse_float=str)
     except OSError as exc:
         raise InvalidBounds(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidBounds(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -95,10 +92,7 @@ def _box_from_file(path: str) -> Box3Bounds:
     a, b = doc["a"], doc["b"]
     if not isinstance(a, list) or not isinstance(b, list) or len(a) != 3 or len(b) != 3:
         raise InvalidBounds('"a" and "b" must be lists of three rationals')
-    try:
-        return Box3Bounds(tuple(map(parse_rational, a)), tuple(map(parse_rational, b)))
-    except ValueError as exc:
-        raise InvalidBounds(str(exc)) from exc
+    return Box3Bounds(tuple(map(parse_rational, a)), tuple(map(parse_rational, b)))
 
 
 def _box_from_args(args: argparse.Namespace) -> Box3Bounds:

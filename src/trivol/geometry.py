@@ -3,9 +3,9 @@
 Coordinates are ``fractions.Fraction`` or ``int`` (the two mix freely),
 so every predicate and volume computed here is exact; on int input the
 tetrahedron primitives stay on ints until their single final division.
-Points and vectors are plain tuples and the two container types are
-frozen dataclasses; nothing is mutated after construction, which keeps
-all functions in this module pure.
+Points and vectors are plain tuples and the one container type,
+:class:`Tetrahedron`, is a frozen dataclass; nothing is mutated after
+construction, which keeps all functions in this module pure.
 
 The convex-hull volume kernel works in dimensions d = 3 and 4: the 3D
 hulls of the Minkowski-sum cubic and the oracle's 4-polytope. It moves
@@ -42,7 +42,6 @@ __all__ = [
     "Point3",
     "Point4",
     "Tetrahedron",
-    "FacetNormalSet",
     "add3",
     "sub3",
     "scale3",
@@ -115,19 +114,6 @@ class Tetrahedron:
         object.__setattr__(self, "det", d)
 
 
-@dataclass(frozen=True)
-class FacetNormalSet:
-    """Outward facet normals of a polytope, each scaled to its facet's area.
-
-    The squared length of each vector equals the squared area of its
-    facet, and the vectors of any closed polytope sum to zero. For a
-    tetrahedron the order is: facet opposite vertex 3, then opposite
-    vertex 2, 1 and 0.
-    """
-
-    normals: tuple[Vec3, ...]
-
-
 def orient(vertices: Sequence[Point3]) -> Tetrahedron:
     """Build a positively oriented tetrahedron from four points.
 
@@ -163,11 +149,17 @@ def _facet_cross_products(t: Tetrahedron) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     )
 
 
-def facet_normal_set(t: Tetrahedron) -> FacetNormalSet:
+def facet_normal_set(t: Tetrahedron) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Outward facet normals of ``t``, each scaled to its facet's area:
-    half of :func:`_facet_cross_products`."""
+    half of :func:`_facet_cross_products`.
+
+    The squared length of each vector equals the squared area of its
+    facet, and the four vectors sum to zero, as the area-scaled normals
+    of any closed polytope do. The order is: facet opposite vertex 3,
+    then opposite vertex 2, 1 and 0.
+    """
     half = Fraction(1, 2)
-    return FacetNormalSet(tuple(scale3(n, half) for n in _facet_cross_products(t)))
+    return tuple(scale3(n, half) for n in _facet_cross_products(t))
 
 
 def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
@@ -231,7 +223,7 @@ def _clear_denominators(
 
 
 def _lattice_points(
-    points: Sequence[Sequence[Fraction]], dim: int
+    points: Iterable[Sequence[Fraction]], dim: int
 ) -> tuple[list[tuple], list[tuple[int, ...]], _AxisMap]:
     """Deduplicated points, their lattice form and the per-axis map.
 
@@ -239,7 +231,9 @@ def _lattice_points(
     form, keeping first occurrences in input order. Fewer than ``dim + 1``
     distinct points raise :class:`DegenerateHull`; more that still do not
     span ``dim`` dimensions are rejected by the facet scan that follows.
+    The points may be any iterable; they are read once.
     """
+    points = list(points)
     ints, axes = _clear_denominators(points, dim)
     lattice: dict = {}
     for q, p in zip(ints, points):

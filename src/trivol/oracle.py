@@ -1,24 +1,15 @@
-"""Brute-force verification oracles: exact volumes with no cleverness.
+"""The brute-force 4D hull oracle: exact volumes with no cleverness.
 
-The routines here trade speed for trustworthiness. Facets of a 4D hull
-come from the geometry module's brute-force kernel: the hyperplane
-through an affinely independent 4-subset is a facet iff all points lie
-weakly on one side of it. Every subset is tested; the test of one stops
-at the first point on the side opposite to one already seen. The
-4-volume then follows from a pulling triangulation read off the facets'
-incident point sets: a face's own faces are its intersections with the
-facets, a face with one point more than its dimension is a simplex, and
-any other is split into pyramids from one of its points. The points are
-moved once to their smallest integer lattice (per axis: clear
-denominators, subtract the minimum, divide by the gcd), and the facet
-scan and the triangulation's 4x4 determinants both run on those lattice
-points. Everything is exact; the only float code is the Monte Carlo
-sanity estimator at the bottom, which never participates in any
-agreement verdict.
-
-Every 4-point subset is tested, so this is usable for the eight-point
-hulls this package cares about and for small test polytopes, nothing
-bigger.
+This is the third volume route. It measures the convex hull of the
+extreme points directly and shares no formula with the closed form or
+the slice pipeline of :mod:`trivol.trilinear`; to keep it that way, this
+module imports nothing from the package but :mod:`trivol.geometry`,
+whose brute-force facet scan and pulling triangulation (see that
+module's docstring) it runs on the points' integer lattice. Every
+4-point subset is tested, so this suits the eight-point hulls of this
+package and small test polytopes, nothing bigger. Everything is exact;
+the only float code is the Monte Carlo sanity estimator at the bottom,
+which never participates in any agreement verdict.
 """
 
 from __future__ import annotations
@@ -27,25 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import Iterable
 
-from .errors import InvalidBounds
-from .geometry import (
-    Point4,
-    _hull_facets,
-    _lattice_points,
-    _pulling_volume,
-    hull_volume_3d,
-    scale3,
-)
-from .mixed_volume import minkowski_sum_vertices
-from .trilinear import Box3Bounds, omega_normalize, q_vertex_points, r_vertex_points
+from .geometry import Point4, _hull_facets, _lattice_points, _pulling_volume
 
 __all__ = [
     "Facet4",
     "hull_facets_4d",
     "hull_volume_4d",
-    "cross_section_volume",
-    "quadrature_volume",
     "monte_carlo_volume",
 ]
 
@@ -65,7 +45,7 @@ class Facet4:
     incident: tuple[int, ...]
 
 
-def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
+def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]]:
     """Deduplicated points and all facets of their 4D convex hull.
 
     The hyperplane through every affinely independent 4-subset of the
@@ -92,7 +72,7 @@ def hull_facets_4d(points: list[Point4]) -> tuple[list[Point4], list[Facet4]]:
     return pts, facets
 
 
-def hull_volume_4d(points: list[Point4]) -> Fraction:
+def hull_volume_4d(points: Iterable[Point4]) -> Fraction:
     """Exact 4-volume of the convex hull of a 4D point set.
 
     The points are moved to their integer lattice once, and
@@ -111,54 +91,8 @@ def hull_volume_4d(points: list[Point4]) -> Fraction:
     return Fraction(volume * prod(divisors), 24 * prod(scales))
 
 
-def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:
-    """Exact 3-volume of the hull's slice at third-coordinate value t.
-
-    The axes are reordered internally (see :func:`omega_normalize`); t
-    refers to the third axis after that reordering and must lie within
-    its bounds. The slice is the Minkowski combination of the bottom and
-    top slice tetrahedra weighted by where t sits in the range, computed
-    geometrically from the summed vertex sets. The t = a3 = 0 section is
-    flat and returns 0; every other section is full-dimensional.
-    """
-    nb = omega_normalize(box).bounds
-    a3, b3 = nb.a[2], nb.b[2]
-    pos = Fraction(t)
-    if not a3 <= pos <= b3:
-        raise InvalidBounds(f"section position {pos} outside [{a3}, {b3}]")
-    if pos == a3 == 0:
-        return Fraction(0)
-    h = b3 - a3
-    wq = (b3 - pos) / h
-    wr = (pos - a3) / h
-    scaled_q = [scale3(p, wq) for p in q_vertex_points(nb)]
-    scaled_r = [scale3(p, wr) for p in r_vertex_points(nb)]
-    return hull_volume_3d(minkowski_sum_vertices(scaled_q, scaled_r))
-
-
-def quadrature_volume(box: Box3Bounds) -> Fraction:
-    """Hull volume by Simpson quadrature over geometric cross-sections.
-
-    Three sections (ends and midpoint of the third-axis range after
-    normalization) determine the integral exactly because the section
-    volume is a cubic in the position. Shares no volume formulas with the
-    pipeline: each section volume is a genuine 3D hull computation.
-    Requires a3 > 0 after normalization so all sections are
-    full-dimensional.
-    """
-    nb = omega_normalize(box).bounds
-    a3, b3 = nb.a[2], nb.b[2]
-    if a3 == 0:
-        raise InvalidBounds("quadrature needs a3 > 0 after normalization")
-    mid = (a3 + b3) / 2
-    f0 = cross_section_volume(nb, a3)
-    f1 = cross_section_volume(nb, mid)
-    f2 = cross_section_volume(nb, b3)
-    return (b3 - a3) * (f0 + 4 * f1 + f2) / 6
-
-
 def monte_carlo_volume(
-    points: list[Point4], samples: int, seed: int
+    points: Iterable[Point4], samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo volume estimate and its standard error, floats.
 

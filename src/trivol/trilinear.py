@@ -17,6 +17,11 @@ one per corner of the box. Its volume is computed here two exact ways:
   support-sum evaluation; the integral is evaluated analytically and
   cross-checked against Simpson's rule, which is exact for cubics.
 
+``cross_section_volume`` measures one slice directly from the same slice
+construction (``q_vertex_points``, ``r_vertex_points``): the 3D hull of
+the weighted Minkowski sum of their vertex sets, with no mixed-volume
+formula. The tests use it to pin the pipeline's cubic slice by slice.
+
 Every redundant pair of computation paths must agree exactly; a mismatch
 raises :class:`InternalDisagreement` rather than returning anything.
 
@@ -42,8 +47,17 @@ from .errors import (
     InvalidBounds,
     OmegaViolated,
 )
-from .geometry import Point3, Point4, Tetrahedron, Vec3, orient, tetra_volume
-from .mixed_volume import mixed_volume_against
+from .geometry import (
+    Point3,
+    Point4,
+    Tetrahedron,
+    Vec3,
+    hull_volume_3d,
+    orient,
+    scale3,
+    tetra_volume,
+)
+from .mixed_volume import minkowski_sum_vertices, mixed_volume_against
 
 __all__ = [
     "Box3Bounds",
@@ -57,6 +71,7 @@ __all__ = [
     "omega_dprime_check",
     "q_vertex_points",
     "r_vertex_points",
+    "cross_section_volume",
     "build_Q",
     "build_R",
     "q_facet_directions",
@@ -201,6 +216,31 @@ def q_vertex_points(bounds: Box3Bounds) -> list[Point3]:
 def r_vertex_points(bounds: Box3Bounds) -> list[Point3]:
     """Vertices of the top slice (x3 = b3); always a genuine tetrahedron."""
     return _slice_points(bounds.a, bounds.b, bounds.b[2])
+
+
+def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:
+    """Exact 3-volume of the hull's slice at third-coordinate value t.
+
+    The axes are reordered internally (see :func:`omega_normalize`); t
+    refers to the third axis after that reordering and must lie within
+    its bounds. The slice is the Minkowski combination of the bottom and
+    top slice tetrahedra weighted by where t sits in the range, computed
+    geometrically from the summed vertex sets. The t = a3 = 0 section is
+    flat and returns 0; every other section is full-dimensional.
+    """
+    nb = omega_normalize(box).bounds
+    a3, b3 = nb.a[2], nb.b[2]
+    pos = Fraction(t)
+    if not a3 <= pos <= b3:
+        raise InvalidBounds(f"section position {pos} outside [{a3}, {b3}]")
+    if pos == a3 == 0:
+        return Fraction(0)
+    h = b3 - a3
+    wq = (b3 - pos) / h
+    wr = (pos - a3) / h
+    scaled_q = [scale3(p, wq) for p in q_vertex_points(nb)]
+    scaled_r = [scale3(p, wr) for p in r_vertex_points(nb)]
+    return hull_volume_3d(minkowski_sum_vertices(scaled_q, scaled_r))
 
 
 def build_Q(box: OmegaBox) -> Tetrahedron:

@@ -192,6 +192,14 @@ def test_verify_reports_a_mixed_volume_disagreement_as_a_counterexample(capsys, 
     ]
 
 
+@pytest.mark.parametrize("command", ["volume", "sweep", "mixed-volume"])
+def test_a_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"a": [0, 0, 0], "b": [1, 1, 1], "note": "\xff"}')
+    err = bad_input(capsys, command, "--file", str(cfg))
+    assert err.startswith(f"error: {cfg} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
     cfg = tmp_path / "deep.json"
     cfg.write_text("[" * 100000)

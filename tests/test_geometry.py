@@ -114,7 +114,7 @@ def test_tetrahedron_constructor_rejects_negative_orientation():
 
 
 def test_facet_normals_of_standard_simplex():
-    got = sorted(facet_normal_set(orient(SIMPLEX)).normals)
+    got = sorted(facet_normal_set(orient(SIMPLEX)))
     want = sorted(
         [
             (F(0), F(0), F(-1, 2)),
@@ -130,7 +130,7 @@ def test_facet_normals_sum_to_zero_and_carry_facet_area():
     rng = random.Random(7)
     for _ in range(100):
         t = random_tetrahedron(rng)
-        normals = facet_normal_set(t).normals
+        normals = facet_normal_set(t)
         assert len(normals) == 4
         total = (F(0), F(0), F(0))
         for n in normals:
@@ -148,16 +148,16 @@ def test_facet_normals_invariant_under_translation_and_even_permutation():
     rng = random.Random(8)
     for _ in range(25):
         t = random_tetrahedron(rng)
-        base = sorted(facet_normal_set(t).normals)
+        base = sorted(facet_normal_set(t))
         shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
         moved = Tetrahedron(tuple(add3(v, shift) for v in t.vertices))
-        assert sorted(facet_normal_set(moved).normals) == base
+        assert sorted(facet_normal_set(moved)) == base
         v0, v1, v2, v3 = t.vertices
         # one 3-cycle and one double transposition cover both even classes
         rotated = Tetrahedron((v1, v2, v0, v3))
-        assert sorted(facet_normal_set(rotated).normals) == base
+        assert sorted(facet_normal_set(rotated)) == base
         swapped = Tetrahedron((v1, v0, v3, v2))
-        assert sorted(facet_normal_set(swapped).normals) == base
+        assert sorted(facet_normal_set(swapped)) == base
 
 
 def test_support_on_cube_and_octahedron():

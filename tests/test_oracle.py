@@ -1,5 +1,10 @@
-"""Brute-force 4D hull, cross-sections, quadrature, Monte Carlo."""
+"""The 4D hull oracle and its Monte Carlo check, and the geometric cross-sections.
 
+The cross-sections live in :mod:`trivol.trilinear`; they are tested here
+because, like the oracle, they measure the hull by brute-force hulls.
+"""
+
+import ast
 import inspect
 import os
 import random
@@ -11,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from trivol import trilinear
+from trivol import oracle, trilinear
 from trivol import (
     Box3Bounds,
     DegenerateHull,
@@ -26,7 +31,6 @@ from trivol import (
     hull_volume_4d,
     monte_carlo_volume,
     omega_normalize,
-    quadrature_volume,
     tetra_volume,
 )
 from trivol.geometry import hull_volume
@@ -167,6 +171,30 @@ def test_oracle_needs_no_trilinear_function(monkeypatch):
     assert [hull_volume_4d(p) for p in points] == expected
 
 
+def test_oracle_imports_only_geometry_from_the_package():
+    # the oracle shares no formula with the formula and pipeline routes
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    package = [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "trivol")
+    ] + [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "trivol"
+    ]
+    assert package == [".geometry"]
+
+
+def test_hull_4d_reads_an_iterator_once():
+    pts = list(extreme_points(UNIT))
+    assert hull_volume_4d(p for p in pts) == F(5, 24)
+    assert hull_facets_4d(p for p in pts) == hull_facets_4d(pts)
+
+
 def test_facet_set_stable_under_point_reordering():
     pts = list(extreme_points(UNIT))
     base_pts, base_facets = hull_facets_4d(pts)
@@ -229,26 +257,12 @@ def test_cross_section_uses_normalized_axis():
         cross_section_volume(b, F(1, 2))
 
 
-def test_quadrature_matches_the_other_methods():
-    assert quadrature_volume(SHIFTED) == F(5, 8)
-    b = Box3Bounds((1, 2, 3), (2, 4, 6))
-    q = quadrature_volume(b)
-    assert q == hull_volume_4d(list(extreme_points(b)))
-    assert q == closed_form_volume(b)
-
-
-def test_quadrature_requires_positive_bottom_level():
-    with pytest.raises(InvalidBounds):
-        quadrature_volume(UNIT)
-
-
 def test_three_way_agreement_on_random_boxes():
     rng = random.Random(109)
     for _ in range(50):
         b = random_box(rng, nonzero_lower=True)
         exact = closed_form_volume(b)
         assert hull_volume_4d(list(extreme_points(b))) == exact
-        assert quadrature_volume(b) == exact
 
 
 def test_monte_carlo_is_deterministic_and_sane():

@@ -168,7 +168,7 @@ class TestSliceTetrahedra:
                 (build_R(norm), r_facet_directions(nb)),
             ):
                 scaled = sorted(tuple(pref * c for c in d) for d in dirs)
-                assert sorted(facet_normal_set(tet).normals) == scaled
+                assert sorted(facet_normal_set(tet)) == scaled
 
     def test_support_against_slice_direction(self):
         nb = omega_normalize(SHIFTED).bounds
