@@ -48,7 +48,6 @@ from .trilinear import (
     closed_form_volume,
     cross_section_volume,
     extreme_points,
-    facet_prefactor,
     hull_volume_formula,
     integrate_cross_sections,
     mixed_volumes_QR,
@@ -104,7 +103,6 @@ __all__ = [
     "build_R",
     "q_facet_directions",
     "r_facet_directions",
-    "facet_prefactor",
     "support_max_z",
     "mixed_volumes_QR",
     "integrate_cross_sections",

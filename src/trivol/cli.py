@@ -83,6 +83,9 @@ def _load_json(path: str) -> object:
         raise InvalidBounds(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidBounds(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # the one other: an int past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InvalidBounds(f"{path} has a number with more than {limit} digits") from exc
 
 
 def _box_from_file(path: str) -> Box3Bounds:

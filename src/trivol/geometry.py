@@ -7,8 +7,8 @@ Points and vectors are plain tuples and the one container type,
 :class:`Tetrahedron`, is a frozen dataclass; nothing is mutated after
 construction, which keeps all functions in this module pure.
 
-The convex-hull volume kernel works in dimensions d = 3 and 4: the 3D
-hulls of the Minkowski-sum cubic and the oracle's 4-polytope. It moves
+The convex-hull volume kernel has one entry per dimension,
+:func:`hull_volume_3d` and ``trivol.oracle.hull_volume_4d``. It moves
 the points once to their smallest integer lattice (per axis: clear
 denominators, subtract the minimum, divide by the gcd; see
 :func:`_clear_denominators`) so that everything after runs on small
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +51,6 @@ __all__ = [
     "facet_normal_set",
     "support",
     "tetra_volume",
-    "hull_volume",
     "hull_volume_3d",
 ]
 
@@ -280,18 +279,17 @@ _Spanning = tuple[tuple[int, ...], bool, tuple[int, ...]]
 
 def _hull_facets(
     pts: Sequence[tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Facets of the hull of distinct integer points in d = 3 or 4
     dimensions.
 
-    Returns (normal, offset, incident) per facet: the outward normal in
-    primitive form (coprime integers), every point x satisfies
-    normal . x <= offset, and ``incident`` lists the indices of the points
-    with equality. Every d-subset is tested by the scan for d
-    (:func:`_scan3` or :func:`_scan4`); one that spans a facet is kept
-    once, in order of its first spanning subset. Two spanning subsets give
-    the same facet exactly when they have the same incident points, since
-    those points span the facet's hyperplane.
+    Returns (normal, incident) per facet: the outward cofactor normal of
+    its first spanning subset, not reduced, and the indices of the points
+    on its hyperplane. Every d-subset is tested by the scan
+    for d (:func:`_scan3` or :func:`_scan4`); one that spans a facet is
+    kept once, in order of its first spanning subset. Two spanning subsets
+    give the same facet exactly when they have the same incident points,
+    since those points span the facet's hyperplane.
 
     Points that do not span d dimensions raise :class:`DegenerateHull`:
     either a spanning subset has every point on its hyperplane, or no
@@ -306,9 +304,7 @@ def _hull_facets(
         if len(incident) == len(pts):
             raise DegenerateHull(f"points do not span {d} dimensions")
         seen.add(incident)
-        g = -gcd(*normal) if above else gcd(*normal)
-        outward = tuple(x // g for x in normal)
-        facets.append((outward, sum(map(mul, outward, pts[incident[0]])), incident))
+        facets.append((tuple(-x for x in normal) if above else normal, incident))
     if not facets:
         raise DegenerateHull(f"points do not span {d} dimensions")
     return facets
@@ -318,9 +314,10 @@ def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
     """The 3-subsets of distinct integer points whose plane has every point
     weakly on one side, in lexicographic order, as (normal, above,
     incident): the subset's nonzero cofactor normal, whether the other
-    points lie on its positive side, and the indices of the points on the
-    plane. The side test is the early-stopping one of the module
-    docstring, with ``cross3`` and the dot products inline."""
+    points lie on its positive side (then the normal points inward), and
+    the indices of the points on the plane. The side test is the
+    early-stopping one of the module docstring, with ``cross3`` and the
+    dot products inline."""
     n = len(pts)
     for first in range(n - 2):
         b0, b1, b2 = pts[first]
@@ -454,37 +451,15 @@ def _pulling_volume(pts: Sequence[tuple[int, ...]], facets: Sequence[Sequence[in
     )
 
 
-def hull_volume(points: Iterable[Sequence[Fraction]]) -> Fraction:
-    """Exact volume of the convex hull of a point set in dimension d = 3 or 4.
-
-    Duplicated points are ignored. The points are moved to their smallest
-    integer lattice once (see :func:`_clear_denominators`), where the facet
-    scan finds the hull's facets and the volume is summed over a pulling
-    triangulation of them (see :func:`_pulling_simplices`); it is scaled
-    back at the end. A set that does not span d dimensions raises
-    :class:`DegenerateHull`; flat input never reports volume zero. Any
-    other dimension, or points whose lengths differ from the first
-    point's, raise :class:`ValueError`.
-    """
-    points = list(points)
-    if not points:
-        raise DegenerateHull("hull of an empty point set")
-    dim = len(points[0])
-    if dim not in (3, 4):
-        raise ValueError(f"hull_volume works in dimensions 3 and 4, got {dim}")
-    _, ipts, (scales, _, divisors) = _lattice_points(points, dim)
-    facets = [incident for _, _, incident in _hull_facets(ipts)]
-    return Fraction(_pulling_volume(ipts, facets) * prod(divisors), factorial(dim) * prod(scales))
-
-
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     """Exact volume of the convex hull of a 3D point set.
 
-    Duplicated points are ignored. A set that does not span three
-    dimensions raises :class:`DegenerateHull`; flat input never reports
-    volume zero. Points of any other dimension raise :class:`ValueError`.
+    Duplicated points are ignored. The volume is summed over a pulling
+    triangulation (see :func:`_pulling_simplices`) on the points' integer
+    lattice and scaled back. A set that does not span three dimensions,
+    the empty one included, raises :class:`DegenerateHull`; flat input
+    never reports volume zero. A point that is not 3D raises ValueError.
     """
-    points = list(points)
-    if points and len(points[0]) != 3:
-        raise ValueError(f"hull_volume_3d takes 3D points, got dimension {len(points[0])}")
-    return hull_volume(points)
+    _, ipts, (scales, _, divisors) = _lattice_points(points, 3)
+    facets = [incident for _, incident in _hull_facets(ipts)]
+    return Fraction(_pulling_volume(ipts, facets) * prod(divisors), 6 * prod(scales))

@@ -5,8 +5,9 @@ extreme points directly and shares no formula with the closed form or
 the slice pipeline of :mod:`trivol.trilinear`; to keep it that way, this
 module imports nothing from the package but :mod:`trivol.geometry`,
 whose brute-force facet scan and pulling triangulation (see that
-module's docstring) it runs on the points' integer lattice. Every
-4-point subset is tested, so this suits the eight-point hulls of this
+module's docstring) it runs on the points' integer lattice; its
+:func:`hull_volume_4d` is the kernel's one 4D entry. Every 4-point
+subset is tested, so this suits the eight-point hulls of this
 package and small test polytopes, nothing bigger. Everything is exact;
 the only float code is the Monte Carlo sanity estimator at the bottom,
 which never participates in any agreement verdict.
@@ -51,10 +52,10 @@ def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]
     The hyperplane through every affinely independent 4-subset of the
     points on their integer lattice (see
     :func:`trivol.geometry._clear_denominators`) is tested against the
-    point set until two points lie on opposite sides of it; each facet
-    found is mapped back to the original coordinates and kept once, in
-    order of its first spanning subset. On lattice points themselves the
-    map is the identity, so the facets are the lattice hyperplanes.
+    point set until two points lie on opposite sides of it; each facet is
+    kept once, in order of its first spanning subset, mapped back to the
+    original coordinates and only then reduced by its gcd. On lattice
+    points the map is the identity, so the facets are the lattice ones.
     Points that do not span four dimensions raise :class:`DegenerateHull`;
     points that are not all 4D raise :class:`ValueError`.
     """
@@ -64,7 +65,8 @@ def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]
     weights = [s * (common // g) for s, g in zip(scales, divisors)]
     lifts = [m * (common // g) for m, g in zip(shifts, divisors)]
     facets = []
-    for normal, offset, incident in _hull_facets(ipts):
+    for normal, incident in _hull_facets(ipts):
+        offset = sum(map(mul, normal, ipts[incident[0]]))
         coeffs = (*map(mul, normal, weights), offset * common + sum(map(mul, normal, lifts)))
         g = gcd(*coeffs)
         key = tuple(x // g for x in coeffs)

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 # the exponent of a decimal string, as the Fraction constructor reads it
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# a digit run, with the underscores int() skips
+_DIGITS = re.compile(r"\d(?:_?\d)*")
 
 
 def parse_rational(value: object) -> Fraction:
@@ -22,7 +25,7 @@ def parse_rational(value: object) -> Fraction:
     Floats are interpreted through their shortest decimal representation,
     so 0.1 parses as 1/10 rather than as the underlying binary value. A
     decimal exponent larger in magnitude than ``sys.get_int_max_str_digits()``
-    raises ValueError, as a digit string longer than that does.
+    raises ValueError naming the limit, as a digit run longer than that does.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational value: {value!r}")
@@ -39,13 +42,23 @@ def parse_rational(value: object) -> Fraction:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            if limit and any(len(r.replace("_", "")) > limit for r in _DIGITS.findall(value)):
+                raise ValueError(f"a number has more than {limit} digits") from None
+            raise
     if isinstance(value, float):
         return Fraction(str(value))
     raise ValueError(f"not a rational value: {value!r}")
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or as a bare integer when q == 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as "p/q", or as a bare integer when q == 1.
+
+    Every digit is written: past the interpreter's limit on int digit
+    strings ``str`` refuses an int, but ``Decimal`` converts it exactly.
+    """
+    p, q = value.numerator, value.denominator
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"

@@ -76,7 +76,6 @@ __all__ = [
     "build_R",
     "q_facet_directions",
     "r_facet_directions",
-    "facet_prefactor",
     "support_max_z",
     "mixed_volumes_QR",
     "integrate_cross_sections",
@@ -271,20 +270,14 @@ def _slice_directions(bounds: Box3Bounds, level: Fraction) -> tuple[Vec3, Vec3, 
 
 
 def q_facet_directions(bounds: Box3Bounds) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Facet directions of the bottom slice, with the common area factor
-    (see :func:`facet_prefactor`) divided out."""
+    """Facet directions of the bottom slice: its area-scaled outward facet
+    normals with their common factor (b1-a1)(b2-a2)/2 divided out."""
     return _slice_directions(bounds, bounds.a[2])
 
 
 def r_facet_directions(bounds: Box3Bounds) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Facet directions of the top slice, area prefactor divided out."""
+    """Facet directions of the top slice, (b1-a1)(b2-a2)/2 divided out."""
     return _slice_directions(bounds, bounds.b[2])
-
-
-def facet_prefactor(bounds: Box3Bounds) -> Fraction:
-    """Common scale of all slice facet normals: (b1-a1)*(b2-a2)/2."""
-    (a1, a2, _), (b1, b2, _) = bounds.a, bounds.b
-    return (b1 - a1) * (b2 - a2) / 2
 
 
 def _z_values(a: tuple, b: tuple) -> tuple:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
@@ -132,6 +133,68 @@ def test_volume_all_methods_normalize_once(capsys, monkeypatch):
 def test_volume_rejects_a_huge_decimal_exponent(capsys):
     for text in ("0,1e20000000,0,1,0,1", "0,1,0,1,1e-20000000,1"):
         bad_input(capsys, "volume", "--bounds", text)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default limit on int digit strings, 4300, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def _exact(text):
+    """The rational of a "p/q" string of any length, read through Decimal,
+    which int()'s digit limit does not cover."""
+    return F(*(int(Decimal(part)) for part in text.split("/")))
+
+
+def test_volume_beyond_the_int_digit_limit_prints_every_digit(capsys, int_digit_limit):
+    # the unit box's 5/24, scaled by 10**1000 per axis and 10**3000 in y
+    code, out, err = run_cli(capsys, "volume", "--bounds", "0,1e1000,0,1e1000,0,1e1000")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["b"] == ["1" + "0" * 1000] * 3
+    for key in ("vol_formula", "vol_pipeline", "vol_oracle"):
+        assert len(doc[key]) > int_digit_limit
+        assert _exact(doc[key]) == F(5 * 10**6000, 24)
+        assert doc[key + "_decimal"] is None
+    assert doc["agree"] is True
+
+
+def test_sweep_volume_beyond_the_int_digit_limit_prints_every_digit(
+    tmp_path, capsys, int_digit_limit
+):
+    cfg = tmp_path / "sweep.json"
+    grid = {"a1": [0], "b1": ["1e800"], "a2": [0], "b2": ["1e800"], "a3": [0], "b3": ["1e800"]}
+    cfg.write_text(json.dumps(grid))
+    code, out, err = run_cli(capsys, "sweep", "--file", str(cfg))
+    assert (code, err) == (0, "")
+    _, row = out.splitlines()
+    *bounds, volume, _ = row.split(",")
+    assert bounds == ["0", "1" + "0" * 800] * 3
+    assert len(volume) > int_digit_limit
+    assert _exact(volume) == F(5 * 10**4800, 24)
+
+
+@pytest.mark.parametrize("command", ["volume", "sweep", "mixed-volume"])
+def test_a_number_beyond_the_int_digit_limit_is_one_error_line(
+    tmp_path, capsys, int_digit_limit, command
+):
+    digits = "9" * (int_digit_limit + 700)
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"a": [0, 0, 0], "b": [%s, 1, 1]}' % digits)
+    err = bad_input(capsys, command, "--file", str(cfg))
+    assert err == f"error: {cfg} has a number with more than {int_digit_limit} digits\n"
+
+
+def test_bounds_beyond_the_int_digit_limit_are_one_error_line(capsys, int_digit_limit):
+    digits = "9" * (int_digit_limit + 700)
+    for command in ("volume", "normalize"):
+        for bound in (digits, f"1.{digits}", f"1/{digits}"):
+            err = bad_input(capsys, command, "--bounds", f"0,{bound},0,1,0,1")
+            assert err == f"error: a number has more than {int_digit_limit} digits\n"
 
 
 def test_verify_passes_cleanly(capsys):

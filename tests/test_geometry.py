@@ -31,7 +31,6 @@ from trivol.geometry import (
     add3,
     cross3,
     dot3,
-    hull_volume,
     sub3,
 )
 from trivol.mixed_volume import minkowski_sum_vertices
@@ -226,63 +225,67 @@ def _unit_simplex(d):
     return [(F(0),) * d] + [tuple(F(i == j) for i in range(d)) for j in range(d)]
 
 
+# the hull volume entry of each kernel dimension
+HULL_VOLUME = {3: hull_volume_3d, 4: hull_volume_4d}
+
+
 def test_hull_volume_unit_simplex_and_cube_in_dimensions_3_and_4():
-    for d in (3, 4):
-        assert hull_volume(_unit_simplex(d)) == F(1, factorial(d))
+    for d, hull in HULL_VOLUME.items():
+        assert hull(_unit_simplex(d)) == F(1, factorial(d))
         cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
-        assert hull_volume(cube) == 1
+        assert hull(cube) == 1
 
 
 def test_hull_volume_rejects_dimensions_outside_3_to_4():
-    with pytest.raises(ValueError, match="dimensions 3 and 4, got 0"):
-        hull_volume([(), ()])
-    for d in (1, 2):
-        cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
-        for points in (_unit_simplex(d), cube):
-            with pytest.raises(ValueError, match=f"dimensions 3 and 4, got {d}"):
-                hull_volume(points)
-    with pytest.raises(ValueError, match="dimensions 3 and 4, got 5"):
-        hull_volume(_unit_simplex(5))
-    with pytest.raises(ValueError, match="3D points, got dimension 2"):
-        hull_volume_3d(_unit_simplex(2))
+    for dim, hull in HULL_VOLUME.items():
+        with pytest.raises(ValueError, match=f"dimension {dim}, got one of dimension 0"):
+            hull([(), ()])
+        # 7 - dim: each entry rejects the other kernel dimension too
+        for d in (1, 2, 7 - dim):
+            cube = [tuple(map(F, c)) for c in product((0, 1), repeat=d)]
+            for points in (_unit_simplex(d), cube):
+                with pytest.raises(ValueError, match=f"dimension {dim}, got one of dimension {d}"):
+                    hull(points)
+        with pytest.raises(ValueError, match=f"dimension {dim}, got one of dimension 5"):
+            hull(_unit_simplex(5))
 
 
 def _facet_sizes(points):
     """Incident point counts of the hull's facets, in scan order."""
     _, ipts, _ = _lattice_points(points, len(points[0]))
-    return [len(incident) for _, _, incident in _hull_facets(ipts)]
+    return [len(incident) for _, incident in _hull_facets(ipts)]
 
 
 def test_hull_volume_with_simplex_and_non_simplex_facets():
     square = [(F(x), F(y), F(0)) for x, y in product((0, 1), repeat=2)]
     pyramid = square + [(F(1, 2), F(1, 2), F(1))]
     assert sorted(_facet_sizes(pyramid)) == [3, 3, 3, 3, 4]
-    assert hull_volume(pyramid) == F(1, 3)
+    assert hull_volume_3d(pyramid) == F(1, 3)
 
     # a pyramid of height 1 over the unit cube: no facet is a simplex, and
     # the square pyramids among them have both kinds of 2-face
     cube = [tuple(map(F, c)) + (F(0),) for c in product((0, 1), repeat=3)]
     cube_pyramid = cube + [(F(1, 2), F(1, 3), F(1, 4), F(1))]
     assert sorted(_facet_sizes(cube_pyramid)) == [5] * 6 + [8]
-    assert hull_volume(cube_pyramid) == F(1, 4)
+    assert hull_volume_4d(cube_pyramid) == F(1, 4)
 
     cross = [tuple(F(s * (i == j)) for i in range(4)) for j in range(4) for s in (1, -1)]
     assert _facet_sizes(cross) == [4] * 16
-    assert hull_volume(cross) == F(2, 3)
+    assert hull_volume_4d(cross) == F(2, 3)
 
     # apexes at w = -1 and w = 1 over the square pyramid, through an
     # interior point of it: 2 * (1/3) / 4
     base = [p + (F(0),) for p in pyramid]
     bipyramid = base + [(F(1, 2), F(1, 2), F(1, 4), F(w)) for w in (-1, 1)]
     assert sorted(_facet_sizes(bipyramid)) == [4] * 8 + [5] * 2
-    assert hull_volume(bipyramid) == F(1, 6)
+    assert hull_volume_4d(bipyramid) == F(1, 6)
 
 
 def _pulled_dets(points):
     """|det| of each simplex of the pulling triangulation of the hull of
     ``points``, on their lattice form, in triangulation order."""
     _, ipts, _ = _lattice_points(points, len(points[0]))
-    facets = [incident for _, _, incident in _hull_facets(ipts)]
+    facets = [incident for _, incident in _hull_facets(ipts)]
     rows = [tuple(map(sub, p, ipts[0])) for p in ipts]
     return [
         abs(_det_by_permutation_sum([rows[i] for i in simplex[1:]]))
@@ -301,7 +304,7 @@ def test_pulling_from_a_point_inside_an_edge():
     # the midpoint of the edge x = z = 1 is the lowest-index point of the
     # facets x = 1 and z = 1, neither of which holds the origin, point 0
     pts = [cube[0], (F(1), F(1, 2), F(1)), *cube[1:]]
-    assert hull_volume(pts) == hull_volume_3d(pts) == hull_volume(cube) == 1
+    assert hull_volume_3d(pts) == hull_volume_3d(cube) == 1
     # on the lattice the y axis is doubled: 3! times volume 2
     dets = _pulled_dets(pts)
     assert all(dets) and sum(dets) == 12
@@ -343,9 +346,8 @@ def test_pulling_from_non_vertex_points_of_box_graphs():
         pts = _box_graph_with_non_vertex_points(box, rng)
         volume = closed_form_volume(box)
         assert hull_volume_4d(pts) == hull_volume_4d(pts[4:]) == volume
-        assert hull_volume(pts) == volume
         dets = _pulled_dets(pts)
-        assert all(dets) and F(sum(dets), 24) == hull_volume(_lattice_points(pts, 4)[1])
+        assert all(dets) and F(sum(dets), 24) == hull_volume_4d(_lattice_points(pts, 4)[1])
 
 
 def test_points_of_another_dimension_raise_value_error():
@@ -357,7 +359,7 @@ def test_points_of_another_dimension_raise_value_error():
     ]
     for points, message in mixed:
         with pytest.raises(ValueError, match=message):
-            hull_volume(points)
+            HULL_VOLUME[len(points[0])](points)
     cube = [tuple(map(F, c)) for c in product((0, 1), repeat=3)]
     for points in (SIMPLEX, cube, _unit_simplex(5), _unit_simplex(4) + [(F(1),) * 3]):
         message = f"dimension 4, got one of dimension {len(points[-1])}"
@@ -381,21 +383,21 @@ def _unimodular(rng, d):
 
 def test_hull_volume_keeps_unimodular_images_and_scales_by_lambda_to_the_d():
     rng = random.Random(23)
-    for d in (3, 4):
+    for d, hull in HULL_VOLUME.items():
         checked = 0
         while checked < 15:
             n = rng.randint(d + 1, 8)
             pts = [tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(n)]
             try:
-                vol = hull_volume(pts)
+                vol = hull(pts)
             except DegenerateHull:
                 continue
             m = _unimodular(rng, d)
             shift = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
             moved = [tuple(sum(map(mul, row, p)) + s for row, s in zip(m, shift)) for p in pts]
-            assert hull_volume(moved) == vol
+            assert hull(moved) == vol
             lam = F(rng.randint(1, 7), rng.randint(1, 4))
-            assert hull_volume([tuple(lam * x for x in p) for p in pts]) == lam**d * vol
+            assert hull([tuple(lam * x for x in p) for p in pts]) == lam**d * vol
             checked += 1
 
 
@@ -426,6 +428,7 @@ def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
     for d in (2, 3, 4):
         # a 2D cloud is measured as the prism over it
         lift = _prism if d == 2 else list
+        hull = HULL_VOLUME[max(d, 3)]
         checked = 0
         while checked < 10:
             pts = [
@@ -433,21 +436,22 @@ def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
                 for _ in range(rng.randint(d + 1, 9))
             ]
             try:
-                vol = hull_volume(lift(pts))
+                vol = hull(lift(pts))
             except DegenerateHull:
                 continue
             shift = [F(rng.randint(10**59, 10**60), rng.randint(1, 10**60)) for _ in range(d)]
-            assert hull_volume(lift([tuple(map(add, p, shift)) for p in pts])) == vol
+            assert hull(lift([tuple(map(add, p, shift)) for p in pts])) == vol
             k = rng.randrange(d)
             lam = F(rng.randint(1, 10**30), rng.randint(1, 10**30))
             stretched = [p[:k] + (lam * p[k],) + p[k + 1 :] for p in pts]
-            assert hull_volume(lift(stretched)) == lam * vol
+            assert hull(lift(stretched)) == lam * vol
             checked += 1
 
 
 def _reference_facets(pts):
     """The facet scan without shortcuts: every d-subset's cofactor normal,
-    side-tested against every point, facets kept once in subset order."""
+    side-tested against every point, facets kept once in subset order, as
+    (primitive outward normal, incident)."""
     d = len(pts[0])
     found = set()
     facets = []
@@ -464,7 +468,7 @@ def _reference_facets(pts):
         facet = (outward, sum(map(mul, outward, base)))
         if facet not in found:
             found.add(facet)
-            facets.append((*facet, tuple(i for i, x in enumerate(side) if x == 0)))
+            facets.append((outward, tuple(i for i, x in enumerate(side) if x == 0)))
     return facets
 
 
@@ -501,8 +505,9 @@ def test_hull_facets_match_the_reference_scan():
     non_simplex = 0
     for pts in clouds + list(_shapes()):
         facets = _hull_facets(pts)
-        assert facets == _reference_facets(pts)
-        non_simplex += sum(len(incident) > len(pts[0]) for _, _, incident in facets)
+        primitive = [(tuple(x // gcd(*normal) for x in normal), inc) for normal, inc in facets]
+        assert primitive == _reference_facets(pts)
+        non_simplex += sum(len(incident) > len(pts[0]) for _, incident in facets)
     # coplanar points on the small grids make facets that are not simplices
     assert non_simplex > 100
 
@@ -528,12 +533,10 @@ def test_flat_input_raises_in_every_dimension(d):
     for points in _flat_sets(d):
         # the kernel works in dimensions 3 and 4 only
         with pytest.raises(DegenerateHull if d > 2 else ValueError):
-            hull_volume(points)
+            HULL_VOLUME[max(d, 3)](points)
         if d == 4:
             with pytest.raises(DegenerateHull):
                 hull_facets_4d(points)
-            with pytest.raises(DegenerateHull):
-                hull_volume_4d(points)
 
 
 def test_hull_volume_3d_rejects_flat_input():

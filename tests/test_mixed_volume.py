@@ -175,8 +175,8 @@ def test_volume_cubic_checks_k_then_l():
         ((flat, plane), DegenerateHull, "body k does not span three dimensions"),
         ((CUBE, []), EmptyPolytope, "empty vertex list for body l"),
         ((CUBE, flat), DegenerateHull, "body l does not span three dimensions"),
-        ((plane, CUBE), ValueError, "hull_volume_3d takes 3D points, got dimension 2"),
-        ((CUBE, plane), ValueError, "hull_volume_3d takes 3D points, got dimension 2"),
+        ((plane, CUBE), ValueError, "expected points of dimension 3, got one of dimension 2"),
+        ((CUBE, plane), ValueError, "expected points of dimension 3, got one of dimension 2"),
     ]
     for bodies, error, message in cases:
         with pytest.raises(error) as caught:

@@ -33,7 +33,6 @@ from trivol import (
     omega_normalize,
     tetra_volume,
 )
-from trivol.geometry import hull_volume
 
 from testutil import random_box
 
@@ -139,7 +138,7 @@ def test_wide_rational_boxes_agree_and_their_facets_hold_exactly():
     for _ in range(12):
         box = _wide_rational_box(rng)
         pts = list(extreme_points(box))
-        assert hull_volume_4d(pts) == hull_volume(pts) == closed_form_volume(box)
+        assert hull_volume_4d(pts) == closed_form_volume(box)
         dpts, facets = hull_facets_4d(pts)
         assert dpts == pts
         for facet in facets:

@@ -18,7 +18,6 @@ from trivol import (
     closed_form_volume,
     extreme_points,
     facet_normal_set,
-    facet_prefactor,
     hull_volume_formula,
     integrate_cross_sections,
     mixed_volume_against,
@@ -162,7 +161,8 @@ class TestSliceTetrahedra:
         for _ in range(50):
             norm = omega_normalize(random_box(rng, nonzero_lower=True))
             nb = norm.bounds
-            pref = facet_prefactor(nb)
+            (a1, a2, _), (b1, b2, _) = nb.a, nb.b
+            pref = (b1 - a1) * (b2 - a2) / 2
             for tet, dirs in (
                 (build_Q(norm), q_facet_directions(nb)),
                 (build_R(norm), r_facet_directions(nb)),
