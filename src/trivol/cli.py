@@ -72,6 +72,14 @@ def _parse_bounds_text(text: str) -> Box3Bounds:
     return Box3Bounds((vals[0], vals[2], vals[4]), (vals[1], vals[3], vals[5]))
 
 
+def _rationals(values: list, where: str) -> tuple[Fraction, ...]:
+    """The values as exact rationals; a parse error names ``where``."""
+    try:
+        return tuple(map(parse_rational, values))
+    except ValueError as exc:
+        raise InvalidBounds(f"{where}: {exc}") from exc
+
+
 def _load_json(path: str) -> object:
     """The document in ``path``; a JSON number with a fraction or an
     exponent stays its decimal text, so it parses exactly, not rounded
@@ -95,7 +103,7 @@ def _box_from_file(path: str) -> Box3Bounds:
     a, b = doc["a"], doc["b"]
     if not isinstance(a, list) or not isinstance(b, list) or len(a) != 3 or len(b) != 3:
         raise InvalidBounds('"a" and "b" must be lists of three rationals')
-    return Box3Bounds(tuple(map(parse_rational, a)), tuple(map(parse_rational, b)))
+    return Box3Bounds(_rationals(a, f'{path} "a"'), _rationals(b, f'{path} "b"'))
 
 
 def _box_from_args(args: argparse.Namespace) -> Box3Bounds:
@@ -119,6 +127,8 @@ def _add_box_source(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
+    """The box's volume by each chosen method; ``all`` runs the three single
+    methods' functions once each and exits 3 unless they agree exactly."""
     box = _box_from_args(args)
     methods = ("formula", "pipeline", "oracle") if args.method == "all" else (args.method,)
     out: dict = {
@@ -126,13 +136,12 @@ def cmd_volume(args: argparse.Namespace) -> int:
         "b": [format_rational(x) for x in box.b],
     }
     volumes = []
-    # the pipeline evaluates the formula too; its report carries the value
-    report = pipeline_volume(box) if "pipeline" in methods else None
     if "formula" in methods:
-        v = closed_form_volume(box) if report is None else report.vol_formula
+        v = closed_form_volume(box)
         _emit_rational(out, "vol_formula", v)
         volumes.append(v)
-    if report is not None:
+    if "pipeline" in methods:
+        report = pipeline_volume(box)
         _emit_rational(out, "vol_pipeline", report.vol_pipeline)
         inter: dict = {}
         for name in ("vol_q", "vol_r", "v_qqr", "v_qrr"):
@@ -193,10 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = doc.get(key)
         if not isinstance(values, list) or not values:
             raise InvalidBounds(f'sweep grid "{key}" must be a non-empty list')
-        try:
-            grids.append([parse_rational(v) for v in values])
-        except ValueError as exc:
-            raise InvalidBounds(f'sweep grid "{key}": {exc}') from exc
+        grids.append(_rationals(values, f'sweep grid "{key}"'))
     drop_invalid = "filter" in doc
     if drop_invalid and doc["filter"] != "valid":
         raise InvalidBounds('sweep grid "filter" must be "valid"')
@@ -279,10 +285,7 @@ def cmd_mixed_volume(args: argparse.Namespace) -> int:
         for entry in raw:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise InvalidBounds(f'body "{name}" points must be 3-coordinate lists')
-            try:
-                pts.append(tuple(parse_rational(c) for c in entry))
-            except ValueError as exc:
-                raise InvalidBounds(f'body "{name}": {exc}') from exc
+            pts.append(_rationals(entry, f'body "{name}"'))
         return pts
 
     cubic = volume_cubic(body("k"), body("l"))

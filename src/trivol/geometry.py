@@ -117,14 +117,13 @@ def orient(vertices: Sequence[Point3]) -> Tetrahedron:
     """Build a positively oriented tetrahedron from four points.
 
     A negatively oriented input is repaired by swapping the first two
-    vertices; coplanar input raises :class:`DegenerateTetrahedron`.
+    vertices; on coplanar input the :class:`Tetrahedron` constructor
+    raises :class:`DegenerateTetrahedron`.
     """
     if len(vertices) != 4:
         raise ValueError(f"expected 4 vertices, got {len(vertices)}")
     vs = tuple(vertices)
     d = _edge_det(vs)
-    if d == 0:
-        raise DegenerateTetrahedron(f"affinely dependent vertices: {vs}")
     if d < 0:
         vs, d = (vs[1], vs[0], vs[2], vs[3]), -d
     return Tetrahedron(vs, d)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
 from .geometry import (
@@ -73,27 +73,29 @@ class VolumeCubic:
         return self.c0 + self.c1 * s + self.c2 * s * s + self.c3 * s * s * s
 
 
-def mixed_volume_against(p: Tetrahedron, k: Sequence[Point3]) -> Fraction:
+def mixed_volume_against(p: Tetrahedron, k: Iterable[Point3]) -> Fraction:
     """Mixed volume V(P, P, K) for a tetrahedron P and vertex set K.
 
     One third of K's support summed over P's area-scaled facet normals,
     taken as one sixth of the sum over the doubled normals (the facet
     cross products), so int input stays on ints until that one division.
     K may be lower-dimensional (even a single point); it only enters
-    through its support values.
+    through its support values, and is read once.
     """
+    k = list(k)
     if not k:
         raise EmptyPolytope("mixed volume against an empty vertex list")
     return Fraction(sum(support(k, u) for u in _facet_cross_products(p)), 6)
 
 
-def minkowski_sum_vertices(k: Sequence[Point3], l: Sequence[Point3]) -> list[Point3]:
+def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Point3]:
     """All pairwise vertex sums of two point sets, deduplicated.
 
     The result is a superset of the vertices of the Minkowski sum of the
     two hulls; non-extreme sums are harmless to downstream hull code.
-    Order is deterministic (first occurrence, k-major).
+    Order is deterministic (first occurrence, k-major); each set is read once.
     """
+    k, l = list(k), list(l)
     if not k or not l:
         raise EmptyPolytope("Minkowski sum of an empty vertex list")
     seen = set()
@@ -129,7 +131,7 @@ def fit_cubic(ts: Sequence[object], values: Sequence[Fraction]) -> VolumeCubic:
     return VolumeCubic(c0, c1, c2, c3)
 
 
-def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
+def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     """Coefficients of Vol(K + tL) by interpolation at t = 0, 1, 2, 3.
 
     Both vertex sets must span three dimensions; a flat body raises
@@ -137,8 +139,9 @@ def volume_cubic(k: Sequence[Point3], l: Sequence[Point3]) -> VolumeCubic:
     formed on the integer lattice of K and L together (see
     :func:`trivol.geometry._clear_denominators`): a positive per-axis
     affine map commutes with Minkowski sums up to a translation, so each
-    sum's volume is its lattice volume times one factor.
+    sum's volume is its lattice volume times one factor. Each set is read once.
     """
+    k, l = list(k), list(l)
     volumes = []
     for name, body in (("k", k), ("l", l)):
         if not body:

@@ -479,10 +479,10 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
 
     Slice volumes and mixed volumes are computed both from closed forms
     and from generic geometry (determinants, support sums), and the
-    integral is evaluated analytically and by Simpson's rule. When
-    a3 == 0 after normalization the bottom slice is flat; its volume is 0
-    and the closed forms, which remain well-defined, stand in for the
-    paths that would need a nondegenerate tetrahedron.
+    integral is evaluated analytically and by Simpson's rule. V(Q,R,R) reads
+    only the bottom slice's support values, so it is checked flat or not.
+    When a3 == 0 after normalization that slice is flat: its volume is 0,
+    and its determinant volume and V(Q,Q,R) checks are skipped.
 
     All of this runs on ints. After normalization, axis i is scaled by
     D_i, the lcm of its two bound denominators, giving integer bounds
@@ -508,34 +508,26 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     _require_equal(v_qqr6, mixed6, "bottom-slice mixed volume vs product form", slice_scale)
     _require_equal(v_qrr6, mixed6, "top-slice mixed volume vs product form", slice_scale)
 
-    r_tet = orient(_slice_points(a, b, b3))
+    q_pts, r_pts = _slice_points(a, b, a3), _slice_points(a, b, b3)
+    r_tet = orient(r_pts)
     _require_equal(6 * tetra_volume(r_tet), vol_r6, "top slice volume vs determinant", slice_scale)
     if a3 > 0:
-        q_tet = orient(_slice_points(a, b, a3))
+        q_tet = orient(q_pts)
         _require_equal(
             6 * tetra_volume(q_tet), vol_q6, "bottom slice volume vs determinant", slice_scale
         )
         _require_equal(
-            6 * mixed_volume_against(q_tet, list(r_tet.vertices)),
+            6 * mixed_volume_against(q_tet, r_pts),
             v_qqr6,
             "V(Q,Q,R) vs generic support sum",
             slice_scale,
         )
-        _require_equal(
-            6 * mixed_volume_against(r_tet, list(q_tet.vertices)),
-            v_qrr6,
-            "V(Q,R,R) vs generic support sum",
-            slice_scale,
-        )
-    else:
-        # the flat bottom slice still has well-defined support values, so
-        # one generic cross-check survives the degeneracy
-        _require_equal(
-            6 * mixed_volume_against(r_tet, _slice_points(a, b, a3)),
-            v_qrr6,
-            "V(Q,R,R) vs generic support sum (flat bottom slice)",
-            slice_scale,
-        )
+    _require_equal(
+        6 * mixed_volume_against(r_tet, q_pts),
+        v_qrr6,
+        "V(Q,R,R) vs generic support sum",
+        slice_scale,
+    )
 
     # hull volume, 24 times over on the scaled box: _beta4 is 4 times the
     # integral of the six-times slice cubic, _simpson48 48 h^2 times it

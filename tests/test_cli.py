@@ -15,6 +15,8 @@ import pytest
 from trivol import InternalDisagreement, InvalidBounds, cli, format_rational, parse_rational
 from trivol import mixed_volume, trilinear, verify, volume_cubic
 
+from testutil import random_box, random_rational_box
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -103,31 +105,79 @@ def test_volume_missing_source_is_usage_error(capsys):
 
 
 def test_volume_disagreement_exits_3(capsys, monkeypatch):
-    # --method all reads the formula value from the pipeline's report
-    real = cli.pipeline_volume
-
-    def disagreeing(box):
-        return dataclasses.replace(real(box), vol_formula=F(999), agree=False)
-
-    monkeypatch.setattr(cli, "pipeline_volume", disagreeing)
+    monkeypatch.setattr(cli, "closed_form_volume", lambda box: F(999))
     code, out, _ = run_cli(capsys, "volume", "--bounds", "0,1,0,1,0,1")
     assert code == 3
-    assert json.loads(out)["agree"] is False
+    doc = json.loads(out)
+    assert doc["agree"] is False
+    assert (doc["vol_formula"], doc["vol_pipeline"]) == ("999", "5/24")
 
 
-def test_volume_all_methods_normalize_once(capsys, monkeypatch):
+def test_volume_all_runs_each_method_once(capsys, monkeypatch):
     calls = []
-    real = trilinear.omega_normalize
-
-    def counted(box):
-        calls.append(box)
-        return real(box)
-
-    monkeypatch.setattr(trilinear, "omega_normalize", counted)
+    for name in ("closed_form_volume", "pipeline_volume", "hull_volume_4d"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda arg, name=name, real=real: calls.append(name) or real(arg)
+        )
     code, out, _ = run_cli(capsys, "volume", "--bounds", "1,2,1,3,2,5")
     assert code == 0
     assert json.loads(out)["agree"] is True
-    assert len(calls) == 1
+    assert calls == ["closed_form_volume", "pipeline_volume", "hull_volume_4d"]
+
+
+def test_volume_all_checks_the_formula_value_it_prints(capsys, monkeypatch):
+    real = trilinear.hull_volume_formula
+    monkeypatch.setattr(trilinear, "hull_volume_formula", lambda a, b: real(a, b) + 1)
+    code, out, _ = run_cli(capsys, "volume", "--bounds", "1,2,1,3,2,5")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["agree"] is False
+    assert (doc["vol_formula"], doc["vol_pipeline"], doc["vol_oracle"]) == ("20", "19", "19")
+
+
+def _bounds_text(box):
+    return ",".join(format_rational(x) for pair in zip(box.a, box.b) for x in pair)
+
+
+def _seeded_boxes():
+    """Int, rational, 20-digit and flat boxes, three of each."""
+    rng = random.Random(15)
+    for _ in range(3):
+        yield random_box(rng)
+        yield random_rational_box(rng)
+        a = [rng.randrange(10**19, 5 * 10**19) for _ in range(3)]
+        yield trilinear.Box3Bounds(a, [x + rng.randrange(1, 5 * 10**19) for x in a])
+        yield trilinear.Box3Bounds((0, 0, 0), random_rational_box(rng).b)
+
+
+def test_each_single_method_prints_its_fields_of_method_all(capsys):
+    for box in _seeded_boxes():
+        bounds = _bounds_text(box)
+        code, out, err = run_cli(capsys, "volume", "--bounds", bounds)
+        assert (code, err) == (0, "")
+        merged: dict = {}
+        for method in ("formula", "pipeline", "oracle"):
+            code, single, err = run_cli(capsys, "volume", "--bounds", bounds, "--method", method)
+            assert (code, err) == (0, "")
+            merged.update(json.loads(single))
+        # the same keys in the same order, each with the same value
+        assert list({**merged, "agree": True}.items()) == list(json.loads(out).items())
+
+
+@pytest.mark.parametrize("command", ["volume", "normalize"])
+def test_box_file_parse_errors_name_the_file_and_key(tmp_path, capsys, int_digit_limit, command):
+    cfg = tmp_path / "box.json"
+    long = "9" * (int_digit_limit + 700)
+    for key, bad, reason in (
+        ("a", "x", "Invalid literal for Fraction"),
+        ("b", long, f"a number has more than {int_digit_limit} digits"),
+    ):
+        doc = {"a": [0, 0, 0], "b": [1, 1, 1]}
+        doc[key][1] = bad
+        cfg.write_text(json.dumps(doc))
+        err = bad_input(capsys, command, "--file", str(cfg))
+        assert err.startswith(f'error: {cfg} "{key}": {reason}')
 
 
 def test_volume_rejects_a_huge_decimal_exponent(capsys):

@@ -89,6 +89,18 @@ def test_mixed_volume_rejects_empty_body():
         mixed_volume_against(orient(SIMPLEX), [])
 
 
+def test_mixed_volume_reads_an_iterator_once():
+    t = orient(SIMPLEX)
+    assert mixed_volume_against(t, iter(CUBE)) == mixed_volume_against(t, CUBE) > 0
+
+
+def test_minkowski_sum_vertices_reads_iterators_once():
+    expected = minkowski_sum_vertices(CUBE, OCTA)
+    assert len(expected) > len(OCTA)
+    assert minkowski_sum_vertices(iter(CUBE), iter(OCTA)) == expected
+    assert minkowski_sum_vertices((p for p in CUBE), OCTA) == expected
+
+
 def test_minkowski_sum_vertices():
     zero = [(F(0), F(0), F(0))]
     assert minkowski_sum_vertices(zero, OCTA) == OCTA
@@ -115,6 +127,10 @@ def test_volume_cubic_cube_plus_octahedron():
     for t in (F(4), F(5)):
         scaled = [tuple(t * c for c in p) for p in OCTA]
         assert cubic.value_at(t) == hull_volume_3d(minkowski_sum_vertices(CUBE, scaled))
+
+
+def test_volume_cubic_reads_iterators_once():
+    assert volume_cubic(iter(CUBE), iter(OCTA)) == volume_cubic(CUBE, OCTA)
 
 
 def test_volume_cubic_homothety_of_simplex():

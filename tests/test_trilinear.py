@@ -426,7 +426,7 @@ def test_flat_bottom_runs_one_check_per_generic_route(monkeypatch):
     expected = pipeline_volume(flat)
     for route, message in (
         ("tetra_volume", "top slice volume vs determinant"),
-        ("mixed_volume_against", "V(Q,R,R) vs generic support sum (flat bottom slice)"),
+        ("mixed_volume_against", "V(Q,R,R) vs generic support sum"),
     ):
         with monkeypatch.context() as patch:
             _perturb(patch, route, 0)
