@@ -102,8 +102,12 @@ def _box_from_file(path: str) -> Box3Bounds:
         raise InvalidBounds(f'{path} must be a JSON object with "a" and "b" lists')
     a, b = doc["a"], doc["b"]
     if not isinstance(a, list) or not isinstance(b, list) or len(a) != 3 or len(b) != 3:
-        raise InvalidBounds('"a" and "b" must be lists of three rationals')
-    return Box3Bounds(_rationals(a, f'{path} "a"'), _rationals(b, f'{path} "b"'))
+        raise InvalidBounds(f'{path} "a" and "b" must be lists of three rationals')
+    a, b = _rationals(a, f'{path} "a"'), _rationals(b, f'{path} "b"')
+    try:
+        return Box3Bounds(a, b)
+    except InvalidBounds as exc:
+        raise InvalidBounds(f"{path}: {exc}") from exc
 
 
 def _box_from_args(args: argparse.Namespace) -> Box3Bounds:
@@ -191,21 +195,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     a_i/b_i once per grid; a row is a stable sort of three ranks (as in
     omega_normalize), the ordering check and one _hull_volume24. A value is
     formatted when a row first uses it, so errors come in row order.
-    Nothing is written on an error.
+    Nothing is written on an error; a file error names the file and the key.
     """
-    doc = _load_json(args.file)
+    path = args.file
+    doc = _load_json(path)
     if not isinstance(doc, dict):
-        raise InvalidBounds(f"{args.file} must be a JSON object")
+        raise InvalidBounds(f"{path} must be a JSON object")
     keys = ("a1", "b1", "a2", "b2", "a3", "b3")
     grids = []
     for key in keys:
         values = doc.get(key)
         if not isinstance(values, list) or not values:
-            raise InvalidBounds(f'sweep grid "{key}" must be a non-empty list')
-        grids.append(_rationals(values, f'sweep grid "{key}"'))
+            raise InvalidBounds(f'{path} "{key}" must be a non-empty list')
+        grids.append(_rationals(values, f'{path} "{key}"'))
     drop_invalid = "filter" in doc
     if drop_invalid and doc["filter"] != "valid":
-        raise InvalidBounds('sweep grid "filter" must be "valid"')
+        raise InvalidBounds(f'{path} "filter" must be "valid"')
+    for key in doc:
+        if key not in keys and key != "filter":
+            raise InvalidBounds(
+                f'{path} "{key}" is not a sweep key: a1, b1, a2, b2, a3, b3 or filter'
+            )
 
     def fmt(x: Fraction) -> str:
         if not args.float:
@@ -273,19 +283,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_mixed_volume(args: argparse.Namespace) -> int:
-    doc = _load_json(args.file)
+    path = args.file
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "k" not in doc or "l" not in doc:
-        raise InvalidBounds(f'{args.file} must be a JSON object with "k" and "l" vertex lists')
+        raise InvalidBounds(f'{path} must be a JSON object with "k" and "l" vertex lists')
 
     def body(name: str) -> list:
         raw = doc[name]
         if not isinstance(raw, list) or not raw:
-            raise InvalidBounds(f'body "{name}" must be a non-empty list of points')
+            raise InvalidBounds(f'{path} "{name}" must be a non-empty list of points')
         pts = []
         for entry in raw:
             if not isinstance(entry, list) or len(entry) != 3:
-                raise InvalidBounds(f'body "{name}" points must be 3-coordinate lists')
-            pts.append(_rationals(entry, f'body "{name}"'))
+                raise InvalidBounds(f'{path} "{name}" points must be 3-coordinate lists')
+            pts.append(_rationals(entry, f'{path} "{name}"'))
         return pts
 
     cubic = volume_cubic(body("k"), body("l"))

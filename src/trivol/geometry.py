@@ -25,6 +25,9 @@ taken in a lower dimension. At the scale this package works with (a few
 dozen points) that is fast enough, and it avoids the degeneracy handling
 an incremental hull algorithm would need to get exact answers. Flat
 input is found by the same scan, with no separate rank test.
+``trivol.mixed_volume.volume_cubic`` runs the 3D scan and the
+triangulation itself, to measure one face lattice at several placements
+of its vertices.
 """
 
 from __future__ import annotations
@@ -438,16 +441,14 @@ def _pulling_simplices(facets: Sequence[Sequence[int]], d: int) -> Iterator[tupl
     return pull((0,), facets)
 
 
-def _pulling_volume(pts: Sequence[tuple[int, ...]], facets: Sequence[Sequence[int]]) -> int:
-    """d! times the volume of the hull of distinct integer points in
-    d = 3 or 4 dimensions, given the incident point sets of its facets:
-    the sum of |det| over the simplices of :func:`_pulling_simplices`."""
+def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[int, ...]]) -> int:
+    """d! times the volume of the hull of integer points in d = 3 or 4
+    dimensions, given the simplices of a triangulation that all start
+    with point 0, as :func:`_pulling_simplices` gives them: the sum of
+    |det| over the simplices."""
     apex = pts[0]
     rows = [tuple(map(sub, p, apex)) for p in pts]
-    return sum(
-        abs(_det([rows[i] for i in simplex[1:]]))
-        for simplex in _pulling_simplices(facets, len(apex))
-    )
+    return sum(abs(_det([rows[i] for i in simplex[1:]])) for simplex in simplices)
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
@@ -460,5 +461,5 @@ def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     never reports volume zero. A point that is not 3D raises ValueError.
     """
     _, ipts, (scales, _, divisors) = _lattice_points(points, 3)
-    facets = [incident for _, incident in _hull_facets(ipts)]
-    return Fraction(_pulling_volume(ipts, facets) * prod(divisors), 6 * prod(scales))
+    simplices = _pulling_simplices([incident for _, incident in _hull_facets(ipts)], 3)
+    return Fraction(_pulling_volume(ipts, simplices) * prod(divisors), 6 * prod(scales))

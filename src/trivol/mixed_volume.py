@@ -15,6 +15,28 @@ volumes at t = 0, 1, 2, 3 (Newton's divided differences, expanded into
 monomial coefficients), giving a route to the same quantities that never
 touches a support function. The fitted c3 must equal Vol(L), computed
 directly; a mismatch raises :class:`InternalDisagreement`.
+
+The Minkowski sum is hulled once, at t = 1. For t > 0 the normal fan of
+K + tL is the common refinement of the fans of K and L, which does not
+depend on t (Schneider, *Convex Bodies*, section 2.4). So neither does the
+face lattice of K + tL, and each vertex stays the sum k_i + t*l_j of one
+pair of points (i, j): the pair of the unique vertices of K and L that
+are extreme in the vertex's normal cone. The facets of K + L, restricted
+to its vertices, and one pulling triangulation read from them serve every
+t; only the vertex coordinates move. Two checks certify this on every
+call, in the sense of McConnell, Mehlhorn, Naeher and Schweitzer,
+"Certifying algorithms" (2011), at a cost of O(facets * vertices) each:
+
+* closure, once: every facet with m vertices shares exactly two vertices
+  (an edge) with exactly m other facets, and no two facets share more.
+  Every edge of a listed facet then borders another listed facet, and
+  the facets of a 3-polytope are connected through their edges, so the
+  list holds them all;
+* support, at t = 2 and 3: the plane through each facet's first three
+  vertices has every vertex weakly on one side and holds exactly that
+  facet's vertices.
+
+Either failing raises :class:`InternalDisagreement`, with its own message.
 """
 
 from __future__ import annotations
@@ -30,9 +52,11 @@ from .geometry import (
     Tetrahedron,
     _clear_denominators,
     _facet_cross_products,
+    _hull_facets,
+    _pulling_simplices,
+    _pulling_volume,
     add3,
     hull_volume_3d,
-    scale3,
     support,
 )
 
@@ -131,15 +155,108 @@ def fit_cubic(ts: Sequence[object], values: Sequence[Fraction]) -> VolumeCubic:
     return VolumeCubic(c0, c1, c2, c3)
 
 
+def _first_pairs(
+    ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each distinct lattice sum ik[i] + il[j], mapped to its first (i, j)
+    in k-major order."""
+    pairs: dict[tuple[int, ...], tuple[int, int]] = {}
+    for i, (a0, a1, a2) in enumerate(ik):
+        for j, (b0, b1, b2) in enumerate(il):
+            pairs.setdefault((a0 + b0, a1 + b1, a2 + b2), (i, j))
+    return pairs
+
+
+def _vertex_facets(
+    n: int, facets: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The vertices among ``n`` points and each facet's incident vertices.
+
+    A point is a vertex iff the facets incident to it meet in it alone.
+    Returns the vertex indices in ascending order and, per facet, the
+    positions in that list of its incident vertices, ascending.
+    """
+    masks = [sum(1 << p for p in incident) for incident in facets]
+    meet = [-1] * n  # all ones: the meet of no facets
+    for mask, incident in zip(masks, facets):
+        for p in incident:
+            meet[p] &= mask
+    vertices = [p for p in range(n) if meet[p] == 1 << p]
+    index = {p: v for v, p in enumerate(vertices)}
+    return vertices, [tuple(index[p] for p in incident if p in index) for incident in facets]
+
+
+def _check_closed(facets: Sequence[tuple[int, ...]]) -> None:
+    """Raise unless every facet with m vertices shares exactly two
+    vertices with exactly m other facets, and no two facets share more
+    than two: each edge of each polygon borders one other listed facet."""
+    masks = [sum(1 << v for v in incident) for incident in facets]
+    edges = [0] * len(facets)
+    for f, mask in enumerate(masks):
+        for g in range(f + 1, len(masks)):
+            shared = (mask & masks[g]).bit_count()
+            if shared > 2:
+                raise InternalDisagreement(
+                    f"facets of K + L do not close: facets {f} and {g} share {shared} vertices"
+                )
+            if shared == 2:
+                edges[f] += 1
+                edges[g] += 1
+    for f, (incident, neighbours) in enumerate(zip(facets, edges)):
+        if neighbours != len(incident) or neighbours < 3:
+            raise InternalDisagreement(
+                f"facets of K + L do not close: facet {f} has {neighbours} edge neighbours"
+                f" for {len(incident)} vertices"
+            )
+
+
+def _check_planes(
+    placed: Sequence[tuple[int, ...]], facets: Sequence[tuple[int, ...]], t: int
+) -> None:
+    """Raise unless each facet's plane through its first three placed
+    vertices has every vertex weakly on one side, and zero exactly on the
+    facet's incident vertices."""
+    for f, incident in enumerate(facets):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (placed[v] for v in incident[:3])
+        x0, x1, x2 = b0 - a0, b1 - a1, b2 - a2
+        y0, y1, y2 = c0 - a0, c1 - a1, c2 - a2
+        n0 = x1 * y2 - x2 * y1
+        n1 = x2 * y0 - x0 * y2
+        n2 = x0 * y1 - x1 * y0
+        offset = n0 * a0 + n1 * a1 + n2 * a2
+        above = below = False
+        on = []
+        for v, (p0, p1, p2) in enumerate(placed):
+            side = n0 * p0 + n1 * p1 + n2 * p2 - offset
+            if side > 0:
+                above = True
+            elif side < 0:
+                below = True
+            else:
+                on.append(v)
+        if above and below:
+            raise InternalDisagreement(
+                f"facet {f} does not support K + {t}L: vertices lie on both sides of its plane"
+            )
+        if tuple(on) != incident:
+            raise InternalDisagreement(
+                f"facet {f} does not support K + {t}L: its plane holds vertices {on},"
+                f" not {list(incident)}"
+            )
+
+
 def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
-    """Coefficients of Vol(K + tL) by interpolation at t = 0, 1, 2, 3.
+    """Coefficients of Vol(K + tL) from Vol(K) and one facet scan of K + L.
 
     Both vertex sets must span three dimensions; a flat body raises
     :class:`DegenerateHull` rather than being special-cased. The sums are
     formed on the integer lattice of K and L together (see
     :func:`trivol.geometry._clear_denominators`): a positive per-axis
     affine map commutes with Minkowski sums up to a translation, so each
-    sum's volume is its lattice volume times one factor. Each set is read once.
+    sum's volume is its lattice volume times one factor. K + L is hulled
+    once; its vertices, each the sum of one (i, j) pair, are placed at
+    k_i + t*l_j for t = 2 and 3, checked (see the module docstring), and
+    measured over the one pulling triangulation. Each set is read once.
     """
     k, l = list(k), list(l)
     volumes = []
@@ -152,12 +269,20 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
             raise DegenerateHull(f"body {name} does not span three dimensions") from exc
     ipts, (scales, _, divisors) = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
-    unit = Fraction(prod(divisors), prod(scales))
-    # the check above already found Vol(K + 0L) = Vol(K)
-    values = volumes[:1]
-    for t in range(1, 4):
-        scaled = [scale3(p, t) for p in il]
-        values.append(hull_volume_3d(minkowski_sum_vertices(ik, scaled)) * unit)
+    unit = Fraction(prod(divisors), 6 * prod(scales))
+    pairs = _first_pairs(ik, il)
+    sums = list(pairs)
+    vertices, facets = _vertex_facets(len(sums), [f for _, f in _hull_facets(sums)])
+    _check_closed(facets)
+    simplices = list(_pulling_simplices(facets, 3))
+    # the check above already found Vol(K + 0L) = Vol(K); K + L is what was scanned
+    placed = [sums[p] for p in vertices]
+    values = [volumes[0], _pulling_volume(placed, simplices) * unit]
+    vertex_pairs = [pairs[p] for p in placed]
+    for t in (2, 3):
+        placed = [tuple(a + t * b for a, b in zip(ik[i], il[j])) for i, j in vertex_pairs]
+        _check_planes(placed, facets, t)
+        values.append(_pulling_volume(placed, simplices) * unit)
     cubic = fit_cubic((0, 1, 2, 3), values)
     # the leading coefficient is Vol(L), which the check above also found
     if cubic.c3 != volumes[1]:

@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable
 
-from .geometry import Point4, _hull_facets, _lattice_points, _pulling_volume
+from .geometry import Point4, _hull_facets, _lattice_points, _pulling_simplices, _pulling_volume
 
 __all__ = [
     "Facet4",
@@ -89,7 +89,7 @@ def hull_volume_4d(points: Iterable[Point4]) -> Fraction:
     """
     _, ipts, (scales, _, divisors) = _lattice_points(points, 4)
     _, facets = hull_facets_4d(ipts)
-    volume = _pulling_volume(ipts, [f.incident for f in facets])
+    volume = _pulling_volume(ipts, _pulling_simplices([f.incident for f in facets], 4))
     return Fraction(volume * prod(divisors), 24 * prod(scales))
 
 

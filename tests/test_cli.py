@@ -180,6 +180,34 @@ def test_box_file_parse_errors_name_the_file_and_key(tmp_path, capsys, int_digit
         assert err.startswith(f'error: {cfg} "{key}": {reason}')
 
 
+GRID = {"a1": [0], "b1": [1], "a2": [0], "b2": [1], "a3": [0], "b3": [1]}
+BODIES = {  # the cube and the octahedron
+    "k": [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+    "l": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("volume", {"a": [0, 0], "b": [1, 1, 1]}, ' "a" and "b" must be lists of three rationals'),
+        ("normalize", {"a": [0, 0, 0], "b": "1"}, ' "a" and "b" must be lists of three rationals'),
+        ("volume", {"a": [2, 0, 0], "b": [1, 1, 1]}, ": need 0 <= a1 < b1, got a1=2, b1=1"),
+        ("normalize", {"a": [0, 0, 0], "b": [1, 1, 0]}, ": need 0 <= a3 < b3, got a3=0, b3=0"),
+        ("sweep", dict(GRID, b2=[]), ' "b2" must be a non-empty list'),
+        ("sweep", dict(GRID, a3=["x"]), ' "a3": Invalid literal for Fraction: \'x\''),
+        ("sweep", dict(GRID, zz=1), ' "zz" is not a sweep key: a1, b1, a2, b2, a3, b3 or filter'),
+        ("mixed-volume", dict(BODIES, l=[]), ' "l" must be a non-empty list of points'),
+        ("mixed-volume", dict(BODIES, k=[[0, 0]]), ' "k" points must be 3-coordinate lists'),
+        ("mixed-volume", dict(BODIES, l=[[0, "1/0", 0]]), ' "l": zero denominator in \'1/0\''),
+    ],
+)
+def test_file_errors_name_the_file_and_the_key(tmp_path, capsys, command, doc, message):
+    cfg = tmp_path / "input.json"
+    cfg.write_text(json.dumps(doc))
+    assert bad_input(capsys, command, "--file", str(cfg)) == f"error: {cfg}{message}\n"
+
+
 def test_volume_rejects_a_huge_decimal_exponent(capsys):
     for text in ("0,1e20000000,0,1,0,1", "0,1,0,1,1e-20000000,1"):
         bad_input(capsys, "volume", "--bounds", text)
@@ -451,7 +479,7 @@ def test_sweep_filter_other_than_valid_is_bad_input(tmp_path, capsys):
     for value in ("vaild", "", None, True, ["valid"]):
         cfg.write_text(json.dumps(dict(grid, filter=value)))
         code, out, err = run_cli(capsys, "sweep", "--file", str(cfg))
-        assert (code, out, err) == (2, "", 'error: sweep grid "filter" must be "valid"\n')
+        assert (code, out, err) == (2, "", f'error: {cfg} "filter" must be "valid"\n')
 
 
 # a JSON number that binary64 rounds to 0.1
@@ -633,15 +661,15 @@ def test_mixed_volume_cube_octahedron(tmp_path, capsys):
 def test_mixed_volume_fit_disagreeing_with_vol_l_exits_3(tmp_path, capsys, monkeypatch):
     cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
     octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-    real = mixed_volume.hull_volume_3d
+    real = mixed_volume._pulling_volume
     calls = []
 
-    def faulty(points):
-        # calls go K, L, then the sums at t = 1, 2, 3; the sum at t = 2 is off
+    def faulty(points, simplices):
+        # calls go t = 1, 2, 3 on the one triangulation of K + tL; t = 2 is off
         calls.append(None)
-        return real(points) + 1 if len(calls) == 4 else real(points)
+        return real(points, simplices) + 1 if len(calls) == 2 else real(points, simplices)
 
-    monkeypatch.setattr(mixed_volume, "hull_volume_3d", faulty)
+    monkeypatch.setattr(mixed_volume, "_pulling_volume", faulty)
     points = [[tuple(map(F, p)) for p in body] for body in (cube, octa)]
     with pytest.raises(InternalDisagreement, match="^fitted c3 = .* != Vol\\(L\\) = 4/3$"):
         volume_cubic(*points)

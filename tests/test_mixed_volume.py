@@ -1,6 +1,7 @@
 """Mixed volumes and the Minkowski volume polynomial."""
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,6 +11,7 @@ from trivol import (
     Box3Bounds,
     DegenerateHull,
     EmptyPolytope,
+    InternalDisagreement,
     build_R,
     fit_cubic,
     hull_volume_3d,
@@ -22,6 +24,7 @@ from trivol import (
     tetra_volume,
     volume_cubic,
 )
+from trivol import geometry, mixed_volume
 from trivol.geometry import scale3
 
 from testutil import random_points, random_tetrahedron
@@ -214,6 +217,100 @@ def test_volume_cubic_on_wide_rational_bodies_matches_direct_hulls():
             for t in range(4)
         ]
         assert volume_cubic(k, l) == fit_cubic((0, 1, 2, 3), values)
+
+
+UNIT_CUBE = [tuple(map(F, p)) for p in product((0, 1), repeat=3)]
+# bodies with points that are not vertices; each line's comment says which
+WITH_EXTRA_POINTS = [
+    (
+        # a point inside K, a facet centre, a duplicate; a point inside an edge of L
+        SIMPLEX + [(F(1, 8), F(1, 8), F(1, 8)), (F(1, 3), F(1, 3), F(1, 3)), SIMPLEX[1]],
+        CUBE + [(F(1, 2), F(-1), F(-1)), CUBE[3]],
+    ),
+    # many sums coincide at t = 1 (k_i + l_j = k_i' + l_j'), but not at other t
+    (UNIT_CUBE, UNIT_CUBE + [(F(1, 2), F(1, 2), F(1, 2))]),
+    (
+        # rational coordinates throughout; L has a point inside an edge
+        [(F(1, 3), F(0), F(2, 7)), (F(5, 2), F(1, 9), F(0)), (F(0), F(7, 4), F(1)),
+         (F(1), F(1), F(11, 5)), (F(1), F(2, 3), F(1))],
+        OCTA + [(F(1, 3), F(2, 3), F(0))],
+    ),
+    (CUBE, OCTA),
+]
+# vertices of each K + L above: the sums whose removal shrinks the hull
+# (found once by a hull_volume_3d per sum, too slow to repeat here)
+VERTEX_COUNTS = [13, 8, 17, 24]
+
+
+def test_volume_cubic_agrees_with_fresh_minkowski_hulls_at_other_t():
+    rng = random.Random(71)
+    pairs = list(WITH_EXTRA_POINTS)
+    # small lattice bodies: interior and boundary points, coincident sums
+    while len(pairs) < len(WITH_EXTRA_POINTS) + 6:
+        k, l = ([tuple(F(rng.randint(0, 2)) for _ in range(3)) for _ in range(6)] for _ in "kl")
+        try:
+            hull_volume_3d(k), hull_volume_3d(l)
+        except DegenerateHull:
+            continue  # flat bodies are rejected by contract
+        pairs.append((k, l))
+    for k, l in pairs:
+        cubic = volume_cubic(k, l)
+        for t in (F(1), F(2), F(3), F(1, 2), F(5)):
+            scaled = [scale3(p, t) for p in l]
+            assert cubic.value_at(t) == hull_volume_3d(minkowski_sum_vertices(k, scaled)), (k, l, t)
+
+
+@pytest.fixture
+def replayed_scans(monkeypatch):
+    """The cubics of WITH_EXTRA_POINTS and the facet scan of each K + L,
+    with ``_hull_facets`` then replaced by a lookup of those scans: the
+    scans of up to 54 sums would otherwise dominate the planted-fault
+    tests' time."""
+    scans = {}
+
+    def record(pts):
+        scans[tuple(pts)] = geometry._hull_facets(pts)
+        return scans[tuple(pts)]
+
+    monkeypatch.setattr(mixed_volume, "_hull_facets", record)
+    cubics = [volume_cubic(k, l) for k, l in WITH_EXTRA_POINTS]
+    monkeypatch.setattr(mixed_volume, "_hull_facets", lambda pts: scans[tuple(pts)])
+    return cubics, list(scans.values())
+
+
+def test_volume_cubic_closure_check_catches_a_dropped_facet(monkeypatch, replayed_scans):
+    for (k, l), facets in zip(WITH_EXTRA_POINTS, replayed_scans[1]):
+        for drop in range(len(facets)):
+            dropped = facets[:drop] + facets[drop + 1 :]
+            monkeypatch.setattr(mixed_volume, "_hull_facets", lambda pts: dropped)
+            with pytest.raises(InternalDisagreement, match="^facets of K \\+ L do not close: "):
+                volume_cubic(k, l)
+
+
+def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, replayed_scans):
+    real = mixed_volume._first_pairs
+    caught = []
+    for (k, l), expected in zip(WITH_EXTRA_POINTS, replayed_scans[0]):
+        caught.append(0)
+        for n in range(len(minkowski_sum_vertices(k, l))):
+
+            def mis_mapped(ik, il):
+                pairs = real(ik, il)
+                wrong = list(pairs)[n]
+                i, j = pairs[wrong]
+                pairs[wrong] = (i, (j + 1) % len(il))
+                return pairs
+
+            monkeypatch.setattr(mixed_volume, "_first_pairs", mis_mapped)
+            try:
+                got = volume_cubic(k, l)
+            except InternalDisagreement as exc:
+                assert re.match("^facet [0-9]+ does not support K \\+ 2L: ", str(exc)), exc
+                caught[-1] += 1
+            else:
+                assert got == expected  # a sum that is not a vertex is never placed
+    # a mis-mapped pair is caught exactly at the vertices of K + L
+    assert caught == VERTEX_COUNTS
 
 
 def test_fit_cubic_recovers_known_polynomial():
