@@ -25,18 +25,21 @@ formula. The tests use it to pin the pipeline's cubic slice by slice.
 Every redundant pair of computation paths must agree exactly; a mismatch
 raises :class:`InternalDisagreement` rather than returning anything.
 
-The polynomial kernels below (``_z_values``, ``_mixed_volumes6_from_z``,
-``_mixed_volume6``, ``_hull_volume24``, ``_beta4``, ``_simpson48``) carry
-no division: each returns a fixed integer multiple of its quantity, so
-they run on ints as well as on Fractions. The public Fraction functions
-divide their result once. ``hull_volume_formula`` and ``pipeline_volume``
-run them on the box with each axis's denominators cleared, which turns
-every value into an int until one division per reported value at the end.
+The polynomial kernels below (``_ordering_keys``, ``_z_values``,
+``_mixed_volumes6_from_z``, ``_mixed_volume6``, ``_hull_volume24``,
+``_beta4``, ``_simpson48``) carry no division: each returns a fixed
+integer multiple of its quantity, so they run on ints as well as on
+Fractions. The public Fraction functions divide their result once.
+``hull_volume_formula`` and ``pipeline_volume`` run them on the box with
+each axis's denominators cleared, which turns every value into an int
+until one division per reported value at the end. A :class:`Box3Bounds`
+clears its axes once, when built (``cleared``); the sort in
+``omega_normalize``, the pipeline and ``extreme_points`` read those ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -93,19 +96,33 @@ def _fractions(values: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class Box3Bounds:
-    """Axis-aligned box [a1,b1] x [a2,b2] x [a3,b3] with 0 <= a_i < b_i."""
+    """Axis-aligned box [a1,b1] x [a2,b2] x [a3,b3] with 0 <= a_i < b_i.
+
+    ``cleared`` is (A, B, D): the bounds with axis i scaled by D_i, the lcm
+    of its denominators, and the D_i (see :func:`_cleared_axis`). It is
+    made and validated once here; ``==``, ``hash`` and ``repr`` ignore it.
+    """
 
     a: tuple[Fraction, Fraction, Fraction]
     b: tuple[Fraction, Fraction, Fraction]
+    cleared: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.a) != 3 or len(self.b) != 3:
             raise InvalidBounds("bounds need exactly three intervals")
-        object.__setattr__(self, "a", _fractions(self.a))
-        object.__setattr__(self, "b", _fractions(self.b))
-        for axis, (lo, hi) in enumerate(zip(self.a, self.b), start=1):
-            if not (0 <= lo < hi):
+        a, b = _fractions(self.a), _fractions(self.b)
+        ia, ib, d = zip(*map(_cleared_axis, a, b))
+        self.__dict__.update(a=a, b=b, cleared=(ia, ib, d))
+        for axis, (lo, hi, ilo, ihi) in enumerate(zip(a, b, ia, ib), start=1):
+            if not (0 <= ilo < ihi):
                 raise InvalidBounds(f"need 0 <= a{axis} < b{axis}, got a{axis}={lo}, b{axis}={hi}")
+
+    def _permuted(self, order: list[int]) -> Box3Bounds:
+        """This box with its axes in ``order``, carried over already cleared."""
+        a, b, ia, ib, d = (tuple(v[i] for i in order) for v in (self.a, self.b, *self.cleared))
+        box = object.__new__(Box3Bounds)
+        box.__dict__.update(a=a, b=b, cleared=(ia, ib, d))
+        return box
 
 
 def ordering_values(box: Box3Bounds) -> tuple[Fraction, Fraction, Fraction]:
@@ -114,12 +131,17 @@ def ordering_values(box: Box3Bounds) -> tuple[Fraction, Fraction, Fraction]:
     The key for axis i is a_i*b_j*b_k + b_i*a_j*a_k over the other two
     axes j, k; :func:`omega_check` is exactly "these are nondecreasing".
     """
-    a, b = box.a, box.b
-    keys = []
-    for i in range(3):
-        j, k = [t for t in range(3) if t != i]
-        keys.append(a[i] * b[j] * b[k] + b[i] * a[j] * a[k])
-    return (keys[0], keys[1], keys[2])
+    return _ordering_keys(box.a, box.b)
+
+
+def _ordering_keys(a: tuple, b: tuple) -> tuple:
+    """:func:`ordering_values` on bound tuples, ints (cleared bounds) or Fractions."""
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    return (
+        a1 * b2 * b3 + b1 * a2 * a3,
+        a2 * b1 * b3 + b2 * a1 * a3,
+        a3 * b1 * b2 + b3 * a1 * a2,
+    )
 
 
 def omega_check(box: Box3Bounds) -> bool:
@@ -169,7 +191,7 @@ class OmegaBox:
     def __post_init__(self) -> None:
         if sorted(self.perm) != [1, 2, 3]:
             raise ValueError(f"perm must be a permutation of (1, 2, 3), got {self.perm}")
-        if not omega_prime_check(self.bounds):
+        if not _ratios_ordered(*self.bounds.cleared[:2]):
             raise OmegaViolated(f"bounds do not satisfy the ordering condition: {self.bounds}")
 
 
@@ -177,18 +199,17 @@ def omega_normalize(box: Box3Bounds) -> OmegaBox:
     """Reorder the axes so the ordering condition holds.
 
     Axes are stably sorted by their ratio a_i/b_i, so ties keep their
-    original relative order and the result is deterministic. That is the
-    order of the :func:`ordering_values` keys, ties included: with k the
+    original relative order and the result is deterministic. The sort runs
+    on the :func:`ordering_values` keys of the cleared ints (all scaled by
+    D1*D2*D3), whose order is the ratio order, ties included: with k the
     third axis, key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i), and
-    b_k > a_k.
+    b_k > a_k. :class:`OmegaBox` checks the result in the ratio form.
     """
-    order, perm = _axis_order([box.a[i] / box.b[i] for i in range(3)])
-    a = tuple(box.a[i] for i in order)
-    b = tuple(box.b[i] for i in order)
-    return OmegaBox(Box3Bounds(a, b), perm)
+    order, perm = _axis_order(_ordering_keys(*box.cleared[:2]))
+    return OmegaBox(box._permuted(order), perm)
 
 
-def _axis_order(keys: list) -> tuple[list[int], tuple[int, int, int]]:
+def _axis_order(keys: tuple | list) -> tuple[list[int], tuple[int, int, int]]:
     """Stable argsort of three axis keys, and the 1-based position each
     axis lands in. Equal keys keep their original order."""
     order = sorted(range(3), key=keys.__getitem__)
@@ -484,18 +505,17 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     When a3 == 0 after normalization that slice is flat: its volume is 0,
     and its determinant volume and V(Q,Q,R) checks are skipped.
 
-    All of this runs on ints. After normalization, axis i is scaled by
-    D_i, the lcm of its two bound denominators, giving integer bounds
-    A_i, B_i (see :func:`_cleared_axis`), which still satisfy the
-    ordering condition the closed forms need. Slice points scale by
-    (D1*D2*D3, D1, D2), so slice volumes and mixed volumes scale by
-    D1^2*D2^2*D3 and are carried six times over; the hull scales by
-    (D1*D2*D3)^2 and its volume is carried 24 times over (the Simpson sum
-    288*(B3-A3)^2 times, see :func:`_simpson48`). Each reported value is
-    one division of such an int at the end.
+    All of this runs on ints: the normalized box's ``cleared`` bounds A_i,
+    B_i, axis i scaled by D_i, which still satisfy the ordering condition
+    the closed forms need. Slice points scale by (D1*D2*D3, D1, D2), so
+    slice volumes and mixed volumes scale by D1^2*D2^2*D3 and are carried
+    six times over; the hull scales by (D1*D2*D3)^2 and its volume is
+    carried 24 times over (the Simpson sum 288*(B3-A3)^2 times, see
+    :func:`_simpson48`). Each reported value is one division of such an
+    int at the end.
     """
     nb = omega_normalize(box).bounds
-    a, b, (d1, d2, d3) = zip(*map(_cleared_axis, nb.a, nb.b))
+    a, b, (d1, d2, d3) = nb.cleared
     (a1, a2, a3), (b1, b2, b3) = a, b
     slice_scale = 6 * (d1 * d2) ** 2 * d3
     hull_scale = 24 * (d1 * d2 * d3) ** 2
@@ -560,11 +580,11 @@ def extreme_points(box: Box3Bounds) -> tuple[Point4, ...]:
 
     Corners are enumerated in lexicographic order of the choice vector
     (low before high per axis), so the first point uses all lower bounds
-    and the last all upper bounds.
+    and the last all upper bounds. Each y is a product of cleared ints over D1*D2*D3.
     """
-    pts = []
-    for v1, v2, v3 in product(
-        (box.a[0], box.b[0]), (box.a[1], box.b[1]), (box.a[2], box.b[2])
-    ):
-        pts.append((v1 * v2 * v3, v1, v2, v3))
-    return tuple(pts)
+    ia, ib, (d1, d2, d3) = box.cleared
+    axes = zip(zip(box.a, ia), zip(box.b, ib))  # per axis (bound, cleared bound), low then high
+    return tuple(
+        (Fraction(c1 * c2 * c3, d1 * d2 * d3), v1, v2, v3)
+        for (v1, c1), (v2, c2), (v3, c3) in product(*axes)
+    )

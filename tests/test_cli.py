@@ -70,6 +70,13 @@ def test_volume_rejects_bad_bounds(capsys):
     bad_input(capsys, "volume", "--bounds", "0,1,0,1,0,x")
 
 
+def test_bounds_error_shows_the_bounds_as_parsed_not_cleared(capsys):
+    # 1e-3 clears with D = 1000, so a message built from the cleared ints would differ
+    for command in ("volume", "normalize"):
+        code, out, err = run_cli(capsys, command, "--bounds", "0.5,1e-3,1,2,1,2")
+        assert (code, out, err) == (2, "", "error: need 0 <= a1 < b1, got a1=1/2, b1=1/1000\n")
+
+
 def test_volume_negative_first_bound_is_one_error_line_in_both_spellings(capsys):
     for argv in (
         ["--bounds", "-1,2,0,1,0,1"],

@@ -1,8 +1,10 @@
 """Normalization, slice tetrahedra, support maxima, integration, volumes."""
 
+import pickle
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -67,6 +69,10 @@ class TestBounds:
         assert b.a == (0, F(1, 2), 1)
         assert b.b == (1, 1, F(3, 2))
 
+    def test_clears_each_axis_by_the_lcm_of_its_denominators(self):
+        b = box((F(1, 2), 0, F(2, 3)), (F(3, 4), 5, 1))
+        assert b.cleared == ((2, 0, 2), (3, 5, 3), (4, 1, 3))
+
 
 class TestNormalization:
     def test_ordering_values_examples(self):
@@ -108,6 +114,12 @@ class TestNormalization:
     def test_omega_box_rejects_unordered_bounds(self):
         with pytest.raises(OmegaViolated):
             OmegaBox(box((1, 1, 1), (2, 3, 4)), (1, 2, 3))
+        message = (
+            "bounds do not satisfy the ordering condition: Box3Bounds(a=(Fraction(1, 1), "
+            "Fraction(1, 2), Fraction(1, 1)), b=(Fraction(2, 1), Fraction(3, 1), Fraction(4, 1)))"
+        )
+        with pytest.raises(OmegaViolated, match=f"^{re.escape(message)}$"):
+            OmegaBox(box((1, F(1, 2), 1), (2, 3, 4)), (1, 2, 3))
         with pytest.raises(ValueError):
             OmegaBox(UNIT, (1, 1, 3))
 
@@ -455,3 +467,72 @@ class TestExtremePoints:
         assert pts[1] == (0 * 1 * 3, 0, 1, 3)  # last axis toggles first
         assert pts[2] == (0 * 2 * 2, 0, 2, 2)
         assert pts[-1] == (1 * 2 * 3, 1, 2, 3)
+
+
+def _upper_bound(rng):
+    """A small rational, or 2 times in 5 one of 20-40 digits."""
+    if rng.random() < 0.4:
+        return F(rng.randrange(10**19, 10**40), rng.randrange(10**19, 10**40))
+    return F(rng.randint(1, 30), rng.randint(1, 7))
+
+
+def _tie_boxes(seed):
+    """Seeded boxes whose ratios a_i/b_i tie two or three ways or are 0,
+    with small and 20-40-digit rational bounds."""
+    rng = random.Random(seed)
+    boxes = []
+    for n in range(160):
+        ratios = [F(rng.randint(0, 4), rng.randint(5, 9)) for _ in range(3)]
+        i, j = rng.sample(range(3), 2)
+        if n % 4 == 0:
+            ratios[j] = ratios[i]
+        elif n % 4 == 1:
+            ratios = [ratios[i]] * 3
+        elif n % 4 == 2:
+            ratios[i] = ratios[j] = F(0)
+        b = [_upper_bound(rng) for _ in range(3)]
+        boxes.append(Box3Bounds(tuple(r * x for r, x in zip(ratios, b)), tuple(b)))
+    return boxes
+
+
+TIE_BOXES = _tie_boxes(17)
+
+
+def test_tie_boxes_hold_ties_zero_bounds_and_wide_rationals():
+    ratio_sets = [{x / y for x, y in zip(b.a, b.b)} for b in TIE_BOXES]
+    assert sum(len(r) == 2 for r in ratio_sets) >= 40
+    assert sum(len(r) == 1 for r in ratio_sets) >= 40
+    assert sum(b.a.count(0) >= 2 for b in TIE_BOXES) >= 40
+    assert sum(any(x.denominator >= 10**19 for x in b.a + b.b) for b in TIE_BOXES) >= 40
+
+
+def test_normalize_is_the_stable_sort_on_ratios():
+    for b in TIE_BOXES:
+        ratios = [b.a[i] / b.b[i] for i in range(3)]
+        order = sorted(range(3), key=ratios.__getitem__)
+        norm = omega_normalize(b)
+        assert norm.perm == tuple(order.index(i) + 1 for i in range(3))
+        assert norm.bounds.a == tuple(b.a[i] for i in order)
+        assert norm.bounds.b == tuple(b.b[i] for i in order)
+        assert norm.bounds.cleared == Box3Bounds(norm.bounds.a, norm.bounds.b).cleared
+
+
+def test_extreme_points_are_the_corner_products():
+    for b in TIE_BOXES + [UNIT, SHIFTED]:
+        expected = tuple((v1 * v2 * v3, v1, v2, v3) for v1, v2, v3 in product(*zip(b.a, b.b)))
+        pts = extreme_points(b)
+        assert pts == expected
+        assert all(type(x) is F for p in pts for x in p)
+
+
+def test_cleared_field_is_invisible_to_eq_hash_repr_and_pickle():
+    for b in TIE_BOXES:
+        nb = omega_normalize(b).bounds
+        fresh = Box3Bounds(nb.a, nb.b)
+        assert repr(nb) == repr(fresh) == f"Box3Bounds(a={nb.a!r}, b={nb.b!r})"
+        assert nb == fresh and hash(nb) == hash(fresh)
+        loaded = pickle.loads(pickle.dumps(nb))
+        assert loaded == nb and hash(loaded) == hash(nb) and loaded.cleared == nb.cleared
+        stale = Box3Bounds(b.a, b.b)
+        stale.__dict__["cleared"] = None
+        assert stale == b and hash(stale) == hash(b) and repr(stale) == repr(b)
