@@ -50,18 +50,14 @@ from .trilinear import (
     extreme_points,
     hull_volume_formula,
     integrate_cross_sections,
-    mixed_volumes_QR,
     omega_check,
     omega_dprime_check,
     omega_normalize,
     omega_prime_check,
     ordering_values,
     pipeline_volume,
-    q_facet_directions,
     q_vertex_points,
-    r_facet_directions,
     r_vertex_points,
-    support_max_z,
 )
 
 __version__ = "0.1.0"
@@ -101,10 +97,6 @@ __all__ = [
     "cross_section_volume",
     "build_Q",
     "build_R",
-    "q_facet_directions",
-    "r_facet_directions",
-    "support_max_z",
-    "mixed_volumes_QR",
     "integrate_cross_sections",
     "hull_volume_formula",
     "closed_form_volume",

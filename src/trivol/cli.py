@@ -193,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     Each axis's (a_i, b_i) pairs are checked, cleared to ints and ranked by
     a_i/b_i once per grid; a row is a stable sort of three ranks (as in
-    omega_normalize), the ordering check and one _hull_volume24. A value is
+    omega_normalize), the ordering check and one _formula_volume. A value is
     formatted when a row first uses it, so errors come in row order.
     Nothing is written on an error; a file error names the file and the key.
     """
@@ -260,7 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ia, ib = (s1[5], s2[5], s3[5]), (s1[6], s2[6], s3[6])
         if not trilinear._ratios_ordered(ia, ib):
             raise OmegaViolated(f"sorted axes break the ordering condition: {ia}, {ib}")
-        volume = Fraction(trilinear._hull_volume24(ia, ib), 24 * (s1[7] * s2[7] * s3[7]) ** 2)
+        volume = trilinear._formula_volume(ia, ib, (s1[7], s2[7], s3[7]))
         rows.append(
             [text(0, p1[2]), text(1, p1[3]), text(2, p2[2]), text(3, p2[3])]
             + [text(4, p3[2]), text(5, p3[3]), fmt(volume), "%d%d%d" % perm]

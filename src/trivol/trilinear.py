@@ -13,7 +13,7 @@ one per corner of the box. Its volume is computed here two exact ways:
   is therefore a cubic in the slice position whose coefficients are the
   volumes and mixed volumes of Q and R, and the hull volume is its
   integral. The mixed volumes come from closed-form support maxima (the
-  ``support_max_z`` table) and are cross-checked against the generic
+  ``_z_values`` table) and are cross-checked against the generic
   support-sum evaluation; the integral is evaluated analytically and
   cross-checked against Simpson's rule, which is exact for cubics.
 
@@ -34,7 +34,8 @@ Fractions. The public Fraction functions divide their result once.
 each axis's denominators cleared, which turns every value into an int
 until one division per reported value at the end. A :class:`Box3Bounds`
 clears its axes once, when built (``cleared``); the sort in
-``omega_normalize``, the pipeline and ``extreme_points`` read those ints.
+``omega_normalize``, the pipeline, ``closed_form_volume`` and
+``extreme_points`` read those ints.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ __all__ = [
     "cross_section_volume",
     "build_Q",
     "build_R",
-    "q_facet_directions",
-    "r_facet_directions",
-    "support_max_z",
-    "mixed_volumes_QR",
     "integrate_cross_sections",
     "hull_volume_formula",
     "closed_form_volume",
@@ -279,37 +276,28 @@ def build_R(box: OmegaBox) -> Tetrahedron:
     return orient(r_vertex_points(box.bounds))
 
 
-def _slice_directions(bounds: Box3Bounds, level: Fraction) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    one = Fraction(1)
-    (a1, a2, _), (b1, b2, _) = bounds.a, bounds.b
+def _slice_directions(a: tuple, b: tuple, level: Fraction | int) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """Facet directions of the slice at x3 = level: its area-scaled outward
+    facet normals with their common factor (b1-a1)(b2-a2)/2 divided out."""
+    (a1, a2, _), (b1, b2, _) = a, b
     return (
-        (one, -a2 * level, -b1 * level),
-        (one, -b2 * level, -a1 * level),
-        (-one, b2 * level, b1 * level),
-        (-one, a2 * level, a1 * level),
+        (1, -a2 * level, -b1 * level),
+        (1, -b2 * level, -a1 * level),
+        (-1, b2 * level, b1 * level),
+        (-1, a2 * level, a1 * level),
     )
 
 
-def q_facet_directions(bounds: Box3Bounds) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Facet directions of the bottom slice: its area-scaled outward facet
-    normals with their common factor (b1-a1)(b2-a2)/2 divided out."""
-    return _slice_directions(bounds, bounds.a[2])
-
-
-def r_facet_directions(bounds: Box3Bounds) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Facet directions of the top slice, (b1-a1)(b2-a2)/2 divided out."""
-    return _slice_directions(bounds, bounds.b[2])
-
-
 def _z_values(a: tuple, b: tuple) -> tuple:
-    """Closed-form support maxima behind :func:`support_max_z`.
+    """Closed-form support maxima of the two slices, valid under the
+    ordering condition.
 
     Entry i-1 is the support of the opposite slice's vertex set against
-    the i-th facet direction (bottom slice's directions for i <= 4, top
-    slice's for i >= 5), with the area prefactor divided out. Each entry
-    is the winner of a four-way maximum; the winning corner is pinned
-    down by the ordering condition. Every term is a product of one bound
-    per axis, so scaling axis i by D_i scales each entry by D1*D2*D3.
+    the i-th :func:`_slice_directions` entry (bottom slice's directions for
+    i <= 4, top slice's for i >= 5), with the area prefactor divided out.
+    Each entry is the winner of a four-way maximum; the winning corner is
+    pinned down by the ordering condition. Every term is a product of one
+    bound per axis, so scaling axis i by D_i scales each entry by D1*D2*D3.
     """
     (a1, a2, a3), (b1, b2, b3) = a, b
     return (
@@ -322,19 +310,6 @@ def _z_values(a: tuple, b: tuple) -> tuple:
         2 * b1 * b2 * b3 - b1 * b2 * a3,
         a1 * a2 * b3 + b1 * a2 * b3 - b1 * a2 * a3,
     )
-
-
-def support_max_z(i: int, box: OmegaBox) -> Fraction:
-    """Closed form of the i-th slice support maximum, i in 1..8.
-
-    For i <= 4 this is the top slice's support against the i-th bottom
-    slice facet direction; for i >= 5 the bottom slice's support against
-    the (i-4)-th top slice direction. Valid only under the ordering
-    condition, which the :class:`OmegaBox` type guarantees.
-    """
-    if not 1 <= i <= 8:
-        raise ValueError(f"index must be in 1..8, got {i}")
-    return _z_values(box.bounds.a, box.bounds.b)[i - 1]
 
 
 def _mixed_volume6(a: tuple, b: tuple):
@@ -354,25 +329,6 @@ def _mixed_volumes6_from_z(a: tuple, b: tuple) -> tuple:
     z = _z_values(a, b)
     pref2 = (b[0] - a[0]) * (b[1] - a[1])
     return pref2 * (z[0] + z[1] + z[2] + z[3]), pref2 * (z[4] + z[5] + z[6] + z[7])
-
-
-def mixed_volumes_QR(box: OmegaBox) -> tuple[Fraction, Fraction]:
-    """Mixed volumes (V(Q,Q,R), V(Q,R,R)) of the two slice tetrahedra.
-
-    Computed from the closed-form support maxima with the area prefactor
-    applied once per sum, then checked against the direct product
-    formula; for these two tetrahedra the pair is always equal.
-    """
-    nb = box.bounds
-    if nb.a[2] == 0:
-        raise DegenerateTetrahedron("bottom slice is flat when a3 == 0")
-    v_qqr, v_qrr = (v / 6 for v in _mixed_volumes6_from_z(nb.a, nb.b))
-    expected = _mixed_volume6(nb.a, nb.b) / 6
-    if v_qqr != expected or v_qrr != expected:
-        raise InternalDisagreement(
-            f"support-sum mixed volumes {v_qqr}, {v_qrr} != closed form {expected}"
-        )
-    return v_qqr, v_qrr
 
 
 def _beta4(m: tuple, lo, hi):
@@ -448,17 +404,23 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
     The expression is symmetric in axes 2 and 3 but not in axis 1; apply
     it only to normalized bounds (or use :func:`closed_form_volume`).
     Bounds may be Fractions or ints. The formula runs on the integer
-    bounds from :func:`_cleared_axis`, on which the volume is
-    (D1*D2*D3)^2 times larger, and divides once.
+    bounds from :func:`_cleared_axis` (see :func:`_formula_volume`).
     """
-    ia, ib, (d1, d2, d3) = zip(*map(_cleared_axis, a, b))
+    return _formula_volume(*zip(*map(_cleared_axis, a, b)))
+
+
+def _formula_volume(ia: tuple, ib: tuple, d: tuple) -> Fraction:
+    """Closed-form hull volume from cleared bounds ``ia``, ``ib`` and the
+    per-axis scales ``d``: the volume on the integer box is (D1*D2*D3)^2
+    times larger, so it divides once."""
+    d1, d2, d3 = d
     return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
 
 
 def closed_form_volume(box: Box3Bounds) -> Fraction:
-    """Hull volume by formula: normalize the axis order, then evaluate."""
-    nb = omega_normalize(box).bounds
-    return hull_volume_formula(nb.a, nb.b)
+    """Hull volume by formula: normalize the axis order, then evaluate on
+    the normalized box's ``cleared`` ints."""
+    return _formula_volume(*omega_normalize(box).bounds.cleared)
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,15 @@ def _suite(name: str):
 
 @_suite("support-max closed forms")
 def support_maxima(box: Box3Bounds) -> int:
-    """The eight closed-form slice support maxima equal the generic
-    support values, on the normalized box."""
-    norm = trilinear.omega_normalize(box)
-    nb = norm.bounds
-    q_dirs, r_dirs = trilinear.q_facet_directions(nb), trilinear.r_facet_directions(nb)
-    q_pts, r_pts = trilinear.q_vertex_points(nb), trilinear.r_vertex_points(nb)
-    for i in range(1, 9):
-        closed = trilinear.support_max_z(i, norm)
-        generic = support(r_pts, q_dirs[i - 1]) if i <= 4 else support(q_pts, r_dirs[i - 5])
+    """The eight closed-form slice support maxima (``_z_values``) equal the
+    generic support values against the slice facet directions, on the
+    normalized box."""
+    nb = trilinear.omega_normalize(box).bounds
+    a, b = nb.a, nb.b
+    q_pts, r_pts = trilinear._slice_points(a, b, a[2]), trilinear._slice_points(a, b, b[2])
+    dirs = trilinear._slice_directions(a, b, a[2]) + trilinear._slice_directions(a, b, b[2])
+    for i, (closed, u) in enumerate(zip(trilinear._z_values(a, b), dirs), start=1):
+        generic = support(r_pts if i <= 4 else q_pts, u)
         if closed != generic:
             raise _Failed(nb, f": index {i}", f"closed form {closed} != generic max {generic}")
     return 8
@@ -98,13 +98,17 @@ def ordering_equivalence(box: Box3Bounds) -> int:
 
 @_suite("mixed-volume symmetry")
 def mixed_volume_symmetry(box: Box3Bounds) -> int:
-    """V(Q,Q,R) = V(Q,R,R): mixed_volumes_QR raises unless both support
-    sums equal the product form. A flat bottom slice (a3 = 0 once
-    normalized) is skipped."""
-    norm = trilinear.omega_normalize(box)
-    if norm.bounds.a[2] == 0:
+    """V(Q,Q,R) = V(Q,R,R): both support sums equal the product form, on
+    the normalized box. A flat bottom slice (a3 = 0 once normalized) is
+    skipped."""
+    nb = trilinear.omega_normalize(box).bounds
+    if nb.a[2] == 0:
         return 0
-    trilinear.mixed_volumes_QR(norm)
+    v_qqr6, v_qrr6 = trilinear._mixed_volumes6_from_z(nb.a, nb.b)
+    expected6 = trilinear._mixed_volume6(nb.a, nb.b)
+    if v_qqr6 != expected6 or v_qrr6 != expected6:
+        got, expected = f"{v_qqr6 / 6}, {v_qrr6 / 6}", expected6 / 6
+        raise _Failed(box, "", f"support-sum mixed volumes {got} != closed form {expected}")
     return 1
 
 

@@ -1,7 +1,7 @@
-"""Symbolic proof that the pipeline's integer kernels agree with the closed form.
+"""Symbolic proof that the pipeline's integer kernels are exact.
 
-Each kernel is evaluated on the six bounds as indeterminates of the integer
-polynomial ring ZZ[a1, a2, a3, b1, b2, b3], so every assertion below is a
+Most kernels are evaluated on the six bounds as indeterminates of the
+integer polynomial ring ZZ[a1, a2, a3, b1, b2, b3], so each assertion is a
 polynomial identity: it holds for every integer box, and so for the
 cleared integer box ``pipeline_volume`` builds from any rational box.
 Proven here:
@@ -12,16 +12,22 @@ Proven here:
   the ``ordering_values`` keys, with k the third axis. As b_k > a_k and
   b > 0, equal keys mean equal ratios a_i/b_i and a larger key a larger
   ratio, so ``omega_normalize``'s stable sort on the keys of the cleared
-  box is the stable sort on the ratios, ties in the same order.
+  box is the stable sort on the ratios, ties in the same order;
+* the ``_z_values`` are the slices' true support maxima under the ordering
+  condition. Every ordered box is a positive multiple of one with
+  a_i = b_i*R_i/S, R = (s1, s1+s2, s1+s2+s3), S = s1+...+s4, s >= 0,
+  s4 > 0, b > 0; the kernels run on the box (b_i*R_i, b_i*S) over
+  ZZ[b1, b2, b3, s1, ..., s4]. Each entry equals one of its four support
+  candidates, and its gap to each of the others has nonnegative
+  coefficients, so it is their maximum on the whole region.
 
-Still sampled, not proven: that ``_z_values`` are the true support maxima
-under the ordering condition (the support-maxima suite) and agreement with
-the 4D hull oracle.
+Still sampled, not proven: agreement with the 4D hull oracle (the
+three-way suite). The sampled support-maxima suite runs too.
 """
 
 import pytest
 
-from trivol.geometry import _edge_det
+from trivol.geometry import _edge_det, dot3
 from trivol.trilinear import (
     _beta4,
     _hull_volume24,
@@ -29,7 +35,9 @@ from trivol.trilinear import (
     _mixed_volumes6_from_z,
     _ordering_keys,
     _simpson48,
+    _slice_directions,
     _slice_points,
+    _z_values,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -64,3 +72,21 @@ def test_ordering_key_difference_is_the_ratio_cross_product(i, j):
     (k,) = {0, 1, 2} - {i, j}
     keys = _ordering_keys(A, B)
     assert keys[i] - keys[j] == (B[k] - A[k]) * (A[i] * B[j] - A[j] * B[i])
+
+
+_, *GENS = sympy.ring("b1 b2 b3 s1 s2 s3 s4", sympy.ZZ)
+TOP, (s1, s2, s3, s4) = GENS[:3], GENS[3:]
+R, S = (s1, s1 + s2, s1 + s2 + s3), s1 + s2 + s3 + s4
+ORDERED_A = tuple(bi * ri for bi, ri in zip(TOP, R))
+ORDERED_B = tuple(bi * S for bi in TOP)
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_z_value_is_the_support_maximum(i):
+    a, b = ORDERED_A, ORDERED_B
+    # entries 1-4: bottom-slice directions against the top slice, 5-8 the reverse
+    u = (_slice_directions(a, b, a[2]) + _slice_directions(a, b, b[2]))[i - 1]
+    points = _slice_points(a, b, b[2] if i <= 4 else a[2])
+    gaps = [_z_values(a, b)[i - 1] - dot3(p, u) for p in points]
+    assert 0 in gaps
+    assert all(c > 0 for gap in gaps for c in gap.coeffs())

@@ -134,8 +134,8 @@ def test_volume_all_runs_each_method_once(capsys, monkeypatch):
 
 
 def test_volume_all_checks_the_formula_value_it_prints(capsys, monkeypatch):
-    real = trilinear.hull_volume_formula
-    monkeypatch.setattr(trilinear, "hull_volume_formula", lambda a, b: real(a, b) + 1)
+    real = trilinear._formula_volume
+    monkeypatch.setattr(trilinear, "_formula_volume", lambda ia, ib, d: real(ia, ib, d) + 1)
     code, out, _ = run_cli(capsys, "volume", "--bounds", "1,2,1,3,2,5")
     assert code == 3
     doc = json.loads(out)
@@ -311,17 +311,19 @@ def test_verify_rejects_a_negative_trial_count(capsys):
 
 
 def test_verify_catches_an_injected_sign_bug(capsys, monkeypatch):
-    true_z = trilinear.support_max_z
+    true_z = trilinear._z_values
 
-    def broken_z(i, box):
-        value = true_z(i, box)
-        return -value if i == 3 else value
+    def broken_z(a, b):
+        z = true_z(a, b)
+        return (*z[:2], -z[2], *z[3:])
 
-    monkeypatch.setattr(trilinear, "support_max_z", broken_z)
-    code, out, _ = run_cli(capsys, "verify", "--trials", "25", "--seed", "0")
-    assert code == 1
-    assert "FAIL" in out
-    assert "a=(" in out  # counterexample box is printed
+    monkeypatch.setattr(trilinear, "_z_values", broken_z)
+    code, out, err = run_cli(capsys, "verify", "--trials", "25", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL support-max closed forms: index 3 at a=(0,6,8) b=(5,10,10): "
+        "closed form -400 != generic max 400"
+    ]
 
 
 def test_verify_reports_a_mixed_volume_disagreement_as_a_counterexample(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from trivol import (
     tetra_volume,
     volume_cubic,
 )
-from trivol import geometry, mixed_volume
+from trivol import geometry, mixed_volume, trilinear
 from trivol.geometry import scale3
 
 from testutil import random_points, random_tetrahedron
@@ -159,12 +159,10 @@ def test_volume_cubic_on_slice_tetrahedra():
     # tetrahedra and the interpolated c1, c2 match the direct path
     box = Box3Bounds((0, 0, F(1, 10)), (1, 1, 1))
     norm = omega_normalize(box)
-    cubic = volume_cubic(q_vertex_points(norm.bounds), r_vertex_points(norm.bounds))
-    from trivol import mixed_volumes_QR
-
-    v_qqr, v_qrr = mixed_volumes_QR(norm)
-    assert cubic.c1 == 3 * v_qqr
-    assert cubic.c2 == 3 * v_qrr
+    nb = norm.bounds
+    cubic = volume_cubic(q_vertex_points(nb), r_vertex_points(nb))
+    # c1 = 3 V(Q,Q,R) and c2 = 3 V(Q,R,R); the kernel carries 6 V
+    assert (2 * cubic.c1, 2 * cubic.c2) == trilinear._mixed_volumes6_from_z(nb.a, nb.b)
 
 
 def test_volume_cubic_rejects_flat_bodies():

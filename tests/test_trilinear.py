@@ -23,18 +23,14 @@ from trivol import (
     hull_volume_formula,
     integrate_cross_sections,
     mixed_volume_against,
-    mixed_volumes_QR,
     omega_check,
     omega_dprime_check,
     omega_normalize,
     omega_prime_check,
     ordering_values,
     pipeline_volume,
-    q_facet_directions,
     q_vertex_points,
-    r_facet_directions,
     support,
-    support_max_z,
     tetra_volume,
 )
 from trivol import trilinear
@@ -175,31 +171,24 @@ class TestSliceTetrahedra:
             nb = norm.bounds
             (a1, a2, _), (b1, b2, _) = nb.a, nb.b
             pref = (b1 - a1) * (b2 - a2) / 2
-            for tet, dirs in (
-                (build_Q(norm), q_facet_directions(nb)),
-                (build_R(norm), r_facet_directions(nb)),
-            ):
+            for tet, level in ((build_Q(norm), nb.a[2]), (build_R(norm), nb.b[2])):
+                dirs = trilinear._slice_directions(nb.a, nb.b, level)
                 scaled = sorted(tuple(pref * c for c in d) for d in dirs)
                 assert sorted(facet_normal_set(tet)) == scaled
 
     def test_support_against_slice_direction(self):
         nb = omega_normalize(SHIFTED).bounds
-        assert q_facet_directions(nb)[0] == (1, -1, -2)
+        assert trilinear._slice_directions(nb.a, nb.b, nb.a[2])[0] == (1, -1, -2)
         assert support(q_vertex_points(nb), (F(1), F(-1), F(-2))) == -2
 
 
 class TestSupportMaxZ:
     def test_closed_form_values(self):
-        shifted = omega_normalize(SHIFTED)
-        assert support_max_z(1, shifted) == 2
-        assert support_max_z(4, shifted) == 0
-        assert support_max_z(7, omega_normalize(UNIT)) == 2
-
-    def test_index_range(self):
-        norm = omega_normalize(UNIT)
-        for bad in (0, 9, -1):
-            with pytest.raises(ValueError):
-                support_max_z(bad, norm)
+        shifted = omega_normalize(SHIFTED).bounds
+        z = trilinear._z_values(shifted.a, shifted.b)
+        assert (z[0], z[3]) == (2, 0)
+        unit = omega_normalize(UNIT).bounds
+        assert trilinear._z_values(unit.a, unit.b)[6] == 2
 
     def test_matches_generic_maximum(self):
         rng = random.Random(73)
@@ -208,26 +197,26 @@ class TestSupportMaxZ:
 
 class TestMixedVolumesQR:
     def test_shifted_box_value(self):
-        assert mixed_volumes_QR(omega_normalize(SHIFTED)) == (1, 1)
-
-    def test_flat_bottom_slice_is_rejected(self):
-        with pytest.raises(DegenerateTetrahedron):
-            mixed_volumes_QR(omega_normalize(UNIT))
+        nb = omega_normalize(SHIFTED).bounds
+        assert trilinear._mixed_volumes6_from_z(nb.a, nb.b) == (6, 6)
+        assert trilinear._mixed_volume6(nb.a, nb.b) == 6
 
     def test_symmetry_and_generic_agreement(self):
         rng = random.Random(79)
         for _ in range(60):
             norm = omega_normalize(random_box(rng, nonzero_lower=True))
-            v_qqr, v_qrr = mixed_volumes_QR(norm)
-            assert v_qqr == v_qrr
+            nb = norm.bounds
+            v_qqr6, v_qrr6 = trilinear._mixed_volumes6_from_z(nb.a, nb.b)
+            assert v_qqr6 == v_qrr6 == trilinear._mixed_volume6(nb.a, nb.b)
             q, r = build_Q(norm), build_R(norm)
-            assert mixed_volume_against(q, list(r.vertices)) == v_qqr
-            assert mixed_volume_against(r, list(q.vertices)) == v_qrr
+            assert 6 * mixed_volume_against(q, list(r.vertices)) == v_qqr6
+            assert 6 * mixed_volume_against(r, list(q.vertices)) == v_qrr6
 
     def test_unequal_edge_box_generic_agreement(self):
         norm = omega_normalize(box((1, 2, 3), (2, 4, 6)))
-        v_qqr, _ = mixed_volumes_QR(norm)
-        assert mixed_volume_against(build_Q(norm), list(build_R(norm).vertices)) == v_qqr
+        nb = norm.bounds
+        v_qqr6, _ = trilinear._mixed_volumes6_from_z(nb.a, nb.b)
+        assert 6 * mixed_volume_against(build_Q(norm), list(build_R(norm).vertices)) == v_qqr6
 
 
 class TestIntegration:
