@@ -96,10 +96,19 @@ def _load_json(path: str) -> object:
         raise InvalidBounds(f"{path} has a number with more than {limit} digits") from exc
 
 
+def _check_keys(path: str, doc: dict, kind: str, allowed: tuple[str, ...]) -> None:
+    """Raise on the first key of ``doc`` that is not in ``allowed``."""
+    for key in doc:
+        if key not in allowed:
+            names = f"{', '.join(allowed[:-1])} or {allowed[-1]}"
+            raise InvalidBounds(f'{path} "{key}" is not a {kind} key: {names}')
+
+
 def _box_from_file(path: str) -> Box3Bounds:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise InvalidBounds(f'{path} must be a JSON object with "a" and "b" lists')
+    _check_keys(path, doc, "box", ("a", "b"))
     a, b = doc["a"], doc["b"]
     if not isinstance(a, list) or not isinstance(b, list) or len(a) != 3 or len(b) != 3:
         raise InvalidBounds(f'{path} "a" and "b" must be lists of three rationals')
@@ -211,11 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     drop_invalid = "filter" in doc
     if drop_invalid and doc["filter"] != "valid":
         raise InvalidBounds(f'{path} "filter" must be "valid"')
-    for key in doc:
-        if key not in keys and key != "filter":
-            raise InvalidBounds(
-                f'{path} "{key}" is not a sweep key: a1, b1, a2, b2, a3, b3 or filter'
-            )
+    _check_keys(path, doc, "sweep", (*keys, "filter"))
 
     def fmt(x: Fraction) -> str:
         if not args.float:
@@ -287,6 +292,7 @@ def cmd_mixed_volume(args: argparse.Namespace) -> int:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "k" not in doc or "l" not in doc:
         raise InvalidBounds(f'{path} must be a JSON object with "k" and "l" vertex lists')
+    _check_keys(path, doc, "bodies", ("k", "l"))
 
     def body(name: str) -> list:
         raw = doc[name]

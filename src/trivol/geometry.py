@@ -25,7 +25,8 @@ taken in a lower dimension. At the scale this package works with (a few
 dozen points) that is fast enough, and it avoids the degeneracy handling
 an incremental hull algorithm would need to get exact answers. Flat
 input is found by the same scan, with no separate rank test.
-``trivol.mixed_volume.volume_cubic`` runs the 3D scan and the
+``trivol.mixed_volume.volume_cubic`` scans no sums: it reads the facets
+of a Minkowski sum off the normal fans of its two bodies, then runs the
 triangulation itself, to measure one face lattice at several placements
 of its vertices.
 """

@@ -16,22 +16,32 @@ monomial coefficients), giving a route to the same quantities that never
 touches a support function. The fitted c3 must equal Vol(L), computed
 directly; a mismatch raises :class:`InternalDisagreement`.
 
-The Minkowski sum is hulled once, at t = 1. For t > 0 the normal fan of
-K + tL is the common refinement of the fans of K and L, which does not
-depend on t (Schneider, *Convex Bodies*, section 2.4). So neither does the
-face lattice of K + tL, and each vertex stays the sum k_i + t*l_j of one
-pair of points (i, j): the pair of the unique vertices of K and L that
-are extreme in the vertex's normal cone. The facets of K + L, restricted
-to its vertices, and one pulling triangulation read from them serve every
-t; only the vertex coordinates move. Two checks certify this on every
-call, in the sense of McConnell, Mehlhorn, Naeher and Schweitzer,
-"Certifying algorithms" (2011), at a cost of O(facets * vertices) each:
+The facets of K + L are read off the normal fans of K and L, with no
+hull scan of the sums. For t > 0 the normal fan of K + tL is the common
+refinement of the fans of K and L, which does not depend on t
+(Schneider, *Convex Bodies*, section 2.4): the face in direction u is
+F_K(u) + t F_L(u). So a facet's normal is a facet normal of K or of L,
+or is perpendicular to an edge of each, and every candidate is a cross
+product of two point differences of K or L. ``_sum_facets`` keeps the
+candidate faces whose sums span a plane, so each facet is found with its
+split into a face F_K of K and a face F_L of L. The face lattice of
+K + tL does not depend on t either, and each vertex stays the sum
+k_i + t*l_j of one pair of points (i, j): the pair of the unique
+vertices of K and L that are extreme in the vertex's normal cone. The
+facets of K + L, restricted to its vertices, and one pulling
+triangulation read from them serve every t; only the vertex coordinates
+move. Two checks certify this on every call, in the sense of McConnell,
+Mehlhorn, Naeher and Schweitzer, "Certifying algorithms" (2011), at a
+cost of O(facets * vertices) each:
 
 * closure, once: every facet with m vertices shares exactly two vertices
   (an edge) with exactly m other facets, and no two facets share more.
   Every edge of a listed facet then borders another listed facet, and
   the facets of a 3-polytope are connected through their edges, so the
-  list holds them all;
+  list holds them all. Each listed face is a facet by construction, with
+  every sum on its plane (a sum is on the face in direction u exactly
+  when it is some k_i + l_j with both points extreme in u), so closure
+  is what proves that the fan route missed none;
 * support, at t = 2 and 3: the plane through each facet's first three
   vertices has every vertex weakly on one side and holds exactly that
   facet's vertices.
@@ -43,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
@@ -52,11 +62,12 @@ from .geometry import (
     Tetrahedron,
     _clear_denominators,
     _facet_cross_products,
-    _hull_facets,
     _pulling_simplices,
     _pulling_volume,
     add3,
+    cross3,
     hull_volume_3d,
+    sub3,
     support,
 )
 
@@ -167,6 +178,82 @@ def _first_pairs(
     return pairs
 
 
+def _sum_facets(
+    ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]], sums: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The facets of K + L, read off the normal fans of K and L, as the
+    ascending indices of the ``sums`` on each; sorted.
+
+    ``sums`` are the distinct lattice sums ik[i] + il[j]. The face of K + L
+    in direction u is F_K(u) + F_L(u), so a facet's normal is a facet
+    normal of K or of L, or is perpendicular to an edge of each: a cross
+    product of two point differences of K or L. Each such product, made
+    primitive with its sign fixed, is a candidate; its max face and its
+    min face (the max face of -u) are facets when their distinct sums are
+    not collinear. Nothing here shows that no facet is missed; the closure
+    check in :func:`volume_cubic` does. Sums that do not span three
+    dimensions raise :class:`DegenerateHull`, as in
+    :func:`trivol.geometry._hull_facets`.
+    """
+    index = {s: n for n, s in enumerate(sums)}
+    diffs = list({
+        (q0 - p0, q1 - p1, q2 - p2)
+        for body in (ik, il)
+        for a, (p0, p1, p2) in enumerate(body)
+        for q0, q1, q2 in body[a + 1 :]
+    })
+    normals = set()
+    for a, (x0, x1, x2) in enumerate(diffs):
+        for y0, y1, y2 in diffs[a + 1 :]:
+            n0 = x1 * y2 - x2 * y1
+            n1 = x2 * y0 - x0 * y2
+            n2 = x0 * y1 - x1 * y0
+            if n0 or n1 or n2:
+                g = gcd(n0, n1, n2)
+                if n0 < 0 or not n0 and (n1 < 0 or not n1 and n2 < 0):
+                    g = -g  # the first nonzero entry becomes positive
+                normals.add((n0 // g, n1 // g, n2 // g))
+    at = [[index[add3(p, q)] for q in il] for p in ik]
+    facets = []
+    for u in normals:
+        (kmax, kmin), (lmax, lmin) = _extreme_faces(ik, u), _extreme_faces(il, u)
+        for fk, fl in ((kmax, lmax), (kmin, lmin)):
+            incident = sorted({at[i][j] for i in fk for j in fl})
+            if len(incident) == len(sums):
+                raise DegenerateHull("points do not span 3 dimensions")
+            if len(incident) < 3:
+                continue
+            a, b, *rest = (sums[s] for s in incident)
+            ab = sub3(b, a)
+            if any(any(cross3(ab, sub3(c, a))) for c in rest):
+                facets.append(tuple(incident))
+    if not facets:
+        raise DegenerateHull("points do not span 3 dimensions")
+    facets.sort()
+    return facets
+
+
+def _extreme_faces(
+    body: Sequence[tuple[int, ...]], u: tuple[int, int, int]
+) -> tuple[list[int], list[int]]:
+    """The indices of the points of ``body`` with the largest and with the
+    smallest dot product with ``u``, in one pass."""
+    u0, u1, u2 = u
+    hi = lo = None
+    top, bottom = [], []
+    for i, (p0, p1, p2) in enumerate(body):
+        d = u0 * p0 + u1 * p1 + u2 * p2
+        if hi is None or d > hi:
+            hi, top = d, [i]
+        elif d == hi:
+            top.append(i)
+        if lo is None or d < lo:
+            lo, bottom = d, [i]
+        elif d == lo:
+            bottom.append(i)
+    return top, bottom
+
+
 def _vertex_facets(
     n: int, facets: Sequence[tuple[int, ...]]
 ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -246,15 +333,16 @@ def _check_planes(
 
 
 def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
-    """Coefficients of Vol(K + tL) from Vol(K) and one facet scan of K + L.
+    """Coefficients of Vol(K + tL) from Vol(K) and the facets of K + L.
 
     Both vertex sets must span three dimensions; a flat body raises
     :class:`DegenerateHull` rather than being special-cased. The sums are
     formed on the integer lattice of K and L together (see
     :func:`trivol.geometry._clear_denominators`): a positive per-axis
     affine map commutes with Minkowski sums up to a translation, so each
-    sum's volume is its lattice volume times one factor. K + L is hulled
-    once; its vertices, each the sum of one (i, j) pair, are placed at
+    sum's volume is its lattice volume times one factor. The facets of
+    K + L are read off the normal fans of K and L (:func:`_sum_facets`);
+    its vertices, each the sum of one (i, j) pair, are placed at
     k_i + t*l_j for t = 2 and 3, checked (see the module docstring), and
     measured over the one pulling triangulation. Each set is read once.
     """
@@ -272,10 +360,10 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     unit = Fraction(prod(divisors), 6 * prod(scales))
     pairs = _first_pairs(ik, il)
     sums = list(pairs)
-    vertices, facets = _vertex_facets(len(sums), [f for _, f in _hull_facets(sums)])
+    vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums))
     _check_closed(facets)
     simplices = list(_pulling_simplices(facets, 3))
-    # the check above already found Vol(K + 0L) = Vol(K); K + L is what was scanned
+    # the check above already found Vol(K + 0L) = Vol(K)
     placed = [sums[p] for p in vertices]
     values = [volumes[0], _pulling_volume(placed, simplices) * unit]
     vertex_pairs = [pairs[p] for p in placed]

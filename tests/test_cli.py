@@ -207,6 +207,9 @@ BODIES = {  # the cube and the octahedron
         ("mixed-volume", dict(BODIES, l=[]), ' "l" must be a non-empty list of points'),
         ("mixed-volume", dict(BODIES, k=[[0, 0]]), ' "k" points must be 3-coordinate lists'),
         ("mixed-volume", dict(BODIES, l=[[0, "1/0", 0]]), ' "l": zero denominator in \'1/0\''),
+        ("volume", {"a": [1, 1, 1], "b": [2, 2, 2], "zz": 3}, ' "zz" is not a box key: a or b'),
+        ("normalize", {"a": [1, 1, 1], "b": [2, 2, 2], "A": 3}, ' "A" is not a box key: a or b'),
+        ("mixed-volume", dict(BODIES, x=1), ' "x" is not a bodies key: k or l'),
     ],
 )
 def test_file_errors_name_the_file_and_the_key(tmp_path, capsys, command, doc, message):

@@ -258,37 +258,99 @@ def test_volume_cubic_agrees_with_fresh_minkowski_hulls_at_other_t():
             assert cubic.value_at(t) == hull_volume_3d(minkowski_sum_vertices(k, scaled)), (k, l, t)
 
 
+def fan_and_scan_facets(k, l):
+    """The facets of K + L from ``_sum_facets`` and from the 3D scan of the
+    sums, sorted alike; a DegenerateHull from either stands for its list."""
+    ipts, _ = geometry._clear_denominators([*k, *l], 3)
+    ik, il = ipts[: len(k)], ipts[len(k) :]
+    sums = list(mixed_volume._first_pairs(ik, il))
+    got = []
+    for facets in (
+        lambda: mixed_volume._sum_facets(ik, il, sums),
+        lambda: sorted(incident for _, incident in geometry._hull_facets(sums)),
+    ):
+        try:
+            got.append(facets())
+        except DegenerateHull as exc:
+            got.append(type(exc))
+    return got
+
+
+def test_sum_facets_match_the_scan_of_the_sums():
+    rng = random.Random(73)
+
+    def body(rational):
+        def coordinate():
+            return F(rng.randint(-6, 6), rng.randint(1, 3)) if rational else F(rng.randint(0, 2))
+
+        pts = [tuple(coordinate() for _ in range(3)) for _ in range(rng.randint(4, 6))]
+        # a point between two others (inside an edge when they span one) and an interior one
+        pts.append(tuple((p + q) / 2 for p, q in zip(pts[0], pts[1])))
+        if rng.random() < 0.5:
+            pts.append(tuple(sum(c) / 4 for c in zip(*pts[:4])))
+        return pts
+
+    pairs = [(CUBE, OCTA), (OCTA, CUBE)] + WITH_EXTRA_POINTS
+    pairs += [(body(rational), body(rational)) for rational in [False] * 30 + [True] * 15]
+    coincident = spanning = 0
+    for k, l in pairs:
+        fan, scan = fan_and_scan_facets(k, l)
+        assert fan == scan, (k, l)
+        coincident += len(minkowski_sum_vertices(k, l)) < len(k) * len(l)
+        spanning += fan != DegenerateHull
+    # the draws exercise coincident sums, and every K + L spans 3D
+    assert (coincident, spanning) == (34, len(pairs))
+
+
+def test_sum_facets_on_flat_and_empty_bodies():
+    flat = [(F(x), F(y), F(0)) for x, y in product((0, 1), repeat=2)]
+    segment = [(F(0), F(0), F(0)), (F(1), F(1), F(0))]
+    point = [(F(0), F(0), F(0))]
+    # volume_cubic rejects a flat body, but K + L spans three dimensions here
+    triangle = [(F(0), F(0), F(1))] + segment
+    for k, l in [(flat, OCTA), (CUBE, segment), (point, CUBE), (flat, triangle)]:
+        fan, scan = fan_and_scan_facets(k, l)
+        assert isinstance(scan, list) and fan == scan, (k, l)
+    for k, l in [(flat, flat), (flat, segment), (segment, segment), (point, flat), (point, point)]:
+        assert fan_and_scan_facets(k, l) == [DegenerateHull, DegenerateHull], (k, l)
+    # an empty body has no sums, so no face of K + L spans a plane
+    for ik, il in [([], [(0, 0, 0)]), ([], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])]:
+        for k, l in [(ik, il), (il, ik)]:
+            with pytest.raises(DegenerateHull):
+                mixed_volume._sum_facets(k, l, [])
+
+
 @pytest.fixture
-def replayed_scans(monkeypatch):
-    """The cubics of WITH_EXTRA_POINTS and the facet scan of each K + L,
-    with ``_hull_facets`` then replaced by a lookup of those scans: the
-    scans of up to 54 sums would otherwise dominate the planted-fault
-    tests' time."""
-    scans = {}
+def recorded_facets(monkeypatch):
+    """The cubics of WITH_EXTRA_POINTS and the facet list ``_sum_facets``
+    gave for each K + L, one per pair."""
+    real = mixed_volume._sum_facets
+    lists = []
 
-    def record(pts):
-        scans[tuple(pts)] = geometry._hull_facets(pts)
-        return scans[tuple(pts)]
+    def record(ik, il, sums):
+        lists.append(real(ik, il, sums))
+        return lists[-1]
 
-    monkeypatch.setattr(mixed_volume, "_hull_facets", record)
+    monkeypatch.setattr(mixed_volume, "_sum_facets", record)
     cubics = [volume_cubic(k, l) for k, l in WITH_EXTRA_POINTS]
-    monkeypatch.setattr(mixed_volume, "_hull_facets", lambda pts: scans[tuple(pts)])
-    return cubics, list(scans.values())
+    monkeypatch.setattr(mixed_volume, "_sum_facets", real)
+    assert len(lists) == len(WITH_EXTRA_POINTS)
+    return cubics, lists
 
 
-def test_volume_cubic_closure_check_catches_a_dropped_facet(monkeypatch, replayed_scans):
-    for (k, l), facets in zip(WITH_EXTRA_POINTS, replayed_scans[1]):
+def test_volume_cubic_closure_check_catches_a_dropped_facet(monkeypatch, recorded_facets):
+    for (k, l), facets in zip(WITH_EXTRA_POINTS, recorded_facets[1]):
         for drop in range(len(facets)):
             dropped = facets[:drop] + facets[drop + 1 :]
-            monkeypatch.setattr(mixed_volume, "_hull_facets", lambda pts: dropped)
+            monkeypatch.setattr(mixed_volume, "_sum_facets", lambda ik, il, sums: dropped)
             with pytest.raises(InternalDisagreement, match="^facets of K \\+ L do not close: "):
                 volume_cubic(k, l)
 
 
-def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, replayed_scans):
+def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, recorded_facets):
     real = mixed_volume._first_pairs
     caught = []
-    for (k, l), expected in zip(WITH_EXTRA_POINTS, replayed_scans[0]):
+    for (k, l), expected in zip(WITH_EXTRA_POINTS, recorded_facets[0]):
         caught.append(0)
         for n in range(len(minkowski_sum_vertices(k, l))):
 
