@@ -26,14 +26,14 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import chain, permutations, product
 from typing import Sequence
 
 from . import trilinear, verify
 from .errors import InternalDisagreement, InvalidBounds, OmegaViolated, TrivolError
 from .mixed_volume import volume_cubic
 from .oracle import hull_volume_4d
-from .rational import format_rational, parse_rational
+from .rational import format_ratio, format_rational, parse_rational
 from .trilinear import (
     Box3Bounds,
     closed_form_volume,
@@ -44,6 +44,9 @@ from .trilinear import (
 )
 
 __all__ = ["main", "run"]
+
+# a sweep's perm column: each permutation in compact digit form, "312"
+_PERM_TEXT = {perm: "%d%d%d" % perm for perm in permutations((1, 2, 3))}
 
 
 def _float(x: Fraction) -> float | None:
@@ -201,10 +204,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """CSV of closed-form volumes over the product of the grid's values.
 
     Each axis's (a_i, b_i) pairs are checked, cleared to ints and ranked by
-    a_i/b_i once per grid; a row is a stable sort of three ranks (as in
-    omega_normalize), the ordering check and one _formula_volume. A value is
-    formatted when a row first uses it, so errors come in row order.
-    Nothing is written on an error; a file error names the file and the key.
+    a_i/b_i once per grid. A row looks its axis order up from three ranks
+    (as omega_normalize does from its keys), checks the ordering condition
+    and evaluates one integer polynomial, the closed form on the cleared
+    bounds; one gcd reduces the volume to the int ratio it prints. A pair
+    formats its bound texts when a row first uses it, before that row's
+    volume, so errors come in row order. Nothing is written on an error;
+    a file error names the file and the key.
     """
     path = args.file
     doc = _load_json(path)
@@ -222,54 +228,57 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidBounds(f'{path} "filter" must be "valid"')
     _check_keys(path, doc, "sweep", (*keys, "filter"))
 
-    def fmt(x: Fraction) -> str:
+    def fmt(p: int, q: int) -> str:
+        """The value p/q, given in lowest terms, as its CSV text."""
         if not args.float:
-            return format_rational(x)
+            return format_ratio(p, q)
+        x = Fraction(p, q)
         f = _float(x)
         if f is None:
             size = "large" if abs(x) > 1 else "small"
             raise InvalidBounds(
-                f"{format_rational(x)} is too {size} for --float output; omit --float"
+                f"{format_ratio(p, q)} is too {size} for --float output; omit --float"
             )
         return repr(f)
 
-    @cache
-    def text(k: int, j: int) -> str:
-        return fmt(grids[k][j])
+    def texts(pair: list) -> tuple[str, str]:
+        lo, hi = pair[5], pair[6]
+        pair[0] = fmt(lo.numerator, lo.denominator), fmt(hi.numerator, hi.denominator)
+        return pair[0]
 
-    # per axis, its pairs [a_i, b_i, index of a_i, index of b_i, ratio,
-    # A_i, B_i, D_i]; the ratio is None when the pair is not an interval
+    # per axis, its pairs [texts of a_i and b_i once formatted, ratio, A_i,
+    # B_i, D_i, a_i, b_i]; the ratio is None when the pair is not an interval
     axes = [
         [
-            [lo, hi, ja, jb, lo / hi, *trilinear._cleared_axis(lo, hi)] if 0 <= lo < hi
-            else [lo, hi, ja, jb, None]
-            for (ja, lo), (jb, hi) in product(enumerate(grids[k]), enumerate(grids[k + 1]))
+            [None, lo / hi, *trilinear._cleared_axis(lo, hi), lo, hi] if 0 <= lo < hi
+            else [None, None, None, None, None, lo, hi]
+            for lo, hi in product(grids[k], grids[k + 1])
         ]
         for k in (0, 2, 4)
     ]
     # each ratio becomes its int rank over the whole grid; equal ratios share one
-    rank = {r: n for n, r in enumerate(sorted({p[4] for ax in axes for p in ax} - {None}))}
+    rank = {r: n for n, r in enumerate(sorted({p[1] for ax in axes for p in ax} - {None}))}
     for pair in chain.from_iterable(axes):
-        pair[4] = rank.get(pair[4])
+        pair[1] = rank.get(pair[1])
 
     rows = []
     skipped = 0
     for p1, p2, p3 in product(*axes):
-        if p1[4] is None or p2[4] is None or p3[4] is None:
+        r1, r2, r3 = p1[1], p2[1], p3[1]
+        if r1 is None or r2 is None or r3 is None:
             if drop_invalid:
                 skipped += 1
                 continue
-            Box3Bounds((p1[0], p2[0], p3[0]), (p1[1], p2[1], p3[1]))  # raises InvalidBounds
-        order, perm = trilinear._axis_order([p1[4], p2[4], p3[4]])
-        s1, s2, s3 = ((p1, p2, p3)[i] for i in order)
-        ia, ib = (s1[5], s2[5], s3[5]), (s1[6], s2[6], s3[6])
+            Box3Bounds((p1[5], p2[5], p3[5]), (p1[6], p2[6], p3[6]))  # raises InvalidBounds
+        (i, j, k), perm = trilinear._axis_order((r1, r2, r3))
+        row = p1, p2, p3
+        s1, s2, s3 = row[i], row[j], row[k]
+        ia, ib = (s1[2], s2[2], s3[2]), (s1[3], s2[3], s3[3])
         if not trilinear._ratios_ordered(ia, ib):
             raise OmegaViolated(f"sorted axes break the ordering condition: {ia}, {ib}")
-        volume = trilinear._formula_volume(ia, ib, (s1[7], s2[7], s3[7]))
-        rows.append(
-            [text(0, p1[2]), text(1, p1[3]), text(2, p2[2]), text(3, p2[3])]
-            + [text(4, p3[2]), text(5, p3[3]), fmt(volume), "%d%d%d" % perm]
-        )
+        bounds = (p1[0] or texts(p1)) + (p2[0] or texts(p2)) + (p3[0] or texts(p3))
+        volume = fmt(*trilinear._formula_ratio(ia, ib, (s1[4], s2[4], s3[4])))
+        rows.append(bounds + (volume, _PERM_TEXT[perm]))
 
     try:
         sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout

@@ -52,12 +52,17 @@ def parse_rational(value: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or as a bare integer when q == 1.
+    """Render a Fraction as "p/q", or as a bare integer when q == 1."""
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(p: int, q: int) -> str:
+    """:func:`format_rational` on a numerator and a positive denominator
+    already in lowest terms, with no Fraction built.
 
     Every digit is written: past the interpreter's limit on int digit
     strings ``str`` refuses an int, but ``Decimal`` converts it exactly.
     """
-    p, q = value.numerator, value.denominator
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:

@@ -33,7 +33,7 @@ Fractions. The public Fraction functions divide their result once.
 ``hull_volume_formula`` and ``pipeline_volume`` run them on the box with
 each axis's denominators cleared, which turns every value into an int
 until one division per reported value at the end. A :class:`Box3Bounds`
-clears its axes once, when built (``cleared``); the sort in
+clears its axes once, when built (``cleared``); the axis order in
 ``omega_normalize``, the pipeline, ``closed_form_volume`` and
 ``extreme_points`` read those ints.
 """
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DegenerateTetrahedron,
@@ -114,7 +114,7 @@ class Box3Bounds:
             if not (0 <= ilo < ihi):
                 raise InvalidBounds(f"need 0 <= a{axis} < b{axis}, got a{axis}={lo}, b{axis}={hi}")
 
-    def _permuted(self, order: list[int]) -> Box3Bounds:
+    def _permuted(self, order: tuple[int, int, int]) -> Box3Bounds:
         """This box with its axes in ``order``, carried over already cleared."""
         a, b, ia, ib, d = (tuple(v[i] for i in order) for v in (self.a, self.b, *self.cleared))
         box = object.__new__(Box3Bounds)
@@ -196,22 +196,38 @@ def omega_normalize(box: Box3Bounds) -> OmegaBox:
     """Reorder the axes so the ordering condition holds.
 
     Axes are stably sorted by their ratio a_i/b_i, so ties keep their
-    original relative order and the result is deterministic. The sort runs
-    on the :func:`ordering_values` keys of the cleared ints (all scaled by
-    D1*D2*D3), whose order is the ratio order, ties included: with k the
-    third axis, key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i), and
-    b_k > a_k. :class:`OmegaBox` checks the result in the ratio form.
+    original relative order and the result is deterministic. The order is
+    read off the :func:`ordering_values` keys of the cleared ints (all
+    scaled by D1*D2*D3), whose order is the ratio order, ties included:
+    with k the third axis, key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i),
+    and b_k > a_k. :class:`OmegaBox` checks the result in the ratio form.
     """
     order, perm = _axis_order(_ordering_keys(*box.cleared[:2]))
     return OmegaBox(box._permuted(order), perm)
 
 
-def _axis_order(keys: tuple | list) -> tuple[list[int], tuple[int, int, int]]:
-    """Stable argsort of three axis keys, and the 1-based position each
+def _stable_argsort(keys: tuple) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Stable argsort of three keys, and the 1-based position each key's
     axis lands in. Equal keys keep their original order."""
-    order = sorted(range(3), key=keys.__getitem__)
+    order = tuple(sorted(range(3), key=keys.__getitem__))
     pos = order.index
     return order, (pos(0) + 1, pos(1) + 1, pos(2) + 1)
+
+
+# A stable sort only compares, so the order of three keys depends only on
+# (k1 <= k2, k1 <= k3, k2 <= k3). The triples in {0,1,2}^3 reach all six
+# patterns that are transitive, ties included, and each fixes one order.
+_AXIS_ORDERS = {
+    (k1 <= k2, k1 <= k3, k2 <= k3): _stable_argsort((k1, k2, k3))
+    for k1, k2, k3 in product(range(3), repeat=3)
+}
+
+
+def _axis_order(keys: tuple) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """:func:`_stable_argsort` of three axis keys by three comparisons and
+    one table lookup."""
+    k1, k2, k3 = keys
+    return _AXIS_ORDERS[k1 <= k2, k1 <= k3, k2 <= k3]
 
 
 def _slice_points(a: tuple, b: tuple, level: Fraction | int) -> list[Point3]:
@@ -411,10 +427,18 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
 
 def _formula_volume(ia: tuple, ib: tuple, d: tuple) -> Fraction:
     """Closed-form hull volume from cleared bounds ``ia``, ``ib`` and the
-    per-axis scales ``d``: the volume on the integer box is (D1*D2*D3)^2
-    times larger, so it divides once."""
+    per-axis scales ``d``; see :func:`_formula_ratio`."""
+    return Fraction(*_formula_ratio(ia, ib, d))
+
+
+def _formula_ratio(ia: tuple, ib: tuple, d: tuple) -> tuple[int, int]:
+    """:func:`_formula_volume` as its numerator and denominator in lowest
+    terms, with no Fraction built: the volume on the integer box is
+    (D1*D2*D3)^2 times larger, so it divides once, by one gcd."""
     d1, d2, d3 = d
-    return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
+    n, q = _hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2
+    g = gcd(n, q)
+    return n // g, q // g
 
 
 def closed_form_volume(box: Box3Bounds) -> Fraction:

@@ -448,6 +448,14 @@ def test_sweep_float_overflow_is_bad_input(tmp_path, capsys):
     bad_input(capsys, "sweep", "--file", str(cfg), "--float")
     code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
     assert code == 0 and "1" + "0" * 400 in out
+    # bounds that print as floats, a volume of about 2e799 that does not
+    grid = {"a1": [0], "b1": ["1e200"], "a2": [0], "b2": ["1e200"], "a3": [0], "b3": [1]}
+    cfg.write_text(json.dumps(grid))
+    volume = format_rational(F(5 * 10**800, 24))
+    target = tmp_path / "rows.csv"
+    err = bad_input(capsys, "sweep", "--file", str(cfg), "--float", "--out", str(target))
+    assert err == f"error: {volume} is too large for --float output; omit --float\n"
+    assert not target.exists()
 
 
 def test_sweep_float_rejects_a_volume_below_the_normal_float_range(tmp_path, capsys):
@@ -583,21 +591,41 @@ def _library_sweep(doc: dict, as_float: bool) -> tuple:
     return 0, "\n".join(lines) + "\n", ""
 
 
+def _ties_and_perm(ratios: tuple) -> tuple:
+    """Which axes tie on a_i/b_i, and the perm column of their row."""
+    r1, r2, r3 = ratios
+    order = sorted(range(3), key=ratios.__getitem__)
+    return (r1 == r2, r1 == r3, r2 == r3), "".join(str(order.index(i) + 1) for i in range(3))
+
+
 def test_sweep_matches_the_per_row_library_route(tmp_path, capsys):
     rng = random.Random(20260)
     grids = [_sweep_grid(rng, all_valid=n % 2 == 0) for n in range(12)]
     grids.append({k: [1, "1/2", "3/2", 0] if k[0] == "a" else [2, "1.0", 3] for k in SWEEP_KEYS})
+    # the tie row the README documents
+    grids.append(dict(a1=[1], b1=[2], a2=[0], b2=[1], a3=[1], b3=[2]))
     cfg = tmp_path / "sweep.json"
     outcomes = set()
+    orders = set()
     for grid in grids:
         for doc in (grid, dict(grid, filter="valid")):
             cfg.write_text(json.dumps(doc))
-            for flags in ((), ("--float",)):
+            for flags in (("--float",), ()):
                 expected = _library_sweep(doc, as_float=bool(flags))
                 assert run_cli(capsys, "sweep", "--file", str(cfg), *flags) == expected
                 outcomes.add((expected[0], "# skipped" in expected[1]))
+            for line in expected[1].splitlines()[1:]:  # the exact rows
+                if not line.startswith("#"):
+                    a1, b1, a2, b2, a3, b3 = map(parse_rational, line.split(",")[:6])
+                    ties, perm = _ties_and_perm((a1 / b1, a2 / b2, a3 / b3))
+                    assert perm == line.rsplit(",", 1)[1]
+                    orders.add((ties, perm))
     # the grids reach each path: every row valid, rows dropped, an error
     assert outcomes == {(0, False), (0, True), (2, False)}
+    # and every axis order with every tie pattern it can have: 6 orders of
+    # distinct ratios, 2 for each pair that ties, 1 when all three do
+    assert orders == {_ties_and_perm(ranks) for ranks in product(range(3), repeat=3)}
+    assert len(orders) == 13
 
 
 def test_sweep_reports_the_first_invalid_row_and_writes_nothing(tmp_path, capsys):

@@ -82,6 +82,24 @@ class TestNormalization:
         assert norm.bounds == UNIT
         assert omega_normalize(box((1, 2, 3), (2, 4, 6))).perm == (1, 2, 3)
 
+    def test_axis_order_is_the_stable_argsort_of_its_keys(self):
+        for keys in product(range(3), repeat=3):
+            order = sorted(range(3), key=keys.__getitem__)
+            perm = tuple(order.index(axis) + 1 for axis in range(3))
+            assert trilinear._axis_order(keys) == (tuple(order), perm), keys
+
+    @pytest.mark.parametrize(
+        "a, b, perm",
+        [
+            ((1, 1, 0), (2, 2, 1), (2, 3, 1)),  # a1/b1 = a2/b2 > a3/b3
+            ((1, 0, 1), (2, 1, 2), (2, 1, 3)),  # a1/b1 = a3/b3 > a2/b2
+            ((2, 1, 1), (3, 3, 3), (3, 1, 2)),  # a2/b2 = a3/b3 < a1/b1
+            ((1, 2, 3), (2, 4, 6), (1, 2, 3)),  # all three equal
+        ],
+    )
+    def test_tied_axes_keep_their_input_order(self, a, b, perm):
+        assert omega_normalize(box(a, b)).perm == perm
+
     def test_already_ordered_box_is_untouched(self):
         norm = omega_normalize(box((0, 1, 2), (1, 2, 3)))
         assert norm.perm == (1, 2, 3)
