@@ -22,11 +22,10 @@ import csv
 import json
 import os
 import random
-import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from typing import Sequence
 
 from . import trilinear, verify
@@ -203,14 +202,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """CSV of closed-form volumes over the product of the grid's values.
 
-    Each axis's (a_i, b_i) pairs are checked, cleared to ints and ranked by
-    a_i/b_i once per grid. A row looks its axis order up from three ranks
-    (as omega_normalize does from its keys), checks the ordering condition
-    and evaluates one integer polynomial, the closed form on the cleared
-    bounds; one gcd reduces the volume to the int ratio it prints. A pair
-    formats its bound texts when a row first uses it, before that row's
-    volume, so errors come in row order. Nothing is written on an error;
-    a file error names the file and the key.
+    Each axis's (a_i, b_i) pairs are cleared to ints and checked with
+    Box3Bounds' rule once per grid. A row orders its axes by the ordering
+    keys of its cleared ints, as omega_normalize does, checks the ordering
+    condition and evaluates one integer polynomial, the closed form on the
+    cleared bounds; one gcd reduces the volume to the int ratio it prints.
+    A pair formats its bound texts when a row first uses it, before that
+    row's volume, so errors come in row order. Nothing is written on an
+    error; a file error names the file and the key.
     """
     path = args.file
     doc = _load_json(path)
@@ -246,38 +245,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         pair[0] = fmt(lo.numerator, lo.denominator), fmt(hi.numerator, hi.denominator)
         return pair[0]
 
-    # per axis, its pairs [texts of a_i and b_i once formatted, ratio, A_i,
-    # B_i, D_i, a_i, b_i]; the ratio is None when the pair is not an interval
-    axes = [
-        [
-            [None, lo / hi, *trilinear._cleared_axis(lo, hi), lo, hi] if 0 <= lo < hi
-            else [None, None, None, None, None, lo, hi]
-            for lo, hi in product(grids[k], grids[k + 1])
-        ]
-        for k in (0, 2, 4)
-    ]
-    # each ratio becomes its int rank over the whole grid; equal ratios share one
-    rank = {r: n for n, r in enumerate(sorted({p[1] for ax in axes for p in ax} - {None}))}
-    for pair in chain.from_iterable(axes):
-        pair[1] = rank.get(pair[1])
+    def axis_pair(lo: Fraction, hi: Fraction) -> list:
+        """[texts of lo and hi once formatted, is an interval, A, B, D, lo, hi]:
+        the pair cleared, then checked by Box3Bounds' 0 <= A < B."""
+        ilo, ihi, d = trilinear._cleared_axis(lo, hi)
+        return [None, 0 <= ilo < ihi, ilo, ihi, d, lo, hi]
+
+    axes = [[axis_pair(lo, hi) for lo, hi in product(grids[k], grids[k + 1])] for k in (0, 2, 4)]
 
     rows = []
     skipped = 0
-    for p1, p2, p3 in product(*axes):
-        r1, r2, r3 = p1[1], p2[1], p3[1]
-        if r1 is None or r2 is None or r3 is None:
+    for row in product(*axes):
+        p1, p2, p3 = row
+        if not (p1[1] and p2[1] and p3[1]):
             if drop_invalid:
                 skipped += 1
                 continue
             Box3Bounds((p1[5], p2[5], p3[5]), (p1[6], p2[6], p3[6]))  # raises InvalidBounds
-        (i, j, k), perm = trilinear._axis_order((r1, r2, r3))
-        row = p1, p2, p3
+        ia, ib = (p1[2], p2[2], p3[2]), (p1[3], p2[3], p3[3])
+        (i, j, k), perm = trilinear._axis_order(trilinear._ordering_keys(ia, ib))
         s1, s2, s3 = row[i], row[j], row[k]
-        ia, ib = (s1[2], s2[2], s3[2]), (s1[3], s2[3], s3[3])
+        ia, ib, d = (s1[2], s2[2], s3[2]), (s1[3], s2[3], s3[3]), (s1[4], s2[4], s3[4])
         if not trilinear._ratios_ordered(ia, ib):
             raise OmegaViolated(f"sorted axes break the ordering condition: {ia}, {ib}")
         bounds = (p1[0] or texts(p1)) + (p2[0] or texts(p2)) + (p3[0] or texts(p3))
-        volume = fmt(*trilinear._formula_ratio(ia, ib, (s1[4], s2[4], s3[4])))
+        volume = fmt(*trilinear._formula_ratio(ia, ib, d))
         rows.append(bounds + (volume, _PERM_TEXT[perm]))
 
     try:
@@ -396,13 +388,14 @@ def _attach_bounds_values(argv: Sequence[str]) -> list[str]:
     """Spell ``--bounds -1,2,...`` as ``--bounds=-1,2,...``.
 
     argparse takes a token that starts with ``-`` and is not a plain
-    negative number for an option, so a bounds list starting with a
-    negative value would leave ``--bounds`` without its argument. Joined,
-    the value reaches the bounds check and its one-line error.
+    negative number for an option, so a bounds list starting with ``-``
+    (``-1``, ``-inf``, ``-x``) would leave ``--bounds`` without its
+    argument. Joined, the value reaches the bounds check and its one-line
+    error. A token starting with ``--`` is left alone: it is an option.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--bounds" and re.match(r"-[0-9.]", token):
+        if out and out[-1] == "--bounds" and token.startswith("-") and not token.startswith("--"):
             out[-1] = f"--bounds={token}"
         else:
             out.append(token)

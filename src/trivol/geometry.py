@@ -185,6 +185,13 @@ def tetra_volume(t: Tetrahedron) -> Fraction:
     return Fraction(t.det, 6)
 
 
+def _check_dimension(points: Iterable[Sequence], dim: int) -> None:
+    """Raise :class:`ValueError` on the first point whose length is not ``dim``."""
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(f"expected points of dimension {dim}, got one of dimension {len(p)}")
+
+
 # per-axis map from rational to lattice coordinates: (scales, shifts, divisors)
 _AxisMap = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -203,9 +210,7 @@ def _clear_denominators(
     map as (scales, shifts, divisors). A point whose length is not ``dim``
     raises :class:`ValueError`.
     """
-    for p in points:
-        if len(p) != dim:
-            raise ValueError(f"expected points of dimension {dim}, got one of dimension {len(p)}")
+    _check_dimension(points, dim)
     columns = []
     axes = []
     for k in range(dim):

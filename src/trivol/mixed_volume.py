@@ -60,6 +60,7 @@ from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
 from .geometry import (
     Point3,
     Tetrahedron,
+    _check_dimension,
     _clear_denominators,
     _facet_cross_products,
     _pulling_simplices,
@@ -109,18 +110,20 @@ class VolumeCubic:
 
 
 def mixed_volume_against(p: Tetrahedron, k: Iterable[Point3]) -> Fraction:
-    """Mixed volume V(P, P, K) for a tetrahedron P and vertex set K.
-
-    One third of K's support summed over P's area-scaled facet normals,
-    taken as one sixth of the sum over the doubled normals (the facet
-    cross products), so int input stays on ints until that one division.
-    K may be lower-dimensional (even a single point); it only enters
-    through its support values, and is read once.
-    """
+    """Mixed volume V(P, P, K) for a tetrahedron P and vertex set K: one
+    sixth of :func:`_support_sum6`. K may be lower-dimensional (even a
+    single point); it only enters through its support values, and is read
+    once."""
     k = list(k)
     if not k:
         raise EmptyPolytope("mixed volume against an empty vertex list")
-    return Fraction(sum(support(k, u) for u in _facet_cross_products(p)), 6)
+    return Fraction(_support_sum6(p, k), 6)
+
+
+def _support_sum6(p: Tetrahedron, k: Sequence[Point3]):
+    """6 V(P, P, K): K's support summed over P's doubled area-scaled facet
+    normals (the facet cross products), with no division, so int input gives an int."""
+    return sum(support(k, u) for u in _facet_cross_products(p))
 
 
 def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Point3]:
@@ -129,10 +132,12 @@ def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Poi
     The result is a superset of the vertices of the Minkowski sum of the
     two hulls; non-extreme sums are harmless to downstream hull code.
     Order is deterministic (first occurrence, k-major); each set is read once.
+    A point that is not 3D raises :class:`ValueError`.
     """
     k, l = list(k), list(l)
     if not k or not l:
         raise EmptyPolytope("Minkowski sum of an empty vertex list")
+    _check_dimension(k + l, 3)
     seen = set()
     out: list[Point3] = []
     for p in k:

@@ -35,7 +35,8 @@ each axis's denominators cleared, which turns every value into an int
 until one division per reported value at the end. A :class:`Box3Bounds`
 clears its axes once, when built (``cleared``); the axis order in
 ``omega_normalize``, the pipeline, ``closed_form_volume`` and
-``extreme_points`` read those ints.
+``extreme_points`` read those ints, as does ``trivol sweep``, which
+clears each axis pair once with :func:`_cleared_axis`.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ from .geometry import (
     hull_volume_3d,
     orient,
     scale3,
-    tetra_volume,
 )
-from .mixed_volume import minkowski_sum_vertices, mixed_volume_against
+from .mixed_volume import _support_sum6, minkowski_sum_vertices
 
 __all__ = [
     "Box3Bounds",
@@ -485,7 +485,9 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     """Hull volume via slice integration, with every step double-checked.
 
     Slice volumes and mixed volumes are computed both from closed forms
-    and from generic geometry (determinants, support sums), and the
+    and from generic geometry (each oriented tetrahedron's ``det`` and
+    the support sum ``mixed_volume._support_sum6``, both already six
+    times their volume, so they are compared as they come), and the
     integral is evaluated analytically and by Simpson's rule. V(Q,R,R) reads
     only the bottom slice's support values, so it is checked flat or not.
     When a3 == 0 after normalization that slice is flat: its volume is 0,
@@ -516,23 +518,15 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
 
     q_pts, r_pts = _slice_points(a, b, a3), _slice_points(a, b, b3)
     r_tet = orient(r_pts)
-    _require_equal(6 * tetra_volume(r_tet), vol_r6, "top slice volume vs determinant", slice_scale)
+    _require_equal(r_tet.det, vol_r6, "top slice volume vs determinant", slice_scale)
     if a3 > 0:
         q_tet = orient(q_pts)
+        _require_equal(q_tet.det, vol_q6, "bottom slice volume vs determinant", slice_scale)
         _require_equal(
-            6 * tetra_volume(q_tet), vol_q6, "bottom slice volume vs determinant", slice_scale
-        )
-        _require_equal(
-            6 * mixed_volume_against(q_tet, r_pts),
-            v_qqr6,
-            "V(Q,Q,R) vs generic support sum",
-            slice_scale,
+            _support_sum6(q_tet, r_pts), v_qqr6, "V(Q,Q,R) vs generic support sum", slice_scale
         )
     _require_equal(
-        6 * mixed_volume_against(r_tet, q_pts),
-        v_qrr6,
-        "V(Q,R,R) vs generic support sum",
-        slice_scale,
+        _support_sum6(r_tet, q_pts), v_qrr6, "V(Q,R,R) vs generic support sum", slice_scale
     )
 
     # hull volume, 24 times over on the scaled box: _beta4 is 4 times the

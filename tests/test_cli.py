@@ -84,6 +84,14 @@ def test_volume_negative_first_bound_is_one_error_line_in_both_spellings(capsys)
         ["--bounds", "-.5,2,0,1,0,1", "--method", "oracle"],
     ):
         assert bad_input(capsys, "volume", *argv).startswith("error: need 0 <= a1 < b1")
+    # so is a value that argparse alone takes for an option, such as "-inf" or "-x"
+    for first in ("-inf", "-x", "-1"):
+        bounds = f"{first},1,0,1,0,1"
+        err = bad_input(capsys, "volume", "--bounds", bounds)
+        assert bad_input(capsys, "volume", f"--bounds={bounds}") == err
+    # a token starting with "--" stays an option: argparse's usage error
+    code, out, err = run_cli(capsys, "volume", "--bounds", "--file", "box.json")
+    assert (code, out) == (2, "") and "argument --bounds: expected one argument" in err
     code, out, err = run_cli(capsys, "normalize", "--bounds", "-1,2,0,1,0,1")
     assert code == 2 and err.count("\n") == 1 and err.count("error:") == 1
 

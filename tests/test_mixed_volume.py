@@ -97,6 +97,26 @@ def test_mixed_volume_reads_an_iterator_once():
     assert mixed_volume_against(t, iter(CUBE)) == mixed_volume_against(t, CUBE) > 0
 
 
+def test_support_sum6_is_six_times_the_mixed_volume():
+    rng = random.Random(53)
+    halved = orient([tuple(c / 2 for c in v) for v in SIMPLEX])
+    cases = [
+        (orient(SIMPLEX), CUBE),
+        (halved, OCTA),
+        (halved, [(F(1, 3), F(2), F(-1))]),  # one point
+        (orient(SIMPLEX), [v for v in CUBE if v[2] == 1]),  # a flat square
+    ]
+    cases += [(random_tetrahedron(rng), random_points(rng, 5)) for _ in range(20)]
+    for p, k in cases:
+        assert mixed_volume._support_sum6(p, k) == 6 * mixed_volume_against(p, k)
+        # the same bodies scaled by 6 onto ints: an int sum, 6^3 times larger
+        ip = orient([tuple(int(6 * c) for c in v) for v in p.vertices])
+        ik = [tuple(int(6 * c) for c in v) for v in k]
+        got = mixed_volume._support_sum6(ip, ik)
+        assert type(got) is int
+        assert got == 6 * mixed_volume_against(ip, ik) == 216 * mixed_volume._support_sum6(p, k)
+
+
 def test_minkowski_sum_vertices_reads_iterators_once():
     expected = minkowski_sum_vertices(CUBE, OCTA)
     assert len(expected) > len(OCTA)
@@ -119,6 +139,12 @@ def test_minkowski_sum_vertices():
     ]
     with pytest.raises(EmptyPolytope):
         minkowski_sum_vertices([], OCTA)
+    # a point that is not 3D, on either side, is an error rather than a sum of its first three
+    for p in ((1, 2), (1, 2, 3, 4)):
+        message = f"expected points of dimension 3, got one of dimension {len(p)}"
+        for k, l in (([p], OCTA), (OCTA, [p]), ([p], [p])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                minkowski_sum_vertices(k, l)
 
 
 def test_volume_cubic_cube_plus_octahedron():

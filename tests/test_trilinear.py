@@ -15,6 +15,7 @@ from trivol import (
     InvalidBounds,
     OmegaBox,
     OmegaViolated,
+    Tetrahedron,
     build_Q,
     build_R,
     closed_form_volume,
@@ -415,13 +416,17 @@ def _perturb(monkeypatch, route, call, bump=_plus_one):
     return calls
 
 
+def _det_plus_one(tet):
+    return Tetrahedron(tet.vertices, tet.det + 1)
+
+
 # (route as trilinear sees it, which call, how its value is bumped, the
 # check that must fire); the first four are the generic geometry routes
 PIPELINE_CHECKS = [
-    ("tetra_volume", 0, _plus_one, "top slice volume vs determinant"),
-    ("tetra_volume", 1, _plus_one, "bottom slice volume vs determinant"),
-    ("mixed_volume_against", 0, _plus_one, "V(Q,Q,R) vs generic support sum"),
-    ("mixed_volume_against", 1, _plus_one, "V(Q,R,R) vs generic support sum"),
+    ("orient", 0, _det_plus_one, "top slice volume vs determinant"),
+    ("orient", 1, _det_plus_one, "bottom slice volume vs determinant"),
+    ("_support_sum6", 0, _plus_one, "V(Q,Q,R) vs generic support sum"),
+    ("_support_sum6", 1, _plus_one, "V(Q,R,R) vs generic support sum"),
     ("_mixed_volume6", 0, _plus_one, "bottom-slice mixed volume vs product form"),
     (
         "_mixed_volumes6_from_z",
@@ -443,12 +448,12 @@ def test_each_pipeline_cross_check_can_fire(monkeypatch, route, call, bump, mess
 def test_flat_bottom_runs_one_check_per_generic_route(monkeypatch):
     flat = box((0, 0, 0), (F(3, 2), 4, F(2, 5)))
     expected = pipeline_volume(flat)
-    for route, message in (
-        ("tetra_volume", "top slice volume vs determinant"),
-        ("mixed_volume_against", "V(Q,R,R) vs generic support sum"),
+    for route, bump, message in (
+        ("orient", _det_plus_one, "top slice volume vs determinant"),
+        ("_support_sum6", _plus_one, "V(Q,R,R) vs generic support sum"),
     ):
         with monkeypatch.context() as patch:
-            _perturb(patch, route, 0)
+            _perturb(patch, route, 0, bump)
             with pytest.raises(InternalDisagreement, match=f"^{re.escape(message)}: "):
                 pipeline_volume(flat)
         with monkeypatch.context() as patch:
