@@ -88,9 +88,17 @@ def cross3(u: Vec3, v: Vec3) -> Vec3:
 
 
 def _edge_det(vertices: Sequence[Point3]) -> Fraction:
-    """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume."""
+    """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume of four
+    3D points. Another count or dimension raises :class:`ValueError`, and
+    a zero determinant :class:`DegenerateTetrahedron`."""
+    if len(vertices) != 4:
+        raise ValueError(f"expected 4 vertices, got {len(vertices)}")
+    _check_dimension(vertices, 3)
     v0 = vertices[0]
-    return _det([sub3(v, v0) for v in vertices[1:]])
+    d = _det([sub3(v, v0) for v in vertices[1:]])
+    if d == 0:
+        raise DegenerateTetrahedron(f"affinely dependent vertices: {vertices}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -99,19 +107,15 @@ class Tetrahedron:
 
     Positive orientation means the determinant of the edge vectors
     v1 - v0, v2 - v0, v3 - v0 is positive. ``det`` holds that determinant,
-    six times the volume; it is computed when not given, and
-    :func:`orient`, which has already computed it, passes it in. Use
-    :func:`orient` to construct one from an arbitrarily ordered vertex
-    tuple.
+    six times the volume, computed from the vertices. Use :func:`orient`
+    to construct one from an arbitrarily ordered vertex tuple.
     """
 
     vertices: tuple[Point3, Point3, Point3, Point3]
-    det: Fraction | int = field(default=None, compare=False, repr=False)
+    det: Fraction | int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = _edge_det(self.vertices) if self.det is None else self.det
-        if d == 0:
-            raise DegenerateTetrahedron(f"affinely dependent vertices: {self.vertices}")
+        d = _edge_det(self.vertices)
         if d < 0:
             raise ValueError("negatively oriented vertex order; build via orient()")
         object.__setattr__(self, "det", d)
@@ -121,16 +125,16 @@ def orient(vertices: Sequence[Point3]) -> Tetrahedron:
     """Build a positively oriented tetrahedron from four points.
 
     A negatively oriented input is repaired by swapping the first two
-    vertices; on coplanar input the :class:`Tetrahedron` constructor
-    raises :class:`DegenerateTetrahedron`.
+    vertices; coplanar input raises :class:`DegenerateTetrahedron`. The
+    one determinant computed is stored as the result's ``det``.
     """
-    if len(vertices) != 4:
-        raise ValueError(f"expected 4 vertices, got {len(vertices)}")
     vs = tuple(vertices)
     d = _edge_det(vs)
     if d < 0:
         vs, d = (vs[1], vs[0], vs[2], vs[3]), -d
-    return Tetrahedron(vs, d)
+    t = object.__new__(Tetrahedron)
+    t.__dict__.update(vertices=vs, det=d)
+    return t
 
 
 def _facet_cross_products(t: Tetrahedron) -> tuple[Vec3, Vec3, Vec3, Vec3]:
@@ -168,11 +172,13 @@ def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
     """Support value of the hull of ``vertices`` in direction ``u``.
 
     The maximum of the dot product over the vertices; positively
-    homogeneous in ``u``.
+    homogeneous in ``u``. A point or direction that is not 3D raises
+    :class:`ValueError`.
     """
+    u0, u1, u2 = u
     best: Fraction | None = None
-    for v in vertices:
-        d = dot3(v, u)
+    for v0, v1, v2 in vertices:
+        d = v0 * u0 + v1 * u1 + v2 * u2
         if best is None or d > best:
             best = d
     if best is None:

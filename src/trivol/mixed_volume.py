@@ -30,9 +30,11 @@ k_i + t*l_j of one pair of points (i, j): the pair of the unique
 vertices of K and L that are extreme in the vertex's normal cone. The
 facets of K + L, restricted to its vertices, and one pulling
 triangulation read from them serve every t; only the vertex coordinates
-move. Two checks certify this on every call, in the sense of McConnell,
-Mehlhorn, Naeher and Schweitzer, "Certifying algorithms" (2011), at a
-cost of O(facets * vertices) each:
+move. One pass over the pairs (``_pair_sums``) forms every sum, the
+index of each pair's sum and the first pair of each. Two checks certify
+this on every call, in the sense of McConnell, Mehlhorn, Naeher and
+Schweitzer, "Certifying algorithms" (2011), at a cost of
+O(facets * vertices) each:
 
 * closure, once: every facet with m vertices shares exactly two vertices
   (an edge) with exactly m other facets, and no two facets share more.
@@ -42,9 +44,9 @@ cost of O(facets * vertices) each:
   every sum on its plane (a sum is on the face in direction u exactly
   when it is some k_i + l_j with both points extreme in u), so closure
   is what proves that the fan route missed none;
-* support, at t = 2 and 3: the plane through each facet's first three
-  vertices has every vertex weakly on one side and holds exactly that
-  facet's vertices.
+* support, at t = 2 and 3: each facet's vertices are exactly the ones
+  with the largest, or the smallest, dot product with the normal of the
+  plane through its first three (``_extreme_faces``).
 
 Either failing raises :class:`InternalDisagreement`, with its own message.
 """
@@ -171,26 +173,38 @@ def fit_cubic(ts: Sequence[object], values: Sequence[Fraction]) -> VolumeCubic:
     return VolumeCubic(c0, c1, c2, c3)
 
 
-def _first_pairs(
+def _pair_sums(
     ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Each distinct lattice sum ik[i] + il[j], mapped to its first (i, j)
-    in k-major order."""
-    pairs: dict[tuple[int, ...], tuple[int, int]] = {}
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[list[int]]]:
+    """The distinct lattice sums ik[i] + il[j] in k-major order of first
+    occurrence, the first (i, j) of each, and ``at[i][j]``, the index of
+    ik[i] + il[j] among the sums; in one pass over the pairs."""
+    index: dict[tuple[int, ...], int] = {}
+    firsts: list[tuple[int, int]] = []
+    at = []
     for i, (a0, a1, a2) in enumerate(ik):
+        row = []
         for j, (b0, b1, b2) in enumerate(il):
-            pairs.setdefault((a0 + b0, a1 + b1, a2 + b2), (i, j))
-    return pairs
+            s = (a0 + b0, a1 + b1, a2 + b2)
+            if s not in index:
+                index[s] = len(firsts)
+                firsts.append((i, j))
+            row.append(index[s])
+        at.append(row)
+    return list(index), firsts, at
 
 
 def _sum_facets(
-    ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]], sums: Sequence[tuple[int, ...]]
+    ik: Sequence[tuple[int, ...]],
+    il: Sequence[tuple[int, ...]],
+    sums: Sequence[tuple[int, ...]],
+    at: Sequence[Sequence[int]],
 ) -> list[tuple[int, ...]]:
     """The facets of K + L, read off the normal fans of K and L, as the
     ascending indices of the ``sums`` on each; sorted.
 
-    ``sums`` are the distinct lattice sums ik[i] + il[j]. The face of K + L
-    in direction u is F_K(u) + F_L(u), so a facet's normal is a facet
+    ``sums`` and ``at`` are as :func:`_pair_sums` returns them. The face
+    of K + L in direction u is F_K(u) + F_L(u), so a facet's normal is a facet
     normal of K or of L, or is perpendicular to an edge of each: a cross
     product of two point differences of K or L. Each such product, made
     primitive with its sign fixed, is a candidate; its max face and its
@@ -200,7 +214,6 @@ def _sum_facets(
     dimensions raise :class:`DegenerateHull`, as in
     :func:`trivol.geometry._hull_facets`.
     """
-    index = {s: n for n, s in enumerate(sums)}
     diffs = list({
         (q0 - p0, q1 - p1, q2 - p2)
         for body in (ik, il)
@@ -218,7 +231,6 @@ def _sum_facets(
                 if n0 < 0 or not n0 and (n1 < 0 or not n1 and n2 < 0):
                     g = -g  # the first nonzero entry becomes positive
                 normals.add((n0 // g, n1 // g, n2 // g))
-    at = [[index[add3(p, q)] for q in il] for p in ik]
     facets = []
     for u in normals:
         (kmax, kmin), (lmax, lmin) = _extreme_faces(ik, u), _extreme_faces(il, u)
@@ -305,35 +317,16 @@ def _check_closed(facets: Sequence[tuple[int, ...]]) -> None:
 def _check_planes(
     placed: Sequence[tuple[int, ...]], facets: Sequence[tuple[int, ...]], t: int
 ) -> None:
-    """Raise unless each facet's plane through its first three placed
-    vertices has every vertex weakly on one side, and zero exactly on the
-    facet's incident vertices."""
+    """Raise unless the plane through each facet's first three placed
+    vertices has every vertex weakly on one side and holds exactly that
+    facet's vertices: they are one of its two extreme faces."""
     for f, incident in enumerate(facets):
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (placed[v] for v in incident[:3])
-        x0, x1, x2 = b0 - a0, b1 - a1, b2 - a2
-        y0, y1, y2 = c0 - a0, c1 - a1, c2 - a2
-        n0 = x1 * y2 - x2 * y1
-        n1 = x2 * y0 - x0 * y2
-        n2 = x0 * y1 - x1 * y0
-        offset = n0 * a0 + n1 * a1 + n2 * a2
-        above = below = False
-        on = []
-        for v, (p0, p1, p2) in enumerate(placed):
-            side = n0 * p0 + n1 * p1 + n2 * p2 - offset
-            if side > 0:
-                above = True
-            elif side < 0:
-                below = True
-            else:
-                on.append(v)
-        if above and below:
+        a, b, c = (placed[v] for v in incident[:3])
+        top, bottom = _extreme_faces(placed, cross3(sub3(b, a), sub3(c, a)))
+        if list(incident) not in (top, bottom):
             raise InternalDisagreement(
-                f"facet {f} does not support K + {t}L: vertices lie on both sides of its plane"
-            )
-        if tuple(on) != incident:
-            raise InternalDisagreement(
-                f"facet {f} does not support K + {t}L: its plane holds vertices {on},"
-                f" not {list(incident)}"
+                f"facet {f} does not support K + {t}L: its vertices {list(incident)} are"
+                f" neither extreme face {top} nor {bottom} of its plane"
             )
 
 
@@ -363,17 +356,16 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     ipts, (scales, _, divisors) = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
     unit = Fraction(prod(divisors), 6 * prod(scales))
-    pairs = _first_pairs(ik, il)
-    sums = list(pairs)
-    vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums))
+    sums, firsts, at = _pair_sums(ik, il)
+    vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums, at))
     _check_closed(facets)
     simplices = list(_pulling_simplices(facets, 3))
     # the check above already found Vol(K + 0L) = Vol(K)
     placed = [sums[p] for p in vertices]
     values = [volumes[0], _pulling_volume(placed, simplices) * unit]
-    vertex_pairs = [pairs[p] for p in placed]
+    pairs = [(ik[i], il[j]) for i, j in (firsts[p] for p in vertices)]
     for t in (2, 3):
-        placed = [tuple(a + t * b for a, b in zip(ik[i], il[j])) for i, j in vertex_pairs]
+        placed = [(a0 + t * b0, a1 + t * b1, a2 + t * b2) for (a0, a1, a2), (b0, b1, b2) in pairs]
         _check_planes(placed, facets, t)
         values.append(_pulling_volume(placed, simplices) * unit)
     cubic = fit_cubic((0, 1, 2, 3), values)

@@ -112,6 +112,21 @@ def test_tetrahedron_constructor_rejects_negative_orientation():
         Tetrahedron((E1, ORIGIN, E2, E3))
 
 
+def test_tetrahedron_computes_its_det_and_rejects_malformed_vertices():
+    t = Tetrahedron(tuple(SIMPLEX))
+    assert t.det == orient(SIMPLEX).det == 1
+    with pytest.raises(TypeError):
+        Tetrahedron(tuple(SIMPLEX), 5)  # a given det is not trusted
+    for build in (Tetrahedron, orient):
+        for vertices in (SIMPLEX[:3], SIMPLEX + [E1]):
+            with pytest.raises(ValueError, match=f"^expected 4 vertices, got {len(vertices)}$"):
+                build(tuple(vertices))
+        for vertices in ([v[:2] for v in SIMPLEX], [(*v, F(1)) for v in SIMPLEX]):
+            message = f"expected points of dimension 3, got one of dimension {len(vertices[0])}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(tuple(vertices))
+
+
 def test_facet_normals_of_standard_simplex():
     got = sorted(facet_normal_set(orient(SIMPLEX)))
     want = sorted(
@@ -178,6 +193,13 @@ def test_support_is_positively_homogeneous():
 def test_support_of_nothing_is_an_error():
     with pytest.raises(EmptyPolytope):
         support([], (F(1), F(0), F(0)))
+
+
+def test_support_rejects_points_and_directions_that_are_not_3d():
+    for bad in ((1, 2), (1, 2, 3, 4)):
+        for vertices, u in (([bad], (1, 1, 1)), ([E1, bad], (1, 1, 1)), ([E1], bad)):
+            with pytest.raises(ValueError):
+                support(vertices, u)
 
 
 def test_tetra_volume_values():

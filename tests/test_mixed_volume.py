@@ -92,6 +92,15 @@ def test_mixed_volume_rejects_empty_body():
         mixed_volume_against(orient(SIMPLEX), [])
 
 
+def test_mixed_volume_rejects_points_that_are_not_3d():
+    t = orient(SIMPLEX)
+    for bad in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            mixed_volume_against(t, [bad])
+        with pytest.raises(ValueError):
+            mixed_volume_against(t, [(F(0), F(0), F(0)), bad])
+
+
 def test_mixed_volume_reads_an_iterator_once():
     t = orient(SIMPLEX)
     assert mixed_volume_against(t, iter(CUBE)) == mixed_volume_against(t, CUBE) > 0
@@ -289,10 +298,10 @@ def fan_and_scan_facets(k, l):
     sums, sorted alike; a DegenerateHull from either stands for its list."""
     ipts, _ = geometry._clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
-    sums = list(mixed_volume._first_pairs(ik, il))
+    sums, _, at = mixed_volume._pair_sums(ik, il)
     got = []
     for facets in (
-        lambda: mixed_volume._sum_facets(ik, il, sums),
+        lambda: mixed_volume._sum_facets(ik, il, sums, at),
         lambda: sorted(incident for _, incident in geometry._hull_facets(sums)),
     ):
         try:
@@ -300,6 +309,24 @@ def fan_and_scan_facets(k, l):
         except DegenerateHull as exc:
             got.append(type(exc))
     return got
+
+
+def test_pair_sums_index_every_pair_once():
+    coincident = []
+    for k, l in [(CUBE, OCTA), *WITH_EXTRA_POINTS]:
+        ipts, _ = geometry._clear_denominators([*k, *l], 3)
+        ik, il = ipts[: len(k)], ipts[len(k) :]
+        sums, firsts, at = mixed_volume._pair_sums(ik, il)
+        assert sums == minkowski_sum_vertices(ik, il)
+        pairs = list(product(range(len(ik)), range(len(il))))  # k-major
+        first = {}
+        for i, j in pairs:
+            assert sums[at[i][j]] == geometry.add3(ik[i], il[j])
+            first.setdefault(at[i][j], (i, j))
+        assert firsts == [first[n] for n in range(len(sums))]
+        coincident.append(len(pairs) - len(firsts))
+    # pairs whose sum an earlier pair already formed
+    assert coincident == [12, 16, 37, 0, 12]
 
 
 def test_sum_facets_match_the_scan_of_the_sums():
@@ -342,8 +369,9 @@ def test_sum_facets_on_flat_and_empty_bodies():
     # an empty body has no sums, so no face of K + L spans a plane
     for ik, il in [([], [(0, 0, 0)]), ([], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])]:
         for k, l in [(ik, il), (il, ik)]:
+            sums, _, at = mixed_volume._pair_sums(k, l)
             with pytest.raises(DegenerateHull):
-                mixed_volume._sum_facets(k, l, [])
+                mixed_volume._sum_facets(k, l, sums, at)
 
 
 @pytest.fixture
@@ -353,8 +381,8 @@ def recorded_facets(monkeypatch):
     real = mixed_volume._sum_facets
     lists = []
 
-    def record(ik, il, sums):
-        lists.append(real(ik, il, sums))
+    def record(*args):
+        lists.append(real(*args))
         return lists[-1]
 
     monkeypatch.setattr(mixed_volume, "_sum_facets", record)
@@ -368,26 +396,25 @@ def test_volume_cubic_closure_check_catches_a_dropped_facet(monkeypatch, recorde
     for (k, l), facets in zip(WITH_EXTRA_POINTS, recorded_facets[1]):
         for drop in range(len(facets)):
             dropped = facets[:drop] + facets[drop + 1 :]
-            monkeypatch.setattr(mixed_volume, "_sum_facets", lambda ik, il, sums: dropped)
+            monkeypatch.setattr(mixed_volume, "_sum_facets", lambda *args: dropped)
             with pytest.raises(InternalDisagreement, match="^facets of K \\+ L do not close: "):
                 volume_cubic(k, l)
 
 
 def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, recorded_facets):
-    real = mixed_volume._first_pairs
+    real = mixed_volume._pair_sums
     caught = []
     for (k, l), expected in zip(WITH_EXTRA_POINTS, recorded_facets[0]):
         caught.append(0)
         for n in range(len(minkowski_sum_vertices(k, l))):
 
             def mis_mapped(ik, il):
-                pairs = real(ik, il)
-                wrong = list(pairs)[n]
-                i, j = pairs[wrong]
-                pairs[wrong] = (i, (j + 1) % len(il))
-                return pairs
+                sums, firsts, at = real(ik, il)
+                i, j = firsts[n]
+                firsts[n] = (i, (j + 1) % len(il))
+                return sums, firsts, at
 
-            monkeypatch.setattr(mixed_volume, "_first_pairs", mis_mapped)
+            monkeypatch.setattr(mixed_volume, "_pair_sums", mis_mapped)
             try:
                 got = volume_cubic(k, l)
             except InternalDisagreement as exc:
@@ -397,6 +424,29 @@ def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, 
                 assert got == expected  # a sum that is not a vertex is never placed
     # a mis-mapped pair is caught exactly at the vertices of K + L
     assert caught == VERTEX_COUNTS
+
+
+def test_check_planes_on_real_and_planted_facets(monkeypatch):
+    real = mixed_volume._check_planes
+    calls = []
+    monkeypatch.setattr(mixed_volume, "_check_planes", lambda *args: calls.append(args))
+    volume_cubic(*WITH_EXTRA_POINTS[0])
+    assert [t for _, _, t in calls] == [2, 3]
+    for args in calls:
+        real(*args)
+    # the unit cube, vertex 4x + 2y + z at (x, y, z), with its six facets
+    cube = list(product((0, 1), repeat=3))
+    facets = [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)]
+    real(cube, facets, 2)
+    pointed = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]
+    planted = [
+        (cube, [facets[0], (0, 3, 5)]),  # vertices on both sides of the plane
+        (cube, [facets[0], (0, 2, 4)]),  # vertex 6 on the plane too
+        (pointed, [(0, 3, 4), (0, 1, 2, 3)]),  # collinear first three: every vertex "on" it
+    ]
+    for placed, wrong in planted:
+        with pytest.raises(InternalDisagreement, match="^facet 1 does not support K \\+ 2L: "):
+            real(placed, wrong, 2)
 
 
 def test_fit_cubic_recovers_known_polynomial():

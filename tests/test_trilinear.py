@@ -1,5 +1,6 @@
 """Normalization, slice tetrahedra, support maxima, integration, volumes."""
 
+import copy
 import pickle
 import random
 import re
@@ -417,7 +418,11 @@ def _perturb(monkeypatch, route, call, bump=_plus_one):
 
 
 def _det_plus_one(tet):
-    return Tetrahedron(tet.vertices, tet.det + 1)
+    """A copy of ``tet`` whose stored determinant is one too large, which
+    the constructor, computing its own, cannot build."""
+    bumped = copy.copy(tet)
+    object.__setattr__(bumped, "det", tet.det + 1)
+    return bumped
 
 
 # (route as trilinear sees it, which call, how its value is bumped, the
