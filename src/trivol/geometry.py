@@ -25,10 +25,11 @@ taken in a lower dimension. At the scale this package works with (a few
 dozen points) that is fast enough, and it avoids the degeneracy handling
 an incremental hull algorithm would need to get exact answers. Flat
 input is found by the same scan, with no separate rank test.
-``trivol.mixed_volume.volume_cubic`` scans no sums: it reads the facets
-of a Minkowski sum off the normal fans of its two bodies, then runs the
-triangulation itself, to measure one face lattice at several placements
-of its vertices.
+``trivol.mixed_volume.volume_cubic`` scans no 3-subsets of sums: it
+reads the candidate facet normals of a Minkowski sum off the normal fans
+of its two bodies and takes each one's extreme faces among the sums,
+then runs the triangulation itself, to measure one face lattice at
+several placements of its vertices.
 """
 
 from __future__ import annotations
@@ -115,10 +116,11 @@ class Tetrahedron:
     det: Fraction | int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = _edge_det(self.vertices)
+        vs = tuple(self.vertices)
+        d = _edge_det(vs)
         if d < 0:
             raise ValueError("negatively oriented vertex order; build via orient()")
-        object.__setattr__(self, "det", d)
+        self.__dict__.update(vertices=vs, det=d)
 
 
 def orient(vertices: Sequence[Point3]) -> Tetrahedron:

@@ -16,24 +16,23 @@ monomial coefficients), giving a route to the same quantities that never
 touches a support function. The fitted c3 must equal Vol(L), computed
 directly; a mismatch raises :class:`InternalDisagreement`.
 
-The facets of K + L are read off the normal fans of K and L, with no
-hull scan of the sums. For t > 0 the normal fan of K + tL is the common
-refinement of the fans of K and L, which does not depend on t
+The facet normals of K + L are read off the normal fans of K and L, with
+no hull scan of the sums. For t > 0 the normal fan of K + tL is the
+common refinement of the fans of K and L, which does not depend on t
 (Schneider, *Convex Bodies*, section 2.4): the face in direction u is
 F_K(u) + t F_L(u). So a facet's normal is a facet normal of K or of L,
 or is perpendicular to an edge of each, and every candidate is a cross
 product of two point differences of K or L. ``_sum_facets`` keeps the
-candidate faces whose sums span a plane, so each facet is found with its
-split into a face F_K of K and a face F_L of L. The face lattice of
-K + tL does not depend on t either, and each vertex stays the sum
-k_i + t*l_j of one pair of points (i, j): the pair of the unique
-vertices of K and L that are extreme in the vertex's normal cone. The
-facets of K + L, restricted to its vertices, and one pulling
-triangulation read from them serve every t; only the vertex coordinates
-move. One pass over the pairs (``_pair_sums``) forms every sum, the
-index of each pair's sum and the first pair of each. Two checks certify
-this on every call, in the sense of McConnell, Mehlhorn, Naeher and
-Schweitzer, "Certifying algorithms" (2011), at a cost of
+extreme faces of the sums in the candidate directions that span a plane
+(``_extreme_faces``). The face lattice of K + tL does not depend on t
+either, and each vertex stays the sum k_i + t*l_j of one pair of points
+(i, j): the pair of the unique vertices of K and L that are extreme in
+the vertex's normal cone. The facets of K + L, restricted to its
+vertices, and one pulling triangulation read from them serve every t;
+only the vertex coordinates move. One pass over the pairs
+(``_pair_sums``) forms every sum and the first pair of each. Two checks
+certify this on every call, in the sense of McConnell, Mehlhorn, Naeher
+and Schweitzer, "Certifying algorithms" (2011), at a cost of
 O(facets * vertices) each:
 
 * closure, once: every facet with m vertices shares exactly two vertices
@@ -41,9 +40,8 @@ O(facets * vertices) each:
   Every edge of a listed facet then borders another listed facet, and
   the facets of a 3-polytope are connected through their edges, so the
   list holds them all. Each listed face is a facet by construction, with
-  every sum on its plane (a sum is on the face in direction u exactly
-  when it is some k_i + l_j with both points extreme in u), so closure
-  is what proves that the fan route missed none;
+  every sum on its plane, so closure is what proves that the fan route
+  missed none;
 * support, at t = 2 and 3: each facet's vertices are exactly the ones
   with the largest, or the smallest, dot product with the normal of the
   plane through its first three (``_extreme_faces``).
@@ -175,43 +173,33 @@ def fit_cubic(ts: Sequence[object], values: Sequence[Fraction]) -> VolumeCubic:
 
 def _pair_sums(
     ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[list[int]]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
     """The distinct lattice sums ik[i] + il[j] in k-major order of first
-    occurrence, the first (i, j) of each, and ``at[i][j]``, the index of
-    ik[i] + il[j] among the sums; in one pass over the pairs."""
-    index: dict[tuple[int, ...], int] = {}
-    firsts: list[tuple[int, int]] = []
-    at = []
+    occurrence, and the first (i, j) of each; in one pass over the pairs."""
+    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
     for i, (a0, a1, a2) in enumerate(ik):
-        row = []
         for j, (b0, b1, b2) in enumerate(il):
-            s = (a0 + b0, a1 + b1, a2 + b2)
-            if s not in index:
-                index[s] = len(firsts)
-                firsts.append((i, j))
-            row.append(index[s])
-        at.append(row)
-    return list(index), firsts, at
+            firsts.setdefault((a0 + b0, a1 + b1, a2 + b2), (i, j))
+    return list(firsts), list(firsts.values())
 
 
 def _sum_facets(
     ik: Sequence[tuple[int, ...]],
     il: Sequence[tuple[int, ...]],
     sums: Sequence[tuple[int, ...]],
-    at: Sequence[Sequence[int]],
 ) -> list[tuple[int, ...]]:
-    """The facets of K + L, read off the normal fans of K and L, as the
-    ascending indices of the ``sums`` on each; sorted.
+    """The facets of K + L, as the ascending indices of the ``sums`` (as
+    :func:`_pair_sums` returns them) on each; sorted.
 
-    ``sums`` and ``at`` are as :func:`_pair_sums` returns them. The face
-    of K + L in direction u is F_K(u) + F_L(u), so a facet's normal is a facet
+    The normal fans of K and L give the candidate normals: the face of
+    K + L in direction u is F_K(u) + F_L(u), so a facet's normal is a facet
     normal of K or of L, or is perpendicular to an edge of each: a cross
     product of two point differences of K or L. Each such product, made
-    primitive with its sign fixed, is a candidate; its max face and its
-    min face (the max face of -u) are facets when their distinct sums are
-    not collinear. Nothing here shows that no facet is missed; the closure
-    check in :func:`volume_cubic` does. Sums that do not span three
-    dimensions raise :class:`DegenerateHull`, as in
+    primitive with its sign fixed, is a candidate; the max and the min
+    face of the sums in its direction (:func:`_extreme_faces`) are facets
+    when they are not collinear. Nothing here shows that no facet is
+    missed; the closure check in :func:`volume_cubic` does. Sums that do
+    not span three dimensions raise :class:`DegenerateHull`, as in
     :func:`trivol.geometry._hull_facets`.
     """
     diffs = list({
@@ -233,9 +221,7 @@ def _sum_facets(
                 normals.add((n0 // g, n1 // g, n2 // g))
     facets = []
     for u in normals:
-        (kmax, kmin), (lmax, lmin) = _extreme_faces(ik, u), _extreme_faces(il, u)
-        for fk, fl in ((kmax, lmax), (kmin, lmin)):
-            incident = sorted({at[i][j] for i in fk for j in fl})
+        for incident in _extreme_faces(sums, u):
             if len(incident) == len(sums):
                 raise DegenerateHull("points do not span 3 dimensions")
             if len(incident) < 3:
@@ -356,8 +342,8 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     ipts, (scales, _, divisors) = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
     unit = Fraction(prod(divisors), 6 * prod(scales))
-    sums, firsts, at = _pair_sums(ik, il)
-    vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums, at))
+    sums, firsts = _pair_sums(ik, il)
+    vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums))
     _check_closed(facets)
     simplices = list(_pulling_simplices(facets, 3))
     # the check above already found Vol(K + 0L) = Vol(K)

@@ -186,8 +186,9 @@ class OmegaBox:
     perm: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        if sorted(self.perm) != [1, 2, 3]:
-            raise ValueError(f"perm must be a permutation of (1, 2, 3), got {self.perm}")
+        self.__dict__["perm"] = perm = tuple(self.perm)
+        if sorted(perm) != [1, 2, 3]:
+            raise ValueError(f"perm must be a permutation of (1, 2, 3), got {perm}")
         if not _ratios_ordered(*self.bounds.cleared[:2]):
             raise OmegaViolated(f"bounds do not satisfy the ordering condition: {self.bounds}")
 
@@ -420,19 +421,14 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
     The expression is symmetric in axes 2 and 3 but not in axis 1; apply
     it only to normalized bounds (or use :func:`closed_form_volume`).
     Bounds may be Fractions or ints. The formula runs on the integer
-    bounds from :func:`_cleared_axis` (see :func:`_formula_volume`).
+    bounds from :func:`_cleared_axis` (see :func:`_formula_ratio`).
     """
-    return _formula_volume(*zip(*map(_cleared_axis, a, b)))
-
-
-def _formula_volume(ia: tuple, ib: tuple, d: tuple) -> Fraction:
-    """Closed-form hull volume from cleared bounds ``ia``, ``ib`` and the
-    per-axis scales ``d``; see :func:`_formula_ratio`."""
-    return Fraction(*_formula_ratio(ia, ib, d))
+    return Fraction(*_formula_ratio(*zip(*map(_cleared_axis, a, b))))
 
 
 def _formula_ratio(ia: tuple, ib: tuple, d: tuple) -> tuple[int, int]:
-    """:func:`_formula_volume` as its numerator and denominator in lowest
+    """Closed-form hull volume from cleared bounds ``ia``, ``ib`` and the
+    per-axis scales ``d``, as its numerator and denominator in lowest
     terms, with no Fraction built: the volume on the integer box is
     (D1*D2*D3)^2 times larger, so it divides once, by one gcd."""
     d1, d2, d3 = d
@@ -444,7 +440,7 @@ def _formula_ratio(ia: tuple, ib: tuple, d: tuple) -> tuple[int, int]:
 def closed_form_volume(box: Box3Bounds) -> Fraction:
     """Hull volume by formula: normalize the axis order, then evaluate on
     the normalized box's ``cleared`` ints."""
-    return _formula_volume(*omega_normalize(box).bounds.cleared)
+    return Fraction(*_formula_ratio(*omega_normalize(box).bounds.cleared))
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,13 @@ def test_volume_all_runs_each_method_once(capsys, monkeypatch):
 
 
 def test_volume_all_checks_the_formula_value_it_prints(capsys, monkeypatch):
-    real = trilinear._formula_volume
-    monkeypatch.setattr(trilinear, "_formula_volume", lambda ia, ib, d: real(ia, ib, d) + 1)
+    real = trilinear._formula_ratio
+
+    def plus_one(ia, ib, d):
+        p, q = real(ia, ib, d)
+        return p + q, q
+
+    monkeypatch.setattr(trilinear, "_formula_ratio", plus_one)
     code, out, _ = run_cli(capsys, "volume", "--bounds", "1,2,1,3,2,5")
     assert code == 3
     doc = json.loads(out)

@@ -115,6 +115,9 @@ def test_tetrahedron_constructor_rejects_negative_orientation():
 def test_tetrahedron_computes_its_det_and_rejects_malformed_vertices():
     t = Tetrahedron(tuple(SIMPLEX))
     assert t.det == orient(SIMPLEX).det == 1
+    # a vertex list is stored as a tuple, so it hashes and equals orient's result
+    listed = Tetrahedron(SIMPLEX)
+    assert listed == orient(SIMPLEX) and hash(listed) == hash(orient(SIMPLEX))
     with pytest.raises(TypeError):
         Tetrahedron(tuple(SIMPLEX), 5)  # a given det is not trusted
     for build in (Tetrahedron, orient):

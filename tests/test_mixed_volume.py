@@ -298,10 +298,10 @@ def fan_and_scan_facets(k, l):
     sums, sorted alike; a DegenerateHull from either stands for its list."""
     ipts, _ = geometry._clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
-    sums, _, at = mixed_volume._pair_sums(ik, il)
+    sums, _ = mixed_volume._pair_sums(ik, il)
     got = []
     for facets in (
-        lambda: mixed_volume._sum_facets(ik, il, sums, at),
+        lambda: mixed_volume._sum_facets(ik, il, sums),
         lambda: sorted(incident for _, incident in geometry._hull_facets(sums)),
     ):
         try:
@@ -316,13 +316,12 @@ def test_pair_sums_index_every_pair_once():
     for k, l in [(CUBE, OCTA), *WITH_EXTRA_POINTS]:
         ipts, _ = geometry._clear_denominators([*k, *l], 3)
         ik, il = ipts[: len(k)], ipts[len(k) :]
-        sums, firsts, at = mixed_volume._pair_sums(ik, il)
+        sums, firsts = mixed_volume._pair_sums(ik, il)
         assert sums == minkowski_sum_vertices(ik, il)
         pairs = list(product(range(len(ik)), range(len(il))))  # k-major
         first = {}
         for i, j in pairs:
-            assert sums[at[i][j]] == geometry.add3(ik[i], il[j])
-            first.setdefault(at[i][j], (i, j))
+            first.setdefault(sums.index(geometry.add3(ik[i], il[j])), (i, j))
         assert firsts == [first[n] for n in range(len(sums))]
         coincident.append(len(pairs) - len(firsts))
     # pairs whose sum an earlier pair already formed
@@ -369,9 +368,9 @@ def test_sum_facets_on_flat_and_empty_bodies():
     # an empty body has no sums, so no face of K + L spans a plane
     for ik, il in [([], [(0, 0, 0)]), ([], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])]:
         for k, l in [(ik, il), (il, ik)]:
-            sums, _, at = mixed_volume._pair_sums(k, l)
+            sums, _ = mixed_volume._pair_sums(k, l)
             with pytest.raises(DegenerateHull):
-                mixed_volume._sum_facets(k, l, sums, at)
+                mixed_volume._sum_facets(k, l, sums)
 
 
 @pytest.fixture
@@ -409,10 +408,10 @@ def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, 
         for n in range(len(minkowski_sum_vertices(k, l))):
 
             def mis_mapped(ik, il):
-                sums, firsts, at = real(ik, il)
+                sums, firsts = real(ik, il)
                 i, j = firsts[n]
                 firsts[n] = (i, (j + 1) % len(il))
-                return sums, firsts, at
+                return sums, firsts
 
             monkeypatch.setattr(mixed_volume, "_pair_sums", mis_mapped)
             try:

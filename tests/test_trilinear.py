@@ -139,6 +139,11 @@ class TestNormalization:
         with pytest.raises(ValueError):
             OmegaBox(UNIT, (1, 1, 3))
 
+    def test_omega_box_stores_perm_as_a_tuple(self):
+        b = box((1, 2, 1), (3, 5, 2))  # a_i/b_i = 1/3 < 2/5 < 1/2: already ordered
+        listed = OmegaBox(b, [1, 2, 3])
+        assert listed == omega_normalize(b) and hash(listed) == hash(omega_normalize(b))
+
 
 class TestOrderingChecks:
     def test_zero_lower_corner_always_ordered(self):
