@@ -216,14 +216,18 @@ def _clear_denominators(
     so it keeps incidences and facets, and the hull volume of the lattice
     points is prod(s_k / g_k) times the original one. Returned with the
     map as (scales, shifts, divisors). A point whose length is not ``dim``
-    raises :class:`ValueError`.
+    or a coordinate that is not an int or a Fraction raises ValueError.
     """
     _check_dimension(points, dim)
     columns = []
     axes = []
     for k in range(dim):
         xs = [p[k] for p in points]
-        s = lcm(*[x.denominator for x in xs])
+        try:
+            s = lcm(*[x.denominator for x in xs])
+        except AttributeError:
+            bad = next(x for x in xs if not hasattr(x, "denominator"))
+            raise ValueError(f"coordinate {bad!r} is not an int or a Fraction") from None
         # an integral axis (s = 1) or a reduced one (g = 1) skips its no-op pass
         if s > 1:
             cs = [x.numerator * (s // x.denominator) for x in xs]

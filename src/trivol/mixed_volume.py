@@ -71,6 +71,7 @@ from .geometry import (
     sub3,
     support,
 )
+from .rational import parse_rational
 
 __all__ = [
     "VolumeCubic",
@@ -105,7 +106,7 @@ class VolumeCubic:
         return self.c2 / 3
 
     def value_at(self, t: object) -> Fraction:
-        s = Fraction(t)
+        s = parse_rational(t)
         return self.c0 + self.c1 * s + self.c2 * s * s + self.c3 * s * s * s
 
 
@@ -149,16 +150,16 @@ def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Poi
     return out
 
 
-def fit_cubic(ts: Sequence[object], values: Sequence[Fraction]) -> VolumeCubic:
-    """Exact degree-3 interpolation through four (t, value) pairs: Newton's
-    divided differences d0..d3, expanded into monomial coefficients by three
-    Horner steps."""
+def fit_cubic(ts: Sequence[object], values: Sequence[object]) -> VolumeCubic:
+    """Exact degree-3 interpolation through four (t, value) pairs read by
+    :func:`parse_rational`: Newton's divided differences d0..d3, expanded
+    into monomial coefficients by three Horner steps."""
     if len(ts) != 4 or len(values) != 4:
         raise ValueError("cubic interpolation needs exactly four nodes")
-    x = [Fraction(t) for t in ts]
+    x = [parse_rational(t) for t in ts]
     if len(set(x)) != 4:
         raise ValueError("interpolation nodes must be distinct")
-    d = list(values)
+    d = [parse_rational(v) for v in values]
     # in place, highest index first: d[i] becomes f[x_(i-k), ..., x_i]
     for k in range(1, 4):
         for i in range(3, k - 1, -1):

@@ -1,9 +1,10 @@
-"""Exact scalar type plus its on-the-wire string form.
+"""Exact scalar type, the one reader of outside numbers, and the wire form.
 
 ``fractions.Fraction`` already is an arbitrary-precision rational kept in
 lowest terms with a positive denominator, so the package uses it directly
-as its scalar type. This module adds the "p/q" string round-trip used by
-the CLI and by the JSON/CSV file formats.
+as its scalar type. :func:`parse_rational` is the package's one reader of
+outside numbers, for the CLI, the JSON/CSV files and the library alike;
+:func:`format_rational` writes the "p/q" string form it reads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 # the exponent of a decimal string, as the Fraction constructor reads it
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -20,18 +22,20 @@ _DIGITS = re.compile(r"\d(?:_?\d)*")
 
 
 def parse_rational(value: object) -> Fraction:
-    """Parse an int, a "p/q" or decimal string, or a float into a Fraction.
+    """The package's one reader of outside numbers, as an exact Fraction.
 
-    Floats are interpreted through their shortest decimal representation,
-    so 0.1 parses as 1/10 rather than as the underlying binary value. A
-    decimal exponent larger in magnitude than ``sys.get_int_max_str_digits()``
-    raises ValueError naming the limit, as a digit run longer than that does.
+    A Fraction is returned as is, any other rational (an int, a numpy
+    integer) is read exactly, a "p/q" or decimal string is parsed, and a
+    float or a Decimal is read through its decimal text: 0.1 is 1/10. Other
+    values raise ValueError (a bool, NaN, an infinity), as do a decimal
+    exponent beyond ``sys.get_int_max_str_digits()`` and a longer digit run.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        return Fraction(int(value.numerator), int(value.denominator))
+    if isinstance(value, (str, float, Decimal)):
+        value = str(value)
         # 10**exponent has about |exponent| digits; beyond the interpreter's
         # limit on int digit strings, building it would only hang
         exponent = _EXPONENT.search(value)
@@ -46,8 +50,6 @@ def parse_rational(value: object) -> Fraction:
             if limit and any(len(r.replace("_", "")) > limit for r in _DIGITS.findall(value)):
                 raise ValueError(f"a number has more than {limit} digits") from None
             raise
-    if isinstance(value, float):
-        return Fraction(str(value))
     raise ValueError(f"not a rational value: {value!r}")
 
 

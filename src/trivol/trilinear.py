@@ -62,6 +62,7 @@ from .geometry import (
     scale3,
 )
 from .mixed_volume import _support_sum6, minkowski_sum_vertices
+from .rational import parse_rational
 
 __all__ = [
     "Box3Bounds",
@@ -86,18 +87,13 @@ __all__ = [
 ]
 
 
-def _fractions(values: tuple) -> tuple:
-    """The values as Fractions; values that already are one are kept."""
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
-
-
 @dataclass(frozen=True)
 class Box3Bounds:
     """Axis-aligned box [a1,b1] x [a2,b2] x [a3,b3] with 0 <= a_i < b_i.
 
-    ``cleared`` is (A, B, D): the bounds with axis i scaled by D_i, the lcm
-    of its denominators, and the D_i (see :func:`_cleared_axis`). It is
-    made and validated once here; ``==``, ``hash`` and ``repr`` ignore it.
+    Bounds are read by :func:`parse_rational`. ``cleared`` is (A, B, D):
+    the bounds with axis i scaled by D_i, the lcm of its denominators, and
+    the D_i (:func:`_cleared_axis`); ``==``, ``hash`` and ``repr`` ignore it.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
@@ -107,7 +103,7 @@ class Box3Bounds:
     def __post_init__(self) -> None:
         if len(self.a) != 3 or len(self.b) != 3:
             raise InvalidBounds("bounds need exactly three intervals")
-        a, b = _fractions(self.a), _fractions(self.b)
+        a, b = tuple(map(parse_rational, self.a)), tuple(map(parse_rational, self.b))
         ia, ib, d = zip(*map(_cleared_axis, a, b))
         self.__dict__.update(a=a, b=b, cleared=(ia, ib, d))
         for axis, (lo, hi, ilo, ihi) in enumerate(zip(a, b, ia, ib), start=1):
@@ -255,16 +251,16 @@ def r_vertex_points(bounds: Box3Bounds) -> list[Point3]:
 def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:
     """Exact 3-volume of the hull's slice at third-coordinate value t.
 
-    The axes are reordered internally (see :func:`omega_normalize`); t
-    refers to the third axis after that reordering and must lie within
-    its bounds. The slice is the Minkowski combination of the bottom and
-    top slice tetrahedra weighted by where t sits in the range, computed
-    geometrically from the summed vertex sets. The t = a3 = 0 section is
-    flat and returns 0; every other section is full-dimensional.
+    The axes are reordered internally (see :func:`omega_normalize`); t,
+    read by :func:`parse_rational`, is on the third axis after that
+    reordering and must lie within its bounds. The slice is the Minkowski
+    combination of the bottom and top slice tetrahedra weighted by where t
+    sits in the range, measured from the summed vertex sets. The t = a3 = 0
+    section is flat and returns 0; every other one is full-dimensional.
     """
     nb = omega_normalize(box).bounds
     a3, b3 = nb.a[2], nb.b[2]
-    pos = Fraction(t)
+    pos = parse_rational(t)
     if not a3 <= pos <= b3:
         raise InvalidBounds(f"section position {pos} outside [{a3}, {b3}]")
     if pos == a3 == 0:
@@ -375,25 +371,21 @@ def _simpson48(m: tuple, lo, hi):
 
 
 def integrate_cross_sections(
-    vol_q: Fraction,
-    v_qqr: Fraction,
-    v_qrr: Fraction,
-    vol_r: Fraction,
-    a3: object,
-    b3: object,
+    vol_q: object, v_qqr: object, v_qrr: object, vol_r: object, a3: object, b3: object
 ) -> Fraction:
     """Integrate the slice-volume cubic over [a3, b3].
 
     The slice at position t has volume
     sum_k C(3,k) * (b3-t)^(3-k) * (t-a3)^k * m_k / (b3-a3)^3 with
     m = (vol_q, v_qqr, v_qrr, vol_r); the Beta integrals of each term are
-    evaluated analytically (see :func:`_beta4`). :func:`pipeline_volume`
-    runs the same integral on ints and checks it against Simpson's rule.
+    evaluated analytically (see :func:`_beta4`), on arguments read by
+    :func:`parse_rational`. :func:`pipeline_volume` runs the same integral
+    on ints and checks it against Simpson's rule.
     """
-    lo, hi = Fraction(a3), Fraction(b3)
+    lo, hi = parse_rational(a3), parse_rational(b3)
     if not lo < hi:
         raise InvalidBounds(f"need a3 < b3, got {lo} >= {hi}")
-    return _beta4((vol_q, v_qqr, v_qrr, vol_r), lo, hi) / 4
+    return _beta4(tuple(map(parse_rational, (vol_q, v_qqr, v_qrr, vol_r))), lo, hi) / 4
 
 
 def _hull_volume24(a: tuple, b: tuple):
@@ -420,9 +412,10 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
 
     The expression is symmetric in axes 2 and 3 but not in axis 1; apply
     it only to normalized bounds (or use :func:`closed_form_volume`).
-    Bounds may be Fractions or ints. The formula runs on the integer
-    bounds from :func:`_cleared_axis` (see :func:`_formula_ratio`).
+    Bounds are read by :func:`parse_rational`. The formula runs on the
+    integer bounds from :func:`_cleared_axis` (see :func:`_formula_ratio`).
     """
+    a, b = map(parse_rational, a), map(parse_rational, b)
     return Fraction(*_formula_ratio(*zip(*map(_cleared_axis, a, b))))
 
 

@@ -1,6 +1,7 @@
 """Exact linear algebra and polytope primitives."""
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import factorial, gcd
@@ -33,7 +34,7 @@ from trivol.geometry import (
     dot3,
     sub3,
 )
-from trivol.mixed_volume import minkowski_sum_vertices
+from trivol.mixed_volume import minkowski_sum_vertices, volume_cubic
 from trivol.oracle import hull_facets_4d, hull_volume_4d
 
 from testutil import random_box, random_points, random_rational_box, random_tetrahedron
@@ -392,6 +393,23 @@ def test_points_of_another_dimension_raise_value_error():
             hull_volume_4d(points)
         with pytest.raises(ValueError, match=message):
             hull_facets_4d(points)
+
+
+def test_coordinates_that_are_not_exact_raise_value_error():
+    """Point coordinates must be ints or Fractions; a float or a string is
+    named in a ValueError by every hull kernel, not an AttributeError."""
+    simplex4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    for bad in (0.5, "1/2"):
+        message = f"^coordinate {re.escape(repr(bad))} is not an int or a Fraction$"
+        with pytest.raises(ValueError, match=message):
+            hull_volume_3d([(bad, 0, 0), E1, E2, E3])
+        for kernel in (hull_volume_4d, hull_facets_4d):
+            with pytest.raises(ValueError, match=message):
+                kernel(simplex4[:4] + [(0, 0, bad, 1)])
+        with pytest.raises(ValueError, match=message):
+            volume_cubic(SIMPLEX, [ORIGIN, E1, E2, (0, bad, 1)])
+        with pytest.raises(ValueError, match=message):
+            volume_cubic([ORIGIN, E1, E2, (bad, 0, 1)], SIMPLEX)
 
 
 def _unimodular(rng, d):

@@ -176,6 +176,15 @@ def test_volume_cubic_homothety_of_simplex():
     assert cubic.coefficients == (F(1, 6), F(1, 2), F(1, 2), F(1, 6))
 
 
+def test_volume_cubic_of_a_regular_simplex_against_its_reflection():
+    """T - T has six square facets from edge x edge normals only, and four
+    sums meet at the origin. For a simplex Vol(T + t(-T)) is the sum of
+    C(3, i)^2 t^i Vol(T) (Rogers-Shephard), with Vol(T) = 8/3."""
+    t = [tuple(map(F, p)) for p in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+    cubic = volume_cubic(t, [tuple(-c for c in p) for p in t])
+    assert cubic.coefficients == (F(8, 3), F(24), F(24), F(8, 3))
+
+
 def test_volume_cubic_matches_direct_mixed_volume():
     rng = random.Random(53)
     for _ in range(12):
@@ -273,6 +282,17 @@ WITH_EXTRA_POINTS = [
 # vertices of each K + L above: the sums whose removal shrinks the hull
 # (found once by a hull_volume_3d per sum, too slow to repeat here)
 VERTEX_COUNTS = [13, 8, 17, 24]
+
+
+def test_volume_cubic_with_extra_points_matches_minkowskis_formula():
+    """The unit simplex S and the cube C = [-1, 1]^3 behind their extra
+    points. 3 V(P,P,Q) is Q's support summed over P's unit facet normals,
+    each weighted by its facet's area. So c1 = 3 V(S,S,C) = 3/2 + 3/2: S's
+    three coordinate facets (area 1/2, support 1), then its slanted one
+    (area sqrt(3)/2, support sqrt(3)). And c2 = 3 V(C,C,S) = 3 * 4 * 1:
+    three facets of C with area 4 and support 1; the other three have 0."""
+    cubic = volume_cubic(*WITH_EXTRA_POINTS[0])
+    assert cubic.coefficients == (F(1, 6), F(3), F(12), F(8))
 
 
 def test_volume_cubic_agrees_with_fresh_minkowski_hulls_at_other_t():
