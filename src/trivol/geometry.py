@@ -216,7 +216,7 @@ def _clear_denominators(
     so it keeps incidences and facets, and the hull volume of the lattice
     points is prod(s_k / g_k) times the original one. Returned with the
     map as (scales, shifts, divisors). A point whose length is not ``dim``
-    or a coordinate that is not an int or a Fraction raises ValueError.
+    or a coordinate with no ``denominator`` (a float, a str) raises ValueError.
     """
     _check_dimension(points, dim)
     columns = []

@@ -108,6 +108,6 @@ def test_a_huge_decimal_exponent_is_refused_at_once():
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^decimal exponent beyond 4300 in '1e2000000'$"):
             Box3Bounds(("1e2000000", 0, 0), ("1e2000001", 1, 1))
-        assert time.perf_counter() - start < 0.1
+        assert time.perf_counter() - start < 1.0
     finally:
         sys.set_int_max_str_digits(limit)
