@@ -29,7 +29,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from . import trilinear, verify
-from .errors import InternalDisagreement, InvalidBounds, OmegaViolated, TrivolError
+from .errors import InternalDisagreement, InvalidBounds, TrivolError
 from .mixed_volume import volume_cubic
 from .oracle import hull_volume_4d
 from .rational import format_ratio, format_rational, parse_rational
@@ -267,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         s1, s2, s3 = row[i], row[j], row[k]
         ia, ib, d = (s1[2], s2[2], s3[2]), (s1[3], s2[3], s3[3]), (s1[4], s2[4], s3[4])
         if not trilinear._ratios_ordered(ia, ib):
-            raise OmegaViolated(f"sorted axes break the ordering condition: {ia}, {ib}")
+            raise InternalDisagreement(f"sorted axes break the ordering condition: {ia}, {ib}")
         bounds = (p1[0] or texts(p1)) + (p2[0] or texts(p2)) + (p3[0] or texts(p3))
         volume = fmt(*trilinear._formula_ratio(ia, ib, d))
         rows.append(bounds + (volume, _PERM_TEXT[perm]))

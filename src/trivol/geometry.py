@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
+from numbers import Number, Rational
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -90,13 +91,16 @@ def cross3(u: Vec3, v: Vec3) -> Vec3:
 
 def _edge_det(vertices: Sequence[Point3]) -> Fraction:
     """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume of four
-    3D points. Another count or dimension raises :class:`ValueError`, and
-    a zero determinant :class:`DegenerateTetrahedron`."""
+    3D points. Another count or dimension, or an inexact coordinate, raises
+    :class:`ValueError`; a zero determinant :class:`DegenerateTetrahedron`."""
     if len(vertices) != 4:
         raise ValueError(f"expected 4 vertices, got {len(vertices)}")
     _check_dimension(vertices, 3)
     v0 = vertices[0]
     d = _det([sub3(v, v0) for v in vertices[1:]])
+    # a float or a Decimal; ints skip the ABC checks, and a polynomial is no Number
+    if not isinstance(d, (int, Fraction)) and isinstance(d, Number) and not isinstance(d, Rational):
+        raise ValueError(f"vertex coordinates must be ints or Fractions: {vertices}")
     if d == 0:
         raise DegenerateTetrahedron(f"affinely dependent vertices: {vertices}")
     return d

@@ -60,7 +60,6 @@ from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
 from .geometry import (
     Point3,
     Tetrahedron,
-    _check_dimension,
     _clear_denominators,
     _facet_cross_products,
     _pulling_simplices,
@@ -133,12 +132,13 @@ def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Poi
     The result is a superset of the vertices of the Minkowski sum of the
     two hulls; non-extreme sums are harmless to downstream hull code.
     Order is deterministic (first occurrence, k-major); each set is read once.
-    A point that is not 3D raises :class:`ValueError`.
+    A point that is not 3D, or a coordinate that is not an int or a
+    Fraction, raises :class:`ValueError`.
     """
     k, l = list(k), list(l)
     if not k or not l:
         raise EmptyPolytope("Minkowski sum of an empty vertex list")
-    _check_dimension(k + l, 3)
+    _clear_denominators(k + l, 3)  # for its checks only
     seen = set()
     out: list[Point3] = []
     for p in k:

@@ -197,10 +197,14 @@ def omega_normalize(box: Box3Bounds) -> OmegaBox:
     read off the :func:`ordering_values` keys of the cleared ints (all
     scaled by D1*D2*D3), whose order is the ratio order, ties included:
     with k the third axis, key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i),
-    and b_k > a_k. :class:`OmegaBox` checks the result in the ratio form.
+    and b_k > a_k. :class:`OmegaBox` checks the result in the ratio form;
+    a failure there is a bug, raised as :class:`InternalDisagreement`.
     """
     order, perm = _axis_order(_ordering_keys(*box.cleared[:2]))
-    return OmegaBox(box._permuted(order), perm)
+    try:
+        return OmegaBox(box._permuted(order), perm)
+    except OmegaViolated:
+        raise InternalDisagreement(f"sorted axes break the ordering condition: {box}") from None
 
 
 def _stable_argsort(keys: tuple) -> tuple[tuple[int, int, int], tuple[int, int, int]]:

@@ -26,6 +26,7 @@ three-way suite). The sampled support-maxima suite runs too.
 """
 
 import pytest
+import sympy
 
 from trivol.geometry import _edge_det, dot3
 from trivol.trilinear import (
@@ -39,8 +40,6 @@ from trivol.trilinear import (
     _slice_points,
     _z_values,
 )
-
-sympy = pytest.importorskip("sympy")
 
 _, a1, a2, a3, b1, b2, b3 = sympy.ring("a1 a2 a3 b1 b2 b3", sympy.ZZ)
 A, B = (a1, a2, a3), (b1, b2, b3)

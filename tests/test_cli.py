@@ -633,6 +633,12 @@ def test_sweep_matches_the_per_row_library_route(tmp_path, capsys):
                     ties, perm = _ties_and_perm((a1 / b1, a2 / b2, a3 / b3))
                     assert perm == line.rsplit(",", 1)[1]
                     orders.add((ties, perm))
+    # the README's tie row: a1/b1 = a3/b3 = 1/2 keep their input order
+    cfg.write_text(json.dumps(grids[-1]))
+    code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
+    assert (code, out.splitlines()[1]) == (0, "1,2,0,1,1,2,13/24,213")
+    code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg), "--float")
+    assert (code, out.splitlines()[1]) == (0, "1.0,2.0,0.0,1.0,1.0,2.0,0.5416666666666666,213")
     # the grids reach each path: every row valid, rows dropped, an error
     assert outcomes == {(0, False), (0, True), (2, False)}
     # and every axis order with every tie pattern it can have: 6 orders of
@@ -746,12 +752,44 @@ def test_mixed_volume_rejects_flat_body(tmp_path, capsys):
 
 
 def test_normalize_reverse_labeling(capsys):
-    code, out, _ = run_cli(capsys, "normalize", "--bounds", "2,3,1,2,0,1")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ordering_values"] == ["4", "3", "2"]
-    assert doc["perm"] == [3, 2, 1]
-    assert doc["normalized"] == {"a": ["0", "1", "2"], "b": ["1", "2", "3"]}
+    for bounds, keys, perm, b in (
+        ("2,3,1,2,0,1", ["4", "3", "2"], [3, 2, 1], ["1", "2", "3"]),
+        # axes 1 and 2 tie on a_i/b_i = 1/2 and keep their input order
+        ("1,2,2,4,0,1", ["4", "4", "2"], [2, 3, 1], ["1", "2", "4"]),
+    ):
+        code, out, _ = run_cli(capsys, "normalize", "--bounds", bounds)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ordering_values"] == keys
+        assert doc["perm"] == perm
+        assert doc["normalized"] == {"a": ["0", "1", "2"], "b": b}
+
+
+def test_a_sort_that_breaks_the_ordering_condition_exits_3(tmp_path, capsys, monkeypatch):
+    # a planted bug: every axis order comes out reversed, which the ratio check catches
+    real = trilinear._axis_order
+
+    def reversed_order(keys):
+        order, perm = real(keys)
+        return order[::-1], tuple(4 - p for p in perm)
+
+    monkeypatch.setattr(trilinear, "_axis_order", reversed_order)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"a1": [1], "b1": [2], "a2": [2], "b2": [3], "a3": [3], "b3": [4]}))
+    target = tmp_path / "rows.csv"
+    for argv in (
+        ["volume", "--bounds", "1,2,2,3,3,4"],
+        ["normalize", "--bounds", "1,2,2,3,3,4"],
+        ["sweep", "--file", str(cfg), "--out", str(target)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("internal disagreement (this is a bug): sorted axes break ")
+        assert err.count("\n") == 1
+    assert not target.exists()
+    # inside verify the same bug is a suite's counterexample
+    code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "0")
+    assert code == 1 and out.splitlines()[-1].startswith("FAIL ")
 
 
 def test_main_dispatches_to_a_handler_rebound_after_the_first_call(tmp_path, capsys, monkeypatch):

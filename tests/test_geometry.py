@@ -2,6 +2,7 @@
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import factorial, gcd
@@ -128,6 +129,15 @@ def test_tetrahedron_computes_its_det_and_rejects_malformed_vertices():
         for vertices in ([v[:2] for v in SIMPLEX], [(*v, F(1)) for v in SIMPLEX]):
             message = f"expected points of dimension 3, got one of dimension {len(vertices[0])}"
             with pytest.raises(ValueError, match=f"^{message}$"):
+                build(tuple(vertices))
+        # an inexact coordinate would leave a det that tetra_volume cannot divide exactly
+        for vertices in (
+            [(0.5, 0, 0), *SIMPLEX[1:]],
+            [*SIMPLEX[:3], (0, 0, 1.0)],
+            [(Decimal("0.5"), 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        ):
+            message = f"vertex coordinates must be ints or Fractions: {tuple(vertices)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(tuple(vertices))
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
@@ -152,6 +153,12 @@ def test_minkowski_sum_vertices():
     for p in ((1, 2), (1, 2, 3, 4)):
         message = f"expected points of dimension 3, got one of dimension {len(p)}"
         for k, l in (([p], OCTA), (OCTA, [p]), ([p], [p])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                minkowski_sum_vertices(k, l)
+    # a float, a Decimal or a string coordinate is an error rather than a summand
+    for p, bad in (((0.5, 0, 0), 0.5), ((0, Decimal("0.5"), 0), Decimal("0.5")), ((0, 0, "1"), "1")):
+        message = f"coordinate {bad!r} is not an int or a Fraction"
+        for k, l in (([p], OCTA), (OCTA, [p])):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 minkowski_sum_vertices(k, l)
 
