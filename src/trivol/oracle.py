@@ -66,11 +66,10 @@ def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]
     lifts = [m * (common // g) for m, g in zip(shifts, divisors)]
     facets = []
     for normal, incident in _hull_facets(ipts):
-        offset = sum(map(mul, normal, ipts[incident[0]]))
-        coeffs = (*map(mul, normal, weights), offset * common + sum(map(mul, normal, lifts)))
-        g = gcd(*coeffs)
-        key = tuple(x // g for x in coeffs)
-        facets.append(Facet4(key[:4], key[4], incident))
+        c0, c1, c2, c3 = map(mul, normal, weights)
+        offset = sum(map(mul, normal, ipts[incident[0]])) * common + sum(map(mul, normal, lifts))
+        g = gcd(c0, c1, c2, c3, offset)
+        facets.append(Facet4((c0 // g, c1 // g, c2 // g, c3 // g), offset // g, incident))
     return pts, facets
 
 

@@ -38,7 +38,13 @@ from trivol.geometry import (
 from trivol.mixed_volume import minkowski_sum_vertices, volume_cubic
 from trivol.oracle import hull_facets_4d, hull_volume_4d
 
-from testutil import random_box, random_points, random_rational_box, random_tetrahedron
+from testutil import (
+    random_box,
+    random_points,
+    random_rational_box,
+    random_tetrahedron,
+    random_wide_box,
+)
 
 ORIGIN = (F(0), F(0), F(0))
 E1 = (F(1), F(0), F(0))
@@ -544,6 +550,16 @@ def _shapes():
     for _ in range(6):
         k, l = (list(random_tetrahedron(rng, span=3).vertices) for _ in range(2))
         yield _lattice_points(minkowski_sum_vertices(k, l), 3)[1]
+    # the oracle's own inputs, box graphs on their lattice; the wide box's
+    # 20- to 40-digit bounds give ~200-digit coordinates and normals
+    boxes = [
+        random_box(rng, nonzero_lower=True),
+        random_rational_box(rng),
+        random_wide_box(rng),
+        Box3Bounds((0, 0, 0), (2, 3, 5)),
+    ]
+    for box in boxes:
+        yield _lattice_points(extreme_points(box), 4)[1]
 
 
 def test_hull_facets_match_the_reference_scan():

@@ -34,7 +34,7 @@ from trivol import (
     tetra_volume,
 )
 
-from testutil import random_box
+from testutil import random_box, random_wide_box
 
 UNIT = Box3Bounds((0, 0, 0), (1, 1, 1))
 SHIFTED = Box3Bounds((1, 1, 1), (2, 2, 2))
@@ -123,20 +123,10 @@ def test_hull_volume_4d_exact_at_extreme_magnitudes():
         assert hull_volume_4d(list(extreme_points(b))) == closed_form_volume(b), b
 
 
-def _wide_rational_box(rng):
-    """Box whose bounds have 20- to 40-digit numerators and denominators."""
-
-    def wide():
-        return F(rng.randint(10**19, 10**40), rng.randint(10**19, 10**40))
-
-    a = [wide() for _ in range(3)]
-    return Box3Bounds(tuple(a), tuple(x + wide() for x in a))
-
-
 def test_wide_rational_boxes_agree_and_their_facets_hold_exactly():
     rng = random.Random(113)
     for _ in range(12):
-        box = _wide_rational_box(rng)
+        box = random_wide_box(rng)
         pts = list(extreme_points(box))
         assert hull_volume_4d(pts) == closed_form_volume(box)
         dpts, facets = hull_facets_4d(pts)

@@ -32,6 +32,16 @@ def random_rational_box(rng: random.Random) -> Box3Bounds:
     return Box3Bounds((a[0], a[1], a[2]), (b[0], b[1], b[2]))
 
 
+def random_wide_box(rng: random.Random) -> Box3Bounds:
+    """Random box whose bounds have 20- to 40-digit numerators and denominators."""
+
+    def wide():
+        return Fraction(rng.randint(10**19, 10**40), rng.randint(10**19, 10**40))
+
+    a = [wide() for _ in range(3)]
+    return Box3Bounds(tuple(a), tuple(x + wide() for x in a))
+
+
 def random_tetrahedron(rng: random.Random, span: int = 5) -> Tetrahedron:
     """Random integer-vertex tetrahedron, resampled until nondegenerate."""
     while True:
