@@ -3,6 +3,9 @@
 Coordinates are ``fractions.Fraction`` or ``int`` (the two mix freely),
 so every predicate and volume computed here is exact; on int input the
 tetrahedron primitives stay on ints until their single final division.
+Each public entry that takes points, here and in ``trivol.mixed_volume``
+and ``trivol.oracle``, reads them once by :func:`_read_points`, which
+holds that rule; the private kernels behind the entries trust them.
 Points and vectors are plain tuples and the one container type,
 :class:`Tetrahedron`, is a frozen dataclass; nothing is mutated after
 construction, which keeps all functions in this module pure.
@@ -12,15 +15,14 @@ The convex-hull volume kernel has one entry per dimension,
 the points once to their smallest integer lattice (per axis: clear
 denominators, subtract the minimum, divide by the gcd; see
 :func:`_clear_denominators`) so that everything after runs on small
-Python ints, and finds facets by brute force over point d-subsets. Every
-subset is tested: its integer cofactor normal spans a facet when every
-point lies on one side. The side test of a subset stops at the first
-point on the side opposite to one already seen, and the point that
-refuted the previous subset is tried first; a subset that spans takes
-its incident points and outward normal from that same pass. On the
-oracle's eight-point box graphs this is 5.0 dot products per subset with
-a nonzero normal (345 over 69 per hull); the scan is written out for
-each of d = 3 and 4.
+Python ints, and finds facets by brute force: every point d-subset is
+tested, and its integer cofactor normal spans a facet when every point
+lies on one side. The side test of a subset stops at the first point on
+the side opposite to one already seen, and the point that refuted the
+previous subset is tried first; a subset that spans takes its incident
+points and outward normal from that same pass: 5.0 dot products per
+subset with a nonzero normal on the oracle's eight-point box graphs (345
+over 69 per hull). The scan is written out for each of d = 3 and 4.
 The volume is a sum of simplex determinants over a pulling
 triangulation, which reads only the facets' incident point sets: the
 faces below a facet are intersections of facets, so no hull is ever
@@ -28,23 +30,22 @@ taken in a lower dimension. At the scale this package works with (a few
 dozen points) that is fast enough, and it avoids the degeneracy handling
 an incremental hull algorithm would need to get exact answers. Flat
 input is found by the same scan, with no separate rank test.
-``trivol.mixed_volume.volume_cubic`` scans no 3-subsets of sums: it
-reads the candidate facet normals of a Minkowski sum off the normal fans
-of its two bodies and takes each one's extreme faces among the sums,
-then runs the triangulation itself, to measure one face lattice at
-several placements of its vertices.
+``trivol.mixed_volume.volume_cubic`` runs the triangulation on facets it
+reads off normal fans instead (see that module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
-from numbers import Number, Rational
+from numbers import Rational
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
+from .rational import parse_rational
 
 __all__ = [
     "Vec3",
@@ -92,18 +93,43 @@ def cross3(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
+_EXACT = frozenset((int, Fraction))
+
+
+def _read_points(points: Iterable[Sequence], dim: int) -> list[tuple]:
+    """The points as tuples of ints and Fractions: the package's one reader
+    of point coordinates. Ints and Fractions are kept as they are; any
+    other rational but a bool (a numpy integer) is read exactly by
+    :func:`~trivol.rational.parse_rational`, as an int when integral. A
+    point whose length is not ``dim`` and every other coordinate (a float,
+    a Decimal, a str, a bool) raise :class:`ValueError`."""
+    read = list(map(tuple, points))
+    for p in read:
+        if len(p) != dim:
+            raise ValueError(f"expected points of dimension {dim}, got one of dimension {len(p)}")
+    if _EXACT.issuperset(map(type, chain.from_iterable(read))):
+        return read
+    return [tuple(map(_read_coordinate, p)) for p in read]
+
+
+def _read_coordinate(x: object) -> Fraction | int:
+    """One coordinate, by the rule of :func:`_read_points`."""
+    if type(x) in _EXACT:
+        return x
+    if isinstance(x, Rational) and not isinstance(x, bool):
+        x = parse_rational(x)
+        return x.numerator if x.denominator == 1 else x
+    raise ValueError(f"coordinate {x!r} is not an int or a Fraction")
+
+
 def _edge_det(vertices: Sequence[Point3]) -> Fraction:
     """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume of four
-    3D points. Another count or dimension, or an inexact coordinate, raises
-    :class:`ValueError`; a zero determinant :class:`DegenerateTetrahedron`."""
+    3D points, trusted (the certificate runs it on polynomials). Another
+    count raises ValueError, a zero determinant DegenerateTetrahedron."""
     if len(vertices) != 4:
         raise ValueError(f"expected 4 vertices, got {len(vertices)}")
-    _check_dimension(vertices, 3)
     v0 = vertices[0]
     d = _det([sub3(v, v0) for v in vertices[1:]])
-    # a float or a Decimal; ints skip the ABC checks, and a polynomial is no Number
-    if not isinstance(d, (int, Fraction)) and isinstance(d, Number) and not isinstance(d, Rational):
-        raise ValueError(f"vertex coordinates must be ints or Fractions: {vertices}")
     if d == 0:
         raise DegenerateTetrahedron(f"affinely dependent vertices: {vertices}")
     return d
@@ -123,7 +149,7 @@ class Tetrahedron:
     det: Fraction | int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        vs = tuple(self.vertices)
+        vs = tuple(_read_points(self.vertices, 3))
         d = _edge_det(vs)
         if d < 0:
             raise ValueError("negatively oriented vertex order; build via orient()")
@@ -137,7 +163,7 @@ def orient(vertices: Sequence[Point3]) -> Tetrahedron:
     vertices; coplanar input raises :class:`DegenerateTetrahedron`. The
     one determinant computed is stored as the result's ``det``.
     """
-    vs = tuple(vertices)
+    vs = tuple(_read_points(vertices, 3))
     d = _edge_det(vs)
     if d < 0:
         vs, d = (vs[1], vs[0], vs[2], vs[3]), -d
@@ -178,12 +204,13 @@ def facet_normal_set(t: Tetrahedron) -> tuple[Vec3, Vec3, Vec3, Vec3]:
 
 
 def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
-    """Support value of the hull of ``vertices`` in direction ``u``.
+    """Support value of the hull of ``vertices`` in direction ``u``: the
+    largest dot product with a vertex, positively homogeneous in ``u``."""
+    return _support(_read_points(vertices, 3), *_read_points([u], 3))
 
-    The maximum of the dot product over the vertices; positively
-    homogeneous in ``u``. A point or direction that is not 3D raises
-    :class:`ValueError`.
-    """
+
+def _support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
+    """:func:`support` on points and a direction already read."""
     u0, u1, u2 = u
     best: Fraction | None = None
     for v0, v1, v2 in vertices:
@@ -198,13 +225,6 @@ def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
 def tetra_volume(t: Tetrahedron) -> Fraction:
     """Volume of a tetrahedron: one sixth of its stored edge determinant."""
     return Fraction(t.det, 6)
-
-
-def _check_dimension(points: Iterable[Sequence], dim: int) -> None:
-    """Raise :class:`ValueError` on the first point whose length is not ``dim``."""
-    for p in points:
-        if len(p) != dim:
-            raise ValueError(f"expected points of dimension {dim}, got one of dimension {len(p)}")
 
 
 # per-axis map from rational to lattice coordinates: (scales, shifts, divisors)
@@ -222,19 +242,13 @@ def _clear_denominators(
     (s_k * x_k - m_k) / g_k. The map is a positive per-axis affine one,
     so it keeps incidences and facets, and the hull volume of the lattice
     points is prod(s_k / g_k) times the original one. Returned with the
-    map as (scales, shifts, divisors). A point whose length is not ``dim``
-    or a coordinate with no ``denominator`` (a float, a str) raises ValueError.
+    map as (scales, shifts, divisors). The points are trusted.
     """
-    _check_dimension(points, dim)
     columns = []
     axes = []
     for k in range(dim):
         xs = [p[k] for p in points]
-        try:
-            s = lcm(*[x.denominator for x in xs])
-        except AttributeError:
-            bad = next(x for x in xs if not hasattr(x, "denominator"))
-            raise ValueError(f"coordinate {bad!r} is not an int or a Fraction") from None
+        s = lcm(*[x.denominator for x in xs])
         # an integral axis (s = 1) or a reduced one (g = 1) skips its no-op pass
         if s > 1:
             cs = [x.numerator * (s // x.denominator) for x in xs]
@@ -257,13 +271,13 @@ def _lattice_points(
     form, keeping first occurrences in input order. Fewer than ``dim + 1``
     distinct points raise :class:`DegenerateHull`; more that still do not
     span ``dim`` dimensions are rejected by the facet scan that follows.
-    The points may be any iterable; they are read once.
+    The points may be any iterable; :func:`_read_points` reads them once.
     """
-    points = list(points)
+    points = _read_points(points, dim)
     ints, axes = _clear_denominators(points, dim)
     lattice: dict = {}
     for q, p in zip(ints, points):
-        lattice.setdefault(q, tuple(p))
+        lattice.setdefault(q, p)
     if len(lattice) > dim:
         return list(lattice.values()), list(lattice), axes
     raise DegenerateHull(f"points do not span {dim} dimensions")
@@ -321,18 +335,14 @@ def _hull_facets(pts: Sequence[tuple[int, ...]]) -> list[_Spanning]:
     subset spans a facet.
     """
     d = len(pts[0])
-    seen = set()
-    facets = []
+    facets = {}
     for normal, incident in _SCANS[d](pts):
-        if incident in seen:
-            continue
         if len(incident) == len(pts):
             raise DegenerateHull(f"points do not span {d} dimensions")
-        seen.add(incident)
-        facets.append((normal, incident))
+        facets.setdefault(incident, normal)
     if not facets:
         raise DegenerateHull(f"points do not span {d} dimensions")
-    return facets
+    return [(normal, incident) for incident, normal in facets.items()]
 
 
 def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
@@ -485,7 +495,7 @@ def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     triangulation (see :func:`_pulling_simplices`) on the points' integer
     lattice and scaled back. A set that does not span three dimensions,
     the empty one included, raises :class:`DegenerateHull`; flat input
-    never reports volume zero. A point that is not 3D raises ValueError.
+    never reports volume zero.
     """
     _, ipts, (scales, _, divisors) = _lattice_points(points, 3)
     simplices = _pulling_simplices([incident for _, incident in _hull_facets(ipts)], 3)

@@ -64,11 +64,12 @@ from .geometry import (
     _facet_cross_products,
     _pulling_simplices,
     _pulling_volume,
+    _read_points,
+    _support,
     add3,
     cross3,
     hull_volume_3d,
     sub3,
-    support,
 )
 from .rational import parse_rational
 
@@ -114,7 +115,7 @@ def mixed_volume_against(p: Tetrahedron, k: Iterable[Point3]) -> Fraction:
     sixth of :func:`_support_sum6`. K may be lower-dimensional (even a
     single point); it only enters through its support values, and is read
     once."""
-    k = list(k)
+    k = _read_points(k, 3)
     if not k:
         raise EmptyPolytope("mixed volume against an empty vertex list")
     return Fraction(_support_sum6(p, k), 6)
@@ -122,8 +123,9 @@ def mixed_volume_against(p: Tetrahedron, k: Iterable[Point3]) -> Fraction:
 
 def _support_sum6(p: Tetrahedron, k: Sequence[Point3]):
     """6 V(P, P, K): K's support summed over P's doubled area-scaled facet
-    normals (the facet cross products), with no division, so int input gives an int."""
-    return sum(support(k, u) for u in _facet_cross_products(p))
+    normals (the facet cross products), with no division, so int input
+    gives an int. K is trusted: the pipeline builds its own int points."""
+    return sum(_support(k, u) for u in _facet_cross_products(p))
 
 
 def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Point3]:
@@ -132,22 +134,11 @@ def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Poi
     The result is a superset of the vertices of the Minkowski sum of the
     two hulls; non-extreme sums are harmless to downstream hull code.
     Order is deterministic (first occurrence, k-major); each set is read once.
-    A point that is not 3D, or a coordinate that is not an int or a
-    Fraction, raises :class:`ValueError`.
     """
-    k, l = list(k), list(l)
+    k, l = _read_points(k, 3), _read_points(l, 3)
     if not k or not l:
         raise EmptyPolytope("Minkowski sum of an empty vertex list")
-    _clear_denominators(k + l, 3)  # for its checks only
-    seen = set()
-    out: list[Point3] = []
-    for p in k:
-        for q in l:
-            s = add3(p, q)
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-    return out
+    return list(dict.fromkeys(add3(p, q) for p in k for q in l))
 
 
 def fit_cubic(ts: Sequence[object], values: Sequence[object]) -> VolumeCubic:
@@ -329,17 +320,18 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     K + L are read off the normal fans of K and L (:func:`_sum_facets`);
     its vertices, each the sum of one (i, j) pair, are placed at
     k_i + t*l_j for t = 2 and 3, checked (see the module docstring), and
-    measured over the one pulling triangulation. Each set is read once.
+    measured over the one pulling triangulation. Each set is read once, K first.
     """
-    k, l = list(k), list(l)
-    volumes = []
-    for name, body in (("k", k), ("l", l)):
+    bodies, volumes = [k, l], []
+    for i, name in enumerate("kl"):
+        bodies[i] = body = _read_points(bodies[i], 3)
         if not body:
             raise EmptyPolytope(f"empty vertex list for body {name}")
         try:
             volumes.append(hull_volume_3d(body))
         except DegenerateHull as exc:
             raise DegenerateHull(f"body {name} does not span three dimensions") from exc
+    k, l = bodies
     ipts, (scales, _, divisors) = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
     unit = Fraction(prod(divisors), 6 * prod(scales))

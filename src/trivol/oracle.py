@@ -56,8 +56,7 @@ def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]
     kept once, in order of its first spanning subset, mapped back to the
     original coordinates and only then reduced by its gcd. On lattice
     points the map is the identity, so the facets are the lattice ones.
-    Points that do not span four dimensions raise :class:`DegenerateHull`;
-    points that are not all 4D raise :class:`ValueError`.
+    Points that do not span four dimensions raise :class:`DegenerateHull`.
     """
     pts, ipts, (scales, shifts, divisors) = _lattice_points(points, 4)
     # n . ((s*x - m) / g) <= offset, times the lcm of the divisors
@@ -83,8 +82,7 @@ def hull_volume_4d(points: Iterable[Point4]) -> Fraction:
     are summed on the lattice points; no hull is taken in a lower
     dimension. The result is scaled back by the lattice map. Input that
     lies in a hyperplane raises :class:`DegenerateHull`; flat input never
-    reports volume zero. Points that are not all 4D raise
-    :class:`ValueError`.
+    reports volume zero.
     """
     _, ipts, (scales, _, divisors) = _lattice_points(points, 4)
     _, facets = hull_facets_4d(ipts)

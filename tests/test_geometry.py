@@ -1,7 +1,7 @@
 """Exact linear algebra and polytope primitives."""
 
 import random
-import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
@@ -20,6 +20,9 @@ from trivol import (
     extreme_points,
     facet_normal_set,
     hull_volume_3d,
+    minkowski_sum_vertices,
+    mixed_volume_against,
+    monte_carlo_volume,
     orient,
     support,
     tetra_volume,
@@ -35,7 +38,7 @@ from trivol.geometry import (
     dot3,
     sub3,
 )
-from trivol.mixed_volume import minkowski_sum_vertices, volume_cubic
+from trivol.mixed_volume import volume_cubic
 from trivol.oracle import hull_facets_4d, hull_volume_4d
 
 from testutil import (
@@ -135,15 +138,6 @@ def test_tetrahedron_computes_its_det_and_rejects_malformed_vertices():
         for vertices in ([v[:2] for v in SIMPLEX], [(*v, F(1)) for v in SIMPLEX]):
             message = f"expected points of dimension 3, got one of dimension {len(vertices[0])}"
             with pytest.raises(ValueError, match=f"^{message}$"):
-                build(tuple(vertices))
-        # an inexact coordinate would leave a det that tetra_volume cannot divide exactly
-        for vertices in (
-            [(0.5, 0, 0), *SIMPLEX[1:]],
-            [*SIMPLEX[:3], (0, 0, 1.0)],
-            [(Decimal("0.5"), 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
-        ):
-            message = f"vertex coordinates must be ints or Fractions: {tuple(vertices)}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(tuple(vertices))
 
 
@@ -411,21 +405,88 @@ def test_points_of_another_dimension_raise_value_error():
             hull_facets_4d(points)
 
 
-def test_coordinates_that_are_not_exact_raise_value_error():
-    """Point coordinates must be ints or Fractions; a float or a string is
-    named in a ValueError by every hull kernel, not an AttributeError."""
-    simplex4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    for bad in (0.5, "1/2"):
-        message = f"^coordinate {re.escape(repr(bad))} is not an int or a Fraction$"
-        with pytest.raises(ValueError, match=message):
-            hull_volume_3d([(bad, 0, 0), E1, E2, E3])
-        for kernel in (hull_volume_4d, hull_facets_4d):
-            with pytest.raises(ValueError, match=message):
-                kernel(simplex4[:4] + [(0, 0, bad, 1)])
-        with pytest.raises(ValueError, match=message):
-            volume_cubic(SIMPLEX, [ORIGIN, E1, E2, (0, bad, 1)])
-        with pytest.raises(ValueError, match=message):
-            volume_cubic([ORIGIN, E1, E2, (bad, 0, 1)], SIMPLEX)
+SIMPLEX4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+# every public entry that takes points: (a valid point set, the call on it);
+# each has its own set where it takes two, or a point set and a direction
+POINT_ENTRIES = {
+    "orient": (SIMPLEX, orient),
+    "Tetrahedron": (SIMPLEX, Tetrahedron),
+    "support points": (SIMPLEX, lambda pts: support(pts, (1, 2, 3))),
+    "support direction": ([(1, 2, 3)], lambda pts: support(SIMPLEX, *pts)),
+    "mixed_volume_against": (SIMPLEX, lambda pts: mixed_volume_against(orient(SIMPLEX), pts)),
+    "minkowski_sum_vertices k": (SIMPLEX, lambda pts: minkowski_sum_vertices(pts, SIMPLEX)),
+    "minkowski_sum_vertices l": (SIMPLEX, lambda pts: minkowski_sum_vertices(SIMPLEX, pts)),
+    "hull_volume_3d": (SIMPLEX, hull_volume_3d),
+    "hull_volume_4d": (SIMPLEX4, hull_volume_4d),
+    "hull_facets_4d": (SIMPLEX4, hull_facets_4d),
+    "monte_carlo_volume": (SIMPLEX4, lambda pts: monte_carlo_volume(pts, 10, 0)),
+    "volume_cubic k": (SIMPLEX, lambda pts: volume_cubic(pts, SIMPLEX)),
+    "volume_cubic l": (SIMPLEX, lambda pts: volume_cubic(SIMPLEX, pts)),
+}
+
+
+def _planted(points, at, coordinate):
+    """The points with coordinate ``at`` of the first or the last point
+    (``at`` is 0 or -1) replaced by ``coordinate``."""
+    points = [list(p) for p in points]
+    points[at][at] = coordinate
+    return [tuple(p) for p in points]
+
+
+def test_every_point_entry_reads_coordinates_by_one_rule():
+    """A float (an inexact det or volume), a Decimal, a str or a bool
+    coordinate, and a point of another dimension, raise ValueError with
+    the one message of ``_read_points`` at every entry, wherever they sit."""
+    for entry, (points, call) in POINT_ENTRIES.items():
+        dim = len(points[0])
+        call(points)
+        cases = [
+            (_planted(points, at, bad), f"coordinate {bad!r} is not an int or a Fraction")
+            for bad in (0.5, 1.0, Decimal("0.5"), "1/2", "1", True, False)
+            for at in (0, -1)
+        ]
+        for other in (dim - 1, dim + 1, 0):
+            for at in (0, -1):
+                bad = [list(p) for p in points]
+                bad[at] = (bad[at] * 2)[:other]
+                cases.append((bad, f"expected points of dimension {dim}, got one of dimension {other}"))
+        for bad, message in cases:
+            with pytest.raises(ValueError) as caught:
+                call(bad)
+            assert str(caught.value) == message, (entry, bad)
+
+
+def test_numpy_integer_points_are_read_exactly():
+    """numpy integers are exact rationals, read as Python ints: a product
+    of three 10**7 legs overflows int64, but no volume here sees it."""
+    import numpy as np
+
+    leg = np.int64(10**7)
+    zero = np.int64(0)
+    simplex3 = [(zero, zero, zero), (leg, zero, zero), (zero, leg, zero), (zero, zero, leg)]
+    simplex4 = [(zero,) * 4] + [tuple(leg if i == j else zero for i in range(4)) for j in range(4)]
+    volume = F(10**21, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tetra_volume(orient(simplex3)) == volume
+        t = Tetrahedron(simplex3)
+        assert tetra_volume(t) == volume and type(t.det) is int
+        assert all(type(c) is int for v in t.vertices for c in v)
+        assert hull_volume_3d(simplex3) == volume
+        assert volume_cubic(simplex3, SIMPLEX).c0 == volume
+        assert hull_volume_4d(simplex4) == F(10**28, 24)
+        unit = [tuple(map(int, p)) for p in SIMPLEX]
+        sums = minkowski_sum_vertices(simplex3, unit)
+        assert all(type(c) is int for p in sums for c in p)
+        assert sums[:4] == unit and sums[-1] == (0, 0, 10**7 + 1)
+        assert support(simplex3, (leg, leg, leg)) == 10**14
+        assert mixed_volume_against(orient(SIMPLEX), simplex3) == mixed_volume_against(
+            orient(SIMPLEX), [tuple(map(int, p)) for p in simplex3]
+        )
+        assert hull_volume_3d([(np.uint8(1), F(1, 2), 0), *SIMPLEX]) == hull_volume_3d(
+            [(1, F(1, 2), 0), *SIMPLEX]
+        )
 
 
 def _unimodular(rng, d):

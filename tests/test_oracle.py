@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from trivol import oracle, trilinear
+from trivol import geometry, oracle, trilinear
 from trivol import (
     Box3Bounds,
     DegenerateHull,
@@ -176,6 +176,47 @@ def test_oracle_imports_only_geometry_from_the_package():
         if alias.name.split(".")[0] == "trivol"
     ]
     assert package == [".geometry"]
+
+
+def _trivol_calls(route, box):
+    """The code objects of the trivol functions that ``route(box)`` calls."""
+    package = os.path.dirname(trilinear.__file__)
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+            calls.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route(box)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_oracle_shares_only_allowed_kernels_with_the_other_routes():
+    """The oracle route reaches no function of the formula or the pipeline
+    routes but the three below, on a generic, a tied, a flat-bottomed and
+    a wide rational box. The README names each and why it is shared."""
+    allowed = {f.__code__ for f in (geometry._det, geometry._cofactor_normal, geometry._read_points)}
+    boxes = [
+        Box3Bounds((1, 2, 3), (4, 5, 7)),
+        Box3Bounds((1, 1, 2), (2, 2, 4)),
+        Box3Bounds((0, 0, 0), (2, 3, 5)),
+        random_wide_box(random.Random(29)),
+    ]
+    for box in boxes:
+        oracle_calls = _trivol_calls(lambda b: hull_volume_4d(list(extreme_points(b))), box)
+        others = _trivol_calls(closed_form_volume, box) | _trivol_calls(
+            trilinear.pipeline_volume, box
+        )
+        assert hull_volume_4d.__code__ in oracle_calls and geometry._edge_det.__code__ in others
+        shared = sorted(
+            f"{c.co_filename}:{c.co_firstlineno} {c.co_name}" for c in (oracle_calls & others) - allowed
+        )
+        assert not shared, f"the oracle shares {shared} with the other routes on {box}"
 
 
 def test_hull_4d_reads_an_iterator_once():
