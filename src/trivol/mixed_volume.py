@@ -16,15 +16,18 @@ monomial coefficients), giving a route to the same quantities that never
 touches a support function. The fitted c3 must equal Vol(L), computed
 directly; a mismatch raises :class:`InternalDisagreement`.
 
-The facet normals of K + L are read off the normal fans of K and L, with
-no hull scan of the sums. For t > 0 the normal fan of K + tL is the
-common refinement of the fans of K and L, which does not depend on t
-(Schneider, *Convex Bodies*, section 2.4): the face in direction u is
-F_K(u) + t F_L(u). So a facet's normal is a facet normal of K or of L,
-or is perpendicular to an edge of each, and every candidate is a cross
-product of two point differences of K or L. ``_sum_facets`` keeps the
-extreme faces of the sums in the candidate directions that span a plane
-(``_extreme_faces``). The face lattice of K + tL does not depend on t
+The facets of K + L are read off the overlay of the normal fans of K and
+L, with no hull scan of the sums. For t > 0 the normal fan of K + tL is
+the common refinement of the fans of K and L, which does not depend on t
+(Schneider, *Convex Bodies*, section 2.4; Fukuda, "From the zonotope
+construction to the Minkowski addition of convex polytopes", 2004): the
+face in direction u is F_K(u) + t F_L(u). So a facet's normal is a facet
+normal of K or of L, or is the cross product of an edge direction of
+each that lies strictly inside both edges' normal cones.
+``_sum_facets`` scans each body once for its facets and edges and forms
+one candidate face per facet of K or of L and per such pair of edges:
+O(f_K + f_L + e_K * e_L) candidates for f facets and e edges, none of
+which scans the sums. The face lattice of K + tL does not depend on t
 either, and each vertex stays the sum k_i + t*l_j of one pair of points
 (i, j): the pair of the unique vertices of K and L that are extreme in
 the vertex's normal cone. The facets of K + L, restricted to its
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
@@ -62,12 +65,14 @@ from .geometry import (
     Tetrahedron,
     _clear_denominators,
     _facet_cross_products,
+    _hull_facets,
     _pulling_simplices,
     _pulling_volume,
     _read_points,
     _support,
     add3,
     cross3,
+    dot3,
     hull_volume_3d,
     sub3,
 )
@@ -183,49 +188,122 @@ def _sum_facets(
     """The facets of K + L, as the ascending indices of the ``sums`` (as
     :func:`_pair_sums` returns them) on each; sorted.
 
-    The normal fans of K and L give the candidate normals: the face of
-    K + L in direction u is F_K(u) + F_L(u), so a facet's normal is a facet
-    normal of K or of L, or is perpendicular to an edge of each: a cross
-    product of two point differences of K or L. Each such product, made
-    primitive with its sign fixed, is a candidate; the max and the min
-    face of the sums in its direction (:func:`_extreme_faces`) are facets
-    when they are not collinear. Nothing here shows that no facet is
-    missed; the closure check in :func:`volume_cubic` does. Sums that do
-    not span three dimensions raise :class:`DegenerateHull`, as in
+    They are read off the overlay of the fans of K and L (:func:`_fan`),
+    whose rays hold every facet normal of K + L. The face in direction u
+    is F_K(u) + F_L(u), so the candidates are:
+
+    * each ray of K's fan, with its face of K and the points of L
+      extreme along it, and the same with K and L swapped;
+    * each pair of 2D cones, one from each fan, whose edge directions
+      have a cross product that, with one sign, lies strictly inside
+      both; the face is then the cone's face of K plus that of L.
+
+    That is O(f_K + f_L + e_K * e_L) candidates for f facets and e edges,
+    each mapped to ``sums`` by :func:`_sum_face`, and no scan of the sums.
+    When K and L span three dimensions every candidate is a facet. A
+    flatter body brings a finer fan, and its candidates are facets when
+    their sums span a plane. Nothing here shows that no facet is missed;
+    the closure check in :func:`volume_cubic` does. Sums that do not span
+    three dimensions raise :class:`DegenerateHull`, as in
     :func:`trivol.geometry._hull_facets`.
     """
-    diffs = list({
-        (q0 - p0, q1 - p1, q2 - p2)
-        for body in (ik, il)
-        for a, (p0, p1, p2) in enumerate(body)
-        for q0, q1, q2 in body[a + 1 :]
-    })
-    normals = set()
-    for a, (x0, x1, x2) in enumerate(diffs):
-        for y0, y1, y2 in diffs[a + 1 :]:
-            n0 = x1 * y2 - x2 * y1
-            n1 = x2 * y0 - x0 * y2
-            n2 = x0 * y1 - x1 * y0
-            if n0 or n1 or n2:
-                g = gcd(n0, n1, n2)
-                if n0 < 0 or not n0 and (n1 < 0 or not n1 and n2 < 0):
-                    g = -g  # the first nonzero entry becomes positive
-                normals.add((n0 // g, n1 // g, n2 // g))
-    facets = []
-    for u in normals:
-        for incident in _extreme_faces(sums, u):
-            if len(incident) == len(sums):
-                raise DegenerateHull("points do not span 3 dimensions")
-            if len(incident) < 3:
+    if not sums:
+        raise DegenerateHull("points do not span 3 dimensions")
+    pk, pl = list(dict.fromkeys(ik)), list(dict.fromkeys(il))
+    (rays_k, cones_k, solid_k), (rays_l, cones_l, solid_l) = _fan(pk), _fan(pl)
+    index = {s: n for n, s in enumerate(sums)}
+    at = [[index[a0 + b0, a1 + b1, a2 + b2] for b0, b1, b2 in pl] for a0, a1, a2 in pk]
+    faces = {_sum_face(at, face, _extreme_faces(pl, u)[0]) for u, face in rays_k}
+    faces.update(_sum_face(at, _extreme_faces(pk, u)[0], face) for u, face in rays_l)
+    # e x f lies strictly inside cone(n, m) around e iff f.n > 0 > f.m, and
+    # inside cone(n', m') around f iff e.n' < 0 < e.m' (see _fan); -(e x f)
+    # iff all four signs flip
+    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in cones_k:
+        for (f0, f1, f2), (p0, p1, p2), (q0, q1, q2), face_l in cones_l:
+            a = f0 * n0 + f1 * n1 + f2 * n2
+            b = f0 * m0 + f1 * m1 + f2 * m2
+            if a > 0 > b:
+                if e0 * p0 + e1 * p1 + e2 * p2 >= 0 or e0 * q0 + e1 * q1 + e2 * q2 <= 0:
+                    continue
+            elif a < 0 < b:
+                if e0 * p0 + e1 * p1 + e2 * p2 <= 0 or e0 * q0 + e1 * q1 + e2 * q2 >= 0:
+                    continue
+            else:
                 continue
-            a, b, *rest = (sums[s] for s in incident)
-            ab = sub3(b, a)
-            if any(any(cross3(ab, sub3(c, a))) for c in rest):
-                facets.append(tuple(incident))
+            faces.add(_sum_face(at, face_k, face_l))
+    if solid_k and solid_l:
+        # a facet of one body plus a face of the other, or two edges that
+        # are not parallel
+        return sorted(faces)
+    facets = []
+    for incident in faces:
+        if len(incident) == len(sums):
+            raise DegenerateHull("points do not span 3 dimensions")
+        if len(incident) < 3:
+            continue
+        a, b, *rest = (sums[s] for s in incident)
+        ab = sub3(b, a)
+        if any(any(cross3(ab, sub3(c, a))) for c in rest):
+            facets.append(incident)
     if not facets:
         raise DegenerateHull("points do not span 3 dimensions")
     facets.sort()
     return facets
+
+
+def _sum_face(
+    at: Sequence[Sequence[int]], face_k: Iterable[int], face_l: Iterable[int]
+) -> tuple[int, ...]:
+    """One candidate face of K + L: the ascending indices at[i][j] of the
+    sums k_i + l_j for i in ``face_k`` and j in ``face_l``."""
+    return tuple(sorted({row[j] for row in (at[i] for i in face_k) for j in face_l}))
+
+
+_UNIT_SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _fan(pts: Sequence[tuple[int, ...]]) -> tuple[list[tuple], list[tuple], bool]:
+    """A complete fan that refines the normal fan of the hull of distinct
+    integer points: its rays, its 2D cones, and whether it is the hull's
+    own fan.
+
+    For a body B that spans three dimensions it is B's own fan, from one
+    :func:`trivol.geometry._hull_facets` scan: a ray (n, face) per facet,
+    with its outward normal and incident points. An edge is two facets f
+    and g that share two or more points, its points are the shared ones
+    (with any inside it) and its cone is cone(n_f, n_g); it is given as
+    (e, n_f, n_g, face), with the edge direction e signed so that
+    det(n_f, n_g, e) > 0. Then a vector u perpendicular to e lies strictly
+    inside the cone iff u.(e x n_f) > 0 and u.(n_g x e) > 0, and for
+    u = e x f these are |e|^2 f.n_f > 0 and -|e|^2 f.n_g > 0.
+
+    Otherwise (``pts`` must not be empty) it is the fan of B + T, for the
+    unit simplex T, which spans three dimensions and refines B's fan; each
+    face is then B's points extreme along the ray, or along both rays of
+    the cone.
+    """
+    try:
+        hull, facets = pts, _hull_facets(pts)
+    except DegenerateHull:
+        hull = list(dict.fromkeys(add3(p, q) for p in pts for q in _UNIT_SIMPLEX))
+        facets = _hull_facets(hull)
+    incidences = [frozenset(incident) for _, incident in facets]
+    if hull is pts:
+        faces = incidences
+    else:
+        faces = [frozenset(_extreme_faces(pts, n)[0]) for n, _ in facets]
+    cones = []
+    for f, (nf, _) in enumerate(facets):
+        for g in range(f + 1, len(facets)):
+            shared = incidences[f] & incidences[g]
+            if len(shared) > 1:
+                ng = facets[g][0]
+                p, q, *_ = shared
+                e = sub3(hull[q], hull[p])
+                if dot3(cross3(nf, ng), e) < 0:
+                    e = sub3(hull[p], hull[q])
+                cones.append((e, nf, ng, faces[f] & faces[g]))
+    return [(n, face) for (n, _), face in zip(facets, faces)], cones, hull is pts
 
 
 def _extreme_faces(

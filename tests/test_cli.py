@@ -15,7 +15,7 @@ import pytest
 from trivol import InternalDisagreement, InvalidBounds, cli, format_rational, parse_rational
 from trivol import mixed_volume, trilinear, verify, volume_cubic
 
-from testutil import random_box, random_rational_box
+from testutil import random_body, random_box, random_rational_box
 
 
 def run_cli(capsys, *argv):
@@ -715,6 +715,20 @@ def test_mixed_volume_cube_octahedron(tmp_path, capsys):
     assert [doc[k] for k in ("c0", "c1", "c2", "c3")] == ["8", "24", "12", "4/3"]
     assert doc["V_KKL"] == "8"
     assert doc["V_KLL"] == "4"
+
+
+def test_mixed_volume_on_24_point_bodies(tmp_path, capsys):
+    rng = random.Random(24)
+    k, l = random_body(rng, 24), random_body(rng, 24)
+    cfg = tmp_path / "bodies.json"
+    cfg.write_text(json.dumps({"k": k, "l": l}))
+    code, out, _ = run_cli(capsys, "mixed-volume", "--file", str(cfg))
+    assert code == 0
+    doc = json.loads(out)
+    cubic = volume_cubic(k, l)
+    values = (*cubic.coefficients, cubic.v_kkl, cubic.v_kll)
+    names = ("c0", "c1", "c2", "c3", "V_KKL", "V_KLL")
+    assert [doc[name] for name in names] == list(map(format_rational, values))
 
 
 def test_mixed_volume_fit_disagreeing_with_vol_l_exits_3(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from trivol import (
 from trivol import geometry, mixed_volume, trilinear
 from trivol.geometry import scale3
 
-from testutil import random_points, random_tetrahedron
+from testutil import random_body, random_points, random_tetrahedron
 
 CUBE = [tuple(map(F, p)) for p in product((-1, 1), repeat=3)]
 OCTA = [
@@ -386,6 +386,31 @@ def test_sum_facets_on_flat_and_empty_bodies():
             sums, _ = mixed_volume._pair_sums(k, l)
             with pytest.raises(DegenerateHull):
                 mixed_volume._sum_facets(k, l, sums)
+
+
+def test_volume_cubic_on_24_point_bodies_forms_only_the_fan_candidates(monkeypatch):
+    """Every candidate face of K + L is one ``_sum_face`` call: a facet of
+    K or of L, or an edge of each that the overlay of their fans crosses.
+    Both bodies are simplicial, so a body with f facets has 3f/2 edges."""
+    rng = random.Random(24)
+    k, l = random_body(rng, 24), random_body(rng, 24)
+    fans = []
+    for body in (k, l):
+        facets = geometry._hull_facets(body)
+        assert {len(incident) for _, incident in facets} == {3}
+        fans.append((len(facets), 3 * len(facets) // 2))
+    (f_k, e_k), (f_l, e_l) = fans
+    assert fans == [(40, 60), (28, 42)]
+    real = mixed_volume._sum_face
+    candidates = []
+    monkeypatch.setattr(mixed_volume, "_sum_face", lambda *args: candidates.append(args) or real(*args))
+    cubic = volume_cubic(k, l)
+    assert f_k + f_l < len(candidates) <= f_k + f_l + e_k * e_l
+    assert volume_cubic(l, k).coefficients == cubic.coefficients[::-1]
+    # 3 V(T, T, B) is c1 of T + tB and c2 of B + tT
+    t = random_tetrahedron(rng, span=500)
+    mixed = 3 * mixed_volume_against(t, k)
+    assert volume_cubic(t.vertices, k).c1 == mixed == volume_cubic(k, t.vertices).c2
 
 
 @pytest.fixture

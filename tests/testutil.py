@@ -59,3 +59,8 @@ def random_points(rng: random.Random, n: int, span: int = 5) -> list:
     return [
         tuple(Fraction(rng.randint(-span, span)) for _ in range(3)) for _ in range(n)
     ]
+
+
+def random_body(rng: random.Random, n: int) -> list:
+    """n random int points in [0, 1000)^3: in general position, almost surely."""
+    return [tuple(rng.randrange(1000) for _ in range(3)) for _ in range(n)]
