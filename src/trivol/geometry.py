@@ -23,15 +23,17 @@ previous subset is tried first; a subset that spans takes its incident
 points and outward normal from that same pass: 5.0 dot products per
 subset with a nonzero normal on the oracle's eight-point box graphs (345
 over 69 per hull). The scan is written out for each of d = 3 and 4.
-The volume is a sum of simplex determinants over a pulling
-triangulation, which reads only the facets' incident point sets: the
-faces below a facet are intersections of facets, so no hull is ever
-taken in a lower dimension. At the scale this package works with (a few
-dozen points) that is fast enough, and it avoids the degeneracy handling
-an incremental hull algorithm would need to get exact answers. Flat
-input is found by the same scan, with no separate rank test.
-``trivol.mixed_volume.volume_cubic`` runs the triangulation on facets it
-reads off normal fans instead (see that module).
+The volume is a sum of simplex determinants, also written out for each
+d, over a pulling triangulation, which reads only the facets' incident
+point sets: the faces below a facet are intersections of facets, so no
+hull is ever taken in a lower dimension. At the scale this package
+works with (a few dozen points) that is fast enough, and it avoids the
+degeneracy handling an incremental hull algorithm would need to get
+exact answers. Flat input is found by the same scan, with no separate
+rank test.
+``trivol.mixed_volume.volume_cubic`` sums the same determinants over a
+triangulation it reads off the edges that certify its facets instead
+(see that module).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from numbers import Rational
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
@@ -482,10 +484,45 @@ def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[in
     """d! times the volume of the hull of integer points in d = 3 or 4
     dimensions, given the simplices of a triangulation that all start
     with point 0, as :func:`_pulling_simplices` gives them: the sum of
-    |det| over the simplices."""
-    apex = pts[0]
-    rows = [tuple(map(sub, p, apex)) for p in pts]
-    return sum(abs(_det([rows[i] for i in simplex[1:]])) for simplex in simplices)
+    |det| over the simplices of the rows p - pts[0]. Each determinant is
+    :func:`_det` written out: in 3D the first row against the cross
+    product of the others, in 4D the Laplace expansion of the 2x2 minors
+    of the first two rows against those of the last two."""
+    if len(pts[0]) == 3:
+        a0, a1, a2 = pts[0]
+        rows = [(p0 - a0, p1 - a1, p2 - a2) for p0, p1, p2 in pts]
+        total = 0
+        for _, i, j, k in simplices:
+            x0, x1, x2 = rows[i]
+            y0, y1, y2 = rows[j]
+            z0, z1, z2 = rows[k]
+            d = x0 * (y1 * z2 - y2 * z1) + x1 * (y2 * z0 - y0 * z2) + x2 * (y0 * z1 - y1 * z0)
+            total += d if d > 0 else -d
+        return total
+    a0, a1, a2, a3 = pts[0]
+    rows = [(p0 - a0, p1 - a1, p2 - a2, p3 - a3) for p0, p1, p2, p3 in pts]
+    total = 0
+    for _, i, j, k, l in simplices:
+        x0, x1, x2, x3 = rows[i]
+        y0, y1, y2, y3 = rows[j]
+        m01 = x0 * y1 - x1 * y0
+        m02 = x0 * y2 - x2 * y0
+        m03 = x0 * y3 - x3 * y0
+        m12 = x1 * y2 - x2 * y1
+        m13 = x1 * y3 - x3 * y1
+        m23 = x2 * y3 - x3 * y2
+        z0, z1, z2, z3 = rows[k]
+        w0, w1, w2, w3 = rows[l]
+        d = (
+            m01 * (z2 * w3 - z3 * w2)
+            - m02 * (z1 * w3 - z3 * w1)
+            + m03 * (z1 * w2 - z2 * w1)
+            + m12 * (z0 * w3 - z3 * w0)
+            - m13 * (z0 * w2 - z2 * w0)
+            + m23 * (z0 * w1 - z1 * w0)
+        )
+        total += d if d > 0 else -d
+    return total
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:

@@ -11,10 +11,20 @@ coefficients carry the mixed volumes:
     c0 = Vol(K), c1 = 3 V(K,K,L), c2 = 3 V(K,L,L), c3 = Vol(L).
 
 ``volume_cubic`` recovers the coefficients by exact interpolation of hull
-volumes at t = 0, 1, 2, 3 (Newton's divided differences, expanded into
-monomial coefficients), giving a route to the same quantities that never
-touches a support function. The fitted c3 must equal Vol(L), computed
-directly; a mismatch raises :class:`InternalDisagreement`.
+volumes at t = 0, 1, 2, 3, giving a route to the same quantities that
+never touches a support function. At t = 1, 2, 3 the volumes come as
+ints P_t = Vol(K + tL) / unit, six times a lattice volume, where unit is
+the volume of a unit lattice simplex mapped back; P_0 = Vol(K) / unit.
+The coefficients are the forward differences of P_0..P_3, expanded
+into monomial coefficients:
+
+    c1 = (-11 P_0 + 18 P_1 - 9 P_2 + 2 P_3) unit / 6,
+    c2 = (2 P_0 - 5 P_1 + 4 P_2 - P_3) unit / 2,
+    c3 = (-P_0 + 3 P_1 - 3 P_2 + P_3) unit / 6.
+
+The fitted c3 must equal Vol(L), computed directly; a mismatch raises
+:class:`InternalDisagreement`. (:func:`fit_cubic` is the general
+interpolator through any four nodes.)
 
 The facets of K + L are read off the overlay of the normal fans of K and
 L, with no hull scan of the sums. For t > 0 the normal fan of K + tL is
@@ -44,7 +54,10 @@ O(facets * vertices) each:
   the facets of a 3-polytope are connected through their edges, so the
   list holds them all. Each listed face is a facet by construction, with
   every sum on its plane, so closure is what proves that the fan route
-  missed none;
+  missed none. The check returns the edges it proved, and the pulling
+  triangulation is read off that table (``_edge_simplices``): each facet
+  that misses vertex 0 is a triangle, or a fan from its lowest vertex
+  over its edges;
 * support, at t = 2 and 3: each facet's vertices are exactly the ones
   with the largest, or the smallest, dot product with the normal of the
   plane through its first three (``_extreme_faces``).
@@ -66,7 +79,6 @@ from .geometry import (
     _clear_denominators,
     _facet_cross_products,
     _hull_facets,
-    _pulling_simplices,
     _pulling_volume,
     _read_points,
     _support,
@@ -346,28 +358,61 @@ def _vertex_facets(
     return vertices, [tuple(index[p] for p in incident if p in index) for incident in facets]
 
 
-def _check_closed(facets: Sequence[tuple[int, ...]]) -> None:
+def _check_closed(facets: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """Raise unless every facet with m vertices shares exactly two
     vertices with exactly m other facets, and no two facets share more
-    than two: each edge of each polygon borders one other listed facet."""
+    than two: each edge of each polygon borders one other listed facet.
+    Returns the edges so proved: per facet, the bitmask of the two
+    vertices it shares with each of its m neighbours."""
     masks = [sum(1 << v for v in incident) for incident in facets]
-    edges = [0] * len(facets)
+    edges: list[list[int]] = [[] for _ in facets]
     for f, mask in enumerate(masks):
         for g in range(f + 1, len(masks)):
-            shared = (mask & masks[g]).bit_count()
+            edge = mask & masks[g]
+            shared = edge.bit_count()
             if shared > 2:
                 raise InternalDisagreement(
                     f"facets of K + L do not close: facets {f} and {g} share {shared} vertices"
                 )
             if shared == 2:
-                edges[f] += 1
-                edges[g] += 1
-    for f, (incident, neighbours) in enumerate(zip(facets, edges)):
-        if neighbours != len(incident) or neighbours < 3:
+                edges[f].append(edge)
+                edges[g].append(edge)
+    for f, (incident, own) in enumerate(zip(facets, edges)):
+        if len(own) != len(incident) or len(own) < 3:
             raise InternalDisagreement(
-                f"facets of K + L do not close: facet {f} has {neighbours} edge neighbours"
+                f"facets of K + L do not close: facet {f} has {len(own)} edge neighbours"
                 f" for {len(incident)} vertices"
             )
+    return edges
+
+
+def _edge_simplices(
+    facets: Sequence[tuple[int, ...]], edges: Sequence[Sequence[int]]
+) -> list[tuple[int, int, int, int]]:
+    """The pulling triangulation of a 3-polytope from vertex 0, read off
+    its facets (ascending vertex indices) and the edge table that
+    :func:`_check_closed` returns for them.
+
+    A facet that holds vertex 0 is skipped, a triangle F gives (0, *F),
+    and any other facet is fanned from its lowest vertex v: (0, v, *e)
+    for each of its edges e that does not hold v. On closed facets of
+    vertices only, these are the simplices that
+    :func:`trivol.geometry._pulling_simplices` yields for ``d = 3``,
+    with no search for the faces below each facet.
+    """
+    simplices = []
+    for incident, own in zip(facets, edges):
+        v = incident[0]
+        if v == 0:
+            continue
+        if len(incident) == 3:
+            simplices.append((0, *incident))
+            continue
+        bit = 1 << v
+        for e in own:
+            if not e & bit:
+                simplices.append((0, v, (e & -e).bit_length() - 1, e.bit_length() - 1))
+    return simplices
 
 
 def _check_planes(
@@ -395,10 +440,14 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     :func:`trivol.geometry._clear_denominators`): a positive per-axis
     affine map commutes with Minkowski sums up to a translation, so each
     sum's volume is its lattice volume times one factor. The facets of
-    K + L are read off the normal fans of K and L (:func:`_sum_facets`);
-    its vertices, each the sum of one (i, j) pair, are placed at
-    k_i + t*l_j for t = 2 and 3, checked (see the module docstring), and
-    measured over the one pulling triangulation. Each set is read once, K first.
+    K + L are read off the normal fans of K and L (:func:`_sum_facets`)
+    and closed up by :func:`_check_closed`, whose edge table gives the
+    one pulling triangulation (:func:`_edge_simplices`). The vertices,
+    each the sum of one (i, j) pair, are placed at k_i + t*l_j for
+    t = 1, 2 and 3, checked at t = 2 and 3 (see the module docstring),
+    and measured on the lattice over that triangulation. The coefficients
+    are the forward differences of these integer volumes and Vol(K) (see
+    the module docstring). Each set is read once, K first.
     """
     bodies, volumes = [k, l], []
     for i, name in enumerate("kl"):
@@ -415,17 +464,23 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     unit = Fraction(prod(divisors), 6 * prod(scales))
     sums, firsts = _pair_sums(ik, il)
     vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums))
-    _check_closed(facets)
-    simplices = list(_pulling_simplices(facets, 3))
-    # the check above already found Vol(K + 0L) = Vol(K)
-    placed = [sums[p] for p in vertices]
-    values = [volumes[0], _pulling_volume(placed, simplices) * unit]
+    simplices = _edge_simplices(facets, _check_closed(facets))
     pairs = [(ik[i], il[j]) for i, j in (firsts[p] for p in vertices)]
-    for t in (2, 3):
+    # P_t = Vol(K + tL) / unit, and the hull of K above already gave P_0
+    p0, ps = volumes[0] / unit, []
+    for t in (1, 2, 3):
         placed = [(a0 + t * b0, a1 + t * b1, a2 + t * b2) for (a0, a1, a2), (b0, b1, b2) in pairs]
-        _check_planes(placed, facets, t)
-        values.append(_pulling_volume(placed, simplices) * unit)
-    cubic = fit_cubic((0, 1, 2, 3), values)
+        if t > 1:
+            _check_planes(placed, facets, t)
+        ps.append(_pulling_volume(placed, simplices))
+    p1, p2, p3 = ps
+    # the forward differences of P_0..P_3 as monomial coefficients, int terms first
+    cubic = VolumeCubic(
+        volumes[0],
+        (18 * p1 - 9 * p2 + 2 * p3 - 11 * p0) * unit / 6,
+        (4 * p2 - 5 * p1 - p3 + 2 * p0) * unit / 2,
+        (3 * p1 - 3 * p2 + p3 - p0) * unit / 6,
+    )
     # the leading coefficient is Vol(L), which the check above also found
     if cubic.c3 != volumes[1]:
         raise InternalDisagreement(f"fitted c3 = {cubic.c3} != Vol(L) = {volumes[1]}")

@@ -33,6 +33,7 @@ from trivol.geometry import (
     _hull_facets,
     _lattice_points,
     _pulling_simplices,
+    _pulling_volume,
     add3,
     cross3,
     dot3,
@@ -100,6 +101,30 @@ def test_determinants_match_permutation_expansion():
         assert _det(m3) == _det_by_permutation_sum(m3)
         m4 = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
         assert _det(m4) == _det_by_permutation_sum(m4)
+
+
+def test_pulling_volume_matches_the_generic_determinant():
+    """The written-out determinants of ``_pulling_volume`` against |_det|
+    of the rows p - pts[0], simplex by simplex and summed, in d = 3 and 4:
+    small and 40-digit integer coordinates, each simplex in both
+    orientations (its first two rows swapped), and simplices through a
+    point in the plane of points 0, 1 and 2, whose determinant is 0."""
+    rng = random.Random(37)
+    signs = set()
+    for d in (3, 4):
+        for span in (4, 10**40):
+            for _ in range(40):
+                pts = [tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(d + 3)]
+                pts.append(tuple(b + c - a for a, b, c in zip(*pts[:3])))
+                simplices = [(0, *rng.sample(range(1, len(pts)), d)) for _ in range(4)]
+                simplices += [(0, s[2], s[1], *s[3:]) for s in simplices]
+                simplices.append((0, 1, 2, len(pts) - 1, *rng.sample(range(3, len(pts) - 1), d - 3)))
+                rows = [tuple(map(sub, p, pts[0])) for p in pts]
+                dets = [_det([rows[i] for i in s[1:]]) for s in simplices]
+                assert [_pulling_volume(pts, [s]) for s in simplices] == list(map(abs, dets))
+                assert _pulling_volume(pts, simplices) == sum(map(abs, dets))
+                signs.update((d, (det > 0) - (det < 0)) for det in dets)
+    assert signs == {(d, sign) for d in (3, 4) for sign in (-1, 0, 1)}
 
 
 def test_orient_keeps_positive_input():

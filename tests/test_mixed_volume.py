@@ -44,6 +44,9 @@ SIMPLEX = [
     (F(0), F(1), F(0)),
     (F(0), F(0), F(1)),
 ]
+_REGULAR = [tuple(map(F, p)) for p in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+# a regular simplex T and -T
+REFLECTED_SIMPLEX = (_REGULAR, [tuple(-c for c in p) for p in _REGULAR])
 
 
 def test_self_mixed_volume_is_the_volume():
@@ -175,8 +178,7 @@ def test_volume_cubic_of_a_regular_simplex_against_its_reflection():
     """T - T has six square facets from edge x edge normals only, and four
     sums meet at the origin. For a simplex Vol(T + t(-T)) is the sum of
     C(3, i)^2 t^i Vol(T) (Rogers-Shephard), with Vol(T) = 8/3."""
-    t = [tuple(map(F, p)) for p in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
-    cubic = volume_cubic(t, [tuple(-c for c in p) for p in t])
+    cubic = volume_cubic(*REFLECTED_SIMPLEX)
     assert cubic.coefficients == (F(8, 3), F(24), F(24), F(8, 3))
 
 
@@ -411,6 +413,31 @@ def test_volume_cubic_on_24_point_bodies_forms_only_the_fan_candidates(monkeypat
     t = random_tetrahedron(rng, span=500)
     mixed = 3 * mixed_volume_against(t, k)
     assert volume_cubic(t.vertices, k).c1 == mixed == volume_cubic(k, t.vertices).c2
+
+
+def test_edge_table_triangulates_as_the_generic_pull():
+    """The simplices ``volume_cubic`` reads off the edge table of the
+    closure check are those of the generic pulling triangulation from
+    vertex 0, as sets of sorted tuples, with none repeated. A pentagonal
+    prism plus the octahedron adds pentagons that do not hold vertex 0."""
+    rng = random.Random(24)
+    pairs = [(CUBE, OCTA), (OCTA, CUBE), *WITH_EXTRA_POINTS, REFLECTED_SIMPLEX]
+    pairs.append((random_body(rng, 24), random_body(rng, 24)))
+    pentagon = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)]
+    pairs.append(([(x, y, z) for x, y in pentagon for z in (0, 1)], OCTA))
+    sizes = set()
+    for k, l in pairs:
+        ipts, _ = geometry._clear_denominators([*k, *l], 3)
+        ik, il = ipts[: len(k)], ipts[len(k) :]
+        sums, _ = mixed_volume._pair_sums(ik, il)
+        _, facets = mixed_volume._vertex_facets(len(sums), mixed_volume._sum_facets(ik, il, sums))
+        table = mixed_volume._edge_simplices(facets, mixed_volume._check_closed(facets))
+        pulled = list(geometry._pulling_simplices(facets, 3))
+        assert len(table) == len(pulled) == len({tuple(sorted(s)) for s in pulled}), (k, l)
+        assert {tuple(sorted(s)) for s in table} == {tuple(sorted(s)) for s in pulled}, (k, l)
+        sizes.update((len(incident), incident[0] == 0) for incident in facets)
+    # (vertices, holds vertex 0) of the facets met
+    assert sizes == {(m, held) for m in (3, 4, 5) for held in (False, True)}
 
 
 @pytest.fixture

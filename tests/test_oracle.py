@@ -198,9 +198,9 @@ def _trivol_calls(route, box):
 
 def test_oracle_shares_only_allowed_kernels_with_the_other_routes():
     """The oracle route reaches no function of the formula or the pipeline
-    routes but the three below, on a generic, a tied, a flat-bottomed and
-    a wide rational box. The README names each and why it is shared."""
-    allowed = {f.__code__ for f in (geometry._det, geometry._cofactor_normal, geometry._read_points)}
+    routes but the coordinate reader, on a generic, a tied, a flat-bottomed
+    and a wide rational box. The README says why it is shared."""
+    allowed = {geometry._read_points.__code__}
     boxes = [
         Box3Bounds((1, 2, 3), (4, 5, 7)),
         Box3Bounds((1, 1, 2), (2, 2, 4)),
