@@ -97,9 +97,12 @@ def monte_carlo_volume(
 
     Uniform rejection sampling over the coordinate bounding box, with
     membership tested against the exact facets (converted to floats).
-    Deterministic for a fixed seed. A smoke test only: results carry
+    Deterministic for a fixed seed, which must be given: `samples` and
+    `seed` are ints (a bool is not). A smoke test only: results carry
     sampling error and never feed any exactness check.
     """
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in (samples, seed)):
+        raise ValueError(f"samples and seed must be ints, got {samples!r} and {seed!r}")
     if samples <= 0:
         raise ValueError("need a positive sample count")
     # imported here, its one use, so that importing trivol does not load numpy

@@ -11,24 +11,12 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import permutations, product
 
-from trivol import (
-    Box3Bounds,
-    build_Q,
-    build_R,
-    closed_form_volume,
-    cross_section_volume,
-    extreme_points,
-    fit_cubic,
-    hull_volume_3d,
-    hull_volume_4d,
-    minkowski_sum_vertices,
-    monte_carlo_volume,
-    omega_normalize,
-    pipeline_volume,
-    tetra_volume,
-    volume_cubic,
-)
+from trivol import Box3Bounds, closed_form_volume, extreme_points, hull_volume_4d, pipeline_volume
 from trivol import verify
+from trivol.geometry import hull_volume_3d, tetra_volume
+from trivol.mixed_volume import fit_cubic, minkowski_sum_vertices, volume_cubic
+from trivol.oracle import monte_carlo_volume
+from trivol.trilinear import build_Q, build_R, cross_section_volume, omega_normalize
 
 from testutil import random_box
 
@@ -137,7 +125,7 @@ def test_criterion_08_invariance_suite():
                     tuple(box.a[i] for i in perm), tuple(box.b[i] for i in perm)
                 )
                 assert closed_form_volume(shuffled) == base, (box, perm)
-        from trivol import hull_volume_formula
+        from trivol.trilinear import hull_volume_formula
 
         for _ in range(100):
             nb = omega_normalize(random_box(rng)).bounds

@@ -12,8 +12,10 @@ from itertools import product
 
 import pytest
 
-from trivol import InternalDisagreement, InvalidBounds, cli, format_rational, parse_rational
-from trivol import mixed_volume, trilinear, verify, volume_cubic
+from trivol import InternalDisagreement, InvalidBounds, cli, parse_rational
+from trivol import mixed_volume, trilinear, verify
+from trivol.mixed_volume import volume_cubic
+from trivol.rational import format_rational
 
 from testutil import random_body, random_box, random_rational_box
 

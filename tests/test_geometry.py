@@ -15,19 +15,11 @@ from trivol import (
     DegenerateHull,
     DegenerateTetrahedron,
     EmptyPolytope,
-    Tetrahedron,
     closed_form_volume,
     extreme_points,
-    facet_normal_set,
-    hull_volume_3d,
-    minkowski_sum_vertices,
-    mixed_volume_against,
-    monte_carlo_volume,
-    orient,
-    support,
-    tetra_volume,
 )
 from trivol.geometry import (
+    Tetrahedron,
     _cofactor_normal,
     _det,
     _hull_facets,
@@ -37,10 +29,15 @@ from trivol.geometry import (
     add3,
     cross3,
     dot3,
+    facet_normal_set,
+    hull_volume_3d,
+    orient,
     sub3,
+    support,
+    tetra_volume,
 )
-from trivol.mixed_volume import volume_cubic
-from trivol.oracle import hull_facets_4d, hull_volume_4d
+from trivol.mixed_volume import minkowski_sum_vertices, mixed_volume_against, volume_cubic
+from trivol.oracle import hull_facets_4d, hull_volume_4d, monte_carlo_volume
 
 from testutil import (
     random_box,

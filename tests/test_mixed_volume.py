@@ -7,25 +7,16 @@ from itertools import product
 
 import pytest
 
-from trivol import (
-    Box3Bounds,
-    DegenerateHull,
-    EmptyPolytope,
-    InternalDisagreement,
-    build_R,
+from trivol import Box3Bounds, DegenerateHull, EmptyPolytope, InternalDisagreement
+from trivol import geometry, mixed_volume, trilinear
+from trivol.geometry import hull_volume_3d, orient, scale3, tetra_volume
+from trivol.mixed_volume import (
     fit_cubic,
-    hull_volume_3d,
     minkowski_sum_vertices,
     mixed_volume_against,
-    omega_normalize,
-    orient,
-    q_vertex_points,
-    r_vertex_points,
-    tetra_volume,
     volume_cubic,
 )
-from trivol import geometry, mixed_volume, trilinear
-from trivol.geometry import scale3
+from trivol.trilinear import build_R, omega_normalize, q_vertex_points, r_vertex_points
 
 from testutil import random_body, random_points, random_tetrahedron
 

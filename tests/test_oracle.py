@@ -20,19 +20,14 @@ from trivol import geometry, oracle, trilinear
 from trivol import (
     Box3Bounds,
     DegenerateHull,
-    Facet4,
     InvalidBounds,
-    build_Q,
-    build_R,
     closed_form_volume,
-    cross_section_volume,
     extreme_points,
-    hull_facets_4d,
     hull_volume_4d,
-    monte_carlo_volume,
-    omega_normalize,
-    tetra_volume,
 )
+from trivol.geometry import tetra_volume
+from trivol.oracle import Facet4, hull_facets_4d, monte_carlo_volume
+from trivol.trilinear import build_Q, build_R, cross_section_volume, omega_normalize
 
 from testutil import random_box, random_wide_box
 
@@ -307,6 +302,16 @@ def test_monte_carlo_is_deterministic_and_sane():
         monte_carlo_volume(UNIT_4CUBE, 0, seed=1)
     with pytest.raises(DegenerateHull):
         monte_carlo_volume(SIMPLEX_4D[:4], 100, seed=1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "10", None])
+def test_monte_carlo_takes_only_int_samples_and_seed(bad):
+    # checked before the points are read: a flat point set still gets the argument error
+    for points in (UNIT_4CUBE, SIMPLEX_4D[:4]):
+        with pytest.raises(ValueError, match="samples and seed must be ints"):
+            monte_carlo_volume(points, bad, seed=1)
+        with pytest.raises(ValueError, match="samples and seed must be ints"):
+            monte_carlo_volume(points, 100, seed=bad)
 
 
 def test_monte_carlo_brackets_the_exact_volume():

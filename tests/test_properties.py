@@ -12,15 +12,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trivol import (
-    Box3Bounds,
-    cli,
-    closed_form_volume,
-    omega_check,
-    omega_normalize,
-    ordering_values,
-    pipeline_volume,
-)
+from trivol import Box3Bounds, cli, closed_form_volume, pipeline_volume
+from trivol.trilinear import omega_check, omega_normalize, ordering_values
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 

@@ -10,18 +10,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from trivol import (
-    Box3Bounds,
-    InvalidBounds,
-    cli,
-    closed_form_volume,
-    cross_section_volume,
-    fit_cubic,
-    hull_volume_formula,
-    integrate_cross_sections,
-    parse_rational,
-    volume_cubic,
-)
+from trivol import Box3Bounds, InvalidBounds, cli, closed_form_volume, parse_rational
+from trivol.mixed_volume import fit_cubic, volume_cubic
+from trivol.trilinear import cross_section_volume, hull_volume_formula, integrate_cross_sections
 
 SIMPLEX = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 

@@ -14,28 +14,27 @@ from trivol import (
     DegenerateTetrahedron,
     InternalDisagreement,
     InvalidBounds,
-    OmegaBox,
     OmegaViolated,
-    Tetrahedron,
-    build_Q,
-    build_R,
     closed_form_volume,
     extreme_points,
-    facet_normal_set,
+    pipeline_volume,
+)
+from trivol import trilinear
+from trivol.geometry import facet_normal_set, support, tetra_volume
+from trivol.mixed_volume import mixed_volume_against
+from trivol.trilinear import (
+    OmegaBox,
+    build_Q,
+    build_R,
     hull_volume_formula,
     integrate_cross_sections,
-    mixed_volume_against,
     omega_check,
     omega_dprime_check,
     omega_normalize,
     omega_prime_check,
     ordering_values,
-    pipeline_volume,
     q_vertex_points,
-    support,
-    tetra_volume,
 )
-from trivol import trilinear
 from trivol.verify import support_maxima
 
 from testutil import random_box, random_rational_box

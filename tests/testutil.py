@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from trivol import Box3Bounds, DegenerateTetrahedron, Tetrahedron, orient, verify
+from trivol import Box3Bounds, DegenerateTetrahedron, verify
+from trivol.geometry import Tetrahedron, orient
 
 
 def random_box(rng: random.Random, max_bound: int = 10, nonzero_lower: bool = False) -> Box3Bounds:
