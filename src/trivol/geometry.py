@@ -31,9 +31,12 @@ works with (a few dozen points) that is fast enough, and it avoids the
 degeneracy handling an incremental hull algorithm would need to get
 exact answers. Flat input is found by the same scan, with no separate
 rank test.
-``trivol.mixed_volume.volume_cubic`` sums the same determinants over a
-triangulation it reads off the edges that certify its facets instead
-(see that module).
+In 3D the scan, the triangulation and the volume are one private
+kernel, :func:`_hull3`, which also returns the facets and the per-axis
+map: ``trivol.mixed_volume.volume_cubic`` hulls each body once through
+it and reads the body's normal fan off those facets. It sums the same
+determinants over a triangulation of K + tL that it reads off the edges
+that certify its facets instead (see that module).
 """
 
 from __future__ import annotations
@@ -525,15 +528,30 @@ def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[in
     return total
 
 
+def _hull3(points: Iterable[Point3]) -> tuple[_AxisMap, list[_Spanning], Fraction]:
+    """The hull of a 3D point set from one facet scan on its own lattice.
+
+    Runs :func:`_lattice_points` and :func:`_hull_facets` once and returns
+    the per-axis map, the facets as (outward normal, incident) on the
+    deduplicated lattice points, and the exact volume, summed over a
+    pulling triangulation (see :func:`_pulling_simplices`) and scaled
+    back. Raises as :func:`hull_volume_3d` does.
+    """
+    _, ipts, axes = _lattice_points(points, 3)
+    facets = _hull_facets(ipts)
+    scales, _, divisors = axes
+    simplices = _pulling_simplices([incident for _, incident in facets], 3)
+    volume = Fraction(_pulling_volume(ipts, simplices) * prod(divisors), 6 * prod(scales))
+    return axes, facets, volume
+
+
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     """Exact volume of the convex hull of a 3D point set.
 
     Duplicated points are ignored. The volume is summed over a pulling
-    triangulation (see :func:`_pulling_simplices`) on the points' integer
-    lattice and scaled back. A set that does not span three dimensions,
-    the empty one included, raises :class:`DegenerateHull`; flat input
-    never reports volume zero.
+    triangulation on the points' integer lattice and scaled back (see
+    :func:`_hull3`). A set that does not span three dimensions, the empty
+    one included, raises :class:`DegenerateHull`; flat input never reports
+    volume zero.
     """
-    _, ipts, (scales, _, divisors) = _lattice_points(points, 3)
-    simplices = _pulling_simplices([incident for _, incident in _hull_facets(ipts)], 3)
-    return Fraction(_pulling_volume(ipts, simplices) * prod(divisors), 6 * prod(scales))
+    return _hull3(points)[2]

@@ -34,13 +34,17 @@ construction to the Minkowski addition of convex polytopes", 2004): the
 face in direction u is F_K(u) + t F_L(u). So a facet's normal is a facet
 normal of K or of L, or is the cross product of an edge direction of
 each that lies strictly inside both edges' normal cones.
-``_sum_facets`` scans each body once for its facets and edges and forms
-one candidate face per facet of K or of L and per such pair of edges:
-O(f_K + f_L + e_K * e_L) candidates for f facets and e edges, none of
-which scans the sums. The face lattice of K + tL does not depend on t
-either, and each vertex stays the sum k_i + t*l_j of one pair of points
-(i, j): the pair of the unique vertices of K and L that are extreme in
-the vertex's normal cone. The facets of K + L, restricted to its
+Each body is hulled once, on its own lattice (``geometry._hull3``),
+which gives its volume and its facets; the facet normals are moved to
+the lattice of K and L together by positive per-axis weights
+(``_joint_facets``), so no body is scanned twice. ``_sum_facets`` reads
+the edges off those facets (``_fan``) and forms one candidate face per
+facet of K or of L and per such pair of edges: O(f_K + f_L + e_K * e_L)
+candidates for f facets and e edges, none of which scans the sums.
+The face lattice of K + tL does not depend on t either, and each
+vertex stays the sum k_i + t*l_j of one pair of points (i, j): the
+pair of the unique vertices of K and L that are extreme in the
+vertex's normal cone. The facets of K + L, restricted to its
 vertices, and one pulling triangulation read from them serve every t;
 only the vertex coordinates move. One pass over the pairs
 (``_pair_sums``) forms every sum and the first pair of each. Two checks
@@ -58,9 +62,9 @@ O(facets * vertices) each:
   triangulation is read off that table (``_edge_simplices``): each facet
   that misses vertex 0 is a triangle, or a fan from its lowest vertex
   over its edges;
-* support, at t = 2 and 3: each facet's vertices are exactly the ones
-  with the largest, or the smallest, dot product with the normal of the
-  plane through its first three (``_extreme_faces``).
+* support, at t = 2 and 3: the plane through each facet's first three
+  vertices has every vertex weakly on one side and holds exactly that
+  facet's vertices, in one side-test pass per facet (``_check_planes``).
 
 Either failing raises :class:`InternalDisagreement`, with its own message.
 """
@@ -76,16 +80,17 @@ from .errors import DegenerateHull, EmptyPolytope, InternalDisagreement
 from .geometry import (
     Point3,
     Tetrahedron,
+    _AxisMap,
     _clear_denominators,
     _facet_cross_products,
-    _hull_facets,
+    _hull3,
     _pulling_volume,
     _read_points,
+    _Spanning,
     _support,
     add3,
     cross3,
     dot3,
-    hull_volume_3d,
     sub3,
 )
 from .rational import parse_rational
@@ -192,45 +197,67 @@ def _pair_sums(
     return list(firsts), list(firsts.values())
 
 
+def _joint_facets(
+    facets: Sequence[_Spanning], own: _AxisMap, joint: _AxisMap
+) -> list[_Spanning]:
+    """A body's facets, (outward normal, incident) on its own lattice, with
+    each normal moved to the joint lattice of K and L.
+
+    Axis k maps x to (s_k x - m_k) / g_k on the body's own lattice and to
+    (S_k x - M_k) / G_k on the joint one (see
+    :func:`trivol.geometry._clear_denominators`), so a normal n on the
+    own lattice is n_k s_k G_k / (g_k S_k) on the joint one: times the
+    product of all S_j g_j, the positive int weight
+    s_k G_k prod(S_j g_j for j != k). Positive weights keep each normal
+    outward. Both lattices drop the same duplicates, in input order, so
+    the incident indices hold on the joint points too.
+    """
+    (s, _, g), (joint_s, _, joint_g) = own, joint
+    w0, w1, w2 = (
+        s[k] * joint_g[k] * prod(joint_s[j] * g[j] for j in range(3) if j != k) for k in range(3)
+    )
+    return [((n0 * w0, n1 * w1, n2 * w2), incident) for (n0, n1, n2), incident in facets]
+
+
 def _sum_facets(
     ik: Sequence[tuple[int, ...]],
     il: Sequence[tuple[int, ...]],
     sums: Sequence[tuple[int, ...]],
+    facets_k: Sequence[_Spanning],
+    facets_l: Sequence[_Spanning],
 ) -> list[tuple[int, ...]]:
     """The facets of K + L, as the ascending indices of the ``sums`` (as
     :func:`_pair_sums` returns them) on each; sorted.
 
-    They are read off the overlay of the fans of K and L (:func:`_fan`),
-    whose rays hold every facet normal of K + L. The face in direction u
-    is F_K(u) + F_L(u), so the candidates are:
+    K and L must span three dimensions, and ``facets_k`` and ``facets_l``
+    are their facets as (outward normal, incident) on the joint lattice
+    (:func:`_joint_facets`), with the incident indices into the
+    deduplicated ``ik`` and ``il``. The facet normals are the rays of each
+    body's normal fan, and :func:`_fan` gives its 2D cones. The face in
+    direction u is F_K(u) + F_L(u), so the candidates are:
 
-    * each ray of K's fan, with its face of K and the points of L
-      extreme along it, and the same with K and L swapped;
+    * each facet of K, with the points of L extreme along its normal, and
+      the same with K and L swapped;
     * each pair of 2D cones, one from each fan, whose edge directions
       have a cross product that, with one sign, lies strictly inside
       both; the face is then the cone's face of K plus that of L.
 
     That is O(f_K + f_L + e_K * e_L) candidates for f facets and e edges,
     each mapped to ``sums`` by :func:`_sum_face`, and no scan of the sums.
-    When K and L span three dimensions every candidate is a facet. A
-    flatter body brings a finer fan, and its candidates are facets when
-    their sums span a plane. Nothing here shows that no facet is missed;
-    the closure check in :func:`volume_cubic` does. Sums that do not span
-    three dimensions raise :class:`DegenerateHull`, as in
-    :func:`trivol.geometry._hull_facets`.
+    Each candidate is a facet: a facet of one body plus a face of the
+    other, or two edges that are not parallel. Nothing here shows that no
+    facet is missed; the closure check in :func:`volume_cubic` does.
     """
-    if not sums:
-        raise DegenerateHull("points do not span 3 dimensions")
     pk, pl = list(dict.fromkeys(ik)), list(dict.fromkeys(il))
-    (rays_k, cones_k, solid_k), (rays_l, cones_l, solid_l) = _fan(pk), _fan(pl)
     index = {s: n for n, s in enumerate(sums)}
     at = [[index[a0 + b0, a1 + b1, a2 + b2] for b0, b1, b2 in pl] for a0, a1, a2 in pk]
-    faces = {_sum_face(at, face, _extreme_faces(pl, u)[0]) for u, face in rays_k}
-    faces.update(_sum_face(at, _extreme_faces(pk, u)[0], face) for u, face in rays_l)
+    faces = {_sum_face(at, face, _extreme_faces(pl, u)[0]) for u, face in facets_k}
+    faces.update(_sum_face(at, _extreme_faces(pk, u)[0], face) for u, face in facets_l)
+    cones_l = _fan(pl, facets_l)
     # e x f lies strictly inside cone(n, m) around e iff f.n > 0 > f.m, and
     # inside cone(n', m') around f iff e.n' < 0 < e.m' (see _fan); -(e x f)
     # iff all four signs flip
-    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in cones_k:
+    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in _fan(pk, facets_k):
         for (f0, f1, f2), (p0, p1, p2), (q0, q1, q2), face_l in cones_l:
             a = f0 * n0 + f1 * n1 + f2 * n2
             b = f0 * m0 + f1 * m1 + f2 * m2
@@ -243,24 +270,7 @@ def _sum_facets(
             else:
                 continue
             faces.add(_sum_face(at, face_k, face_l))
-    if solid_k and solid_l:
-        # a facet of one body plus a face of the other, or two edges that
-        # are not parallel
-        return sorted(faces)
-    facets = []
-    for incident in faces:
-        if len(incident) == len(sums):
-            raise DegenerateHull("points do not span 3 dimensions")
-        if len(incident) < 3:
-            continue
-        a, b, *rest = (sums[s] for s in incident)
-        ab = sub3(b, a)
-        if any(any(cross3(ab, sub3(c, a))) for c in rest):
-            facets.append(incident)
-    if not facets:
-        raise DegenerateHull("points do not span 3 dimensions")
-    facets.sort()
-    return facets
+    return sorted(faces)
 
 
 def _sum_face(
@@ -271,39 +281,20 @@ def _sum_face(
     return tuple(sorted({row[j] for row in (at[i] for i in face_k) for j in face_l}))
 
 
-_UNIT_SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _fan(pts: Sequence[tuple[int, ...]], facets: Sequence[_Spanning]) -> list[tuple]:
+    """The 2D cones of the normal fan of a 3-polytope, read off its facets
+    (outward normal, incident) on the distinct integer points ``pts``;
+    the facet normals are the fan's rays.
 
-
-def _fan(pts: Sequence[tuple[int, ...]]) -> tuple[list[tuple], list[tuple], bool]:
-    """A complete fan that refines the normal fan of the hull of distinct
-    integer points: its rays, its 2D cones, and whether it is the hull's
-    own fan.
-
-    For a body B that spans three dimensions it is B's own fan, from one
-    :func:`trivol.geometry._hull_facets` scan: a ray (n, face) per facet,
-    with its outward normal and incident points. An edge is two facets f
-    and g that share two or more points, its points are the shared ones
-    (with any inside it) and its cone is cone(n_f, n_g); it is given as
-    (e, n_f, n_g, face), with the edge direction e signed so that
-    det(n_f, n_g, e) > 0. Then a vector u perpendicular to e lies strictly
-    inside the cone iff u.(e x n_f) > 0 and u.(n_g x e) > 0, and for
-    u = e x f these are |e|^2 f.n_f > 0 and -|e|^2 f.n_g > 0.
-
-    Otherwise (``pts`` must not be empty) it is the fan of B + T, for the
-    unit simplex T, which spans three dimensions and refines B's fan; each
-    face is then B's points extreme along the ray, or along both rays of
-    the cone.
+    An edge is two facets f and g that share two or more points, its
+    points are the shared ones (with any inside it) and its cone is
+    cone(n_f, n_g); it is given as (e, n_f, n_g, face), with the edge
+    direction e signed so that det(n_f, n_g, e) > 0. Then a vector u
+    perpendicular to e lies strictly inside the cone iff u.(e x n_f) > 0
+    and u.(n_g x e) > 0, and for u = e x f these are |e|^2 f.n_f > 0 and
+    -|e|^2 f.n_g > 0.
     """
-    try:
-        hull, facets = pts, _hull_facets(pts)
-    except DegenerateHull:
-        hull = list(dict.fromkeys(add3(p, q) for p in pts for q in _UNIT_SIMPLEX))
-        facets = _hull_facets(hull)
     incidences = [frozenset(incident) for _, incident in facets]
-    if hull is pts:
-        faces = incidences
-    else:
-        faces = [frozenset(_extreme_faces(pts, n)[0]) for n, _ in facets]
     cones = []
     for f, (nf, _) in enumerate(facets):
         for g in range(f + 1, len(facets)):
@@ -311,11 +302,11 @@ def _fan(pts: Sequence[tuple[int, ...]]) -> tuple[list[tuple], list[tuple], bool
             if len(shared) > 1:
                 ng = facets[g][0]
                 p, q, *_ = shared
-                e = sub3(hull[q], hull[p])
+                e = sub3(pts[q], pts[p])
                 if dot3(cross3(nf, ng), e) < 0:
-                    e = sub3(hull[p], hull[q])
-                cones.append((e, nf, ng, faces[f] & faces[g]))
-    return [(n, face) for (n, _), face in zip(facets, faces)], cones, hull is pts
+                    e = sub3(pts[p], pts[q])
+                cones.append((e, nf, ng, shared))
+    return cones
 
 
 def _extreme_faces(
@@ -420,54 +411,95 @@ def _check_planes(
 ) -> None:
     """Raise unless the plane through each facet's first three placed
     vertices has every vertex weakly on one side and holds exactly that
-    facet's vertices: they are one of its two extreme faces."""
+    facet's vertices: they are one of its two extreme faces.
+
+    One side-test pass per facet, written as in
+    :func:`trivol.geometry._scan3`: the cross product once, then per
+    vertex its side of the plane, stopping at the first vertex on the
+    side opposite to one already seen, and the indices of those on it.
+    The extreme faces are formed (:func:`_extreme_faces`) only for the
+    message of a facet that fails."""
     for f, incident in enumerate(facets):
-        a, b, c = (placed[v] for v in incident[:3])
-        top, bottom = _extreme_faces(placed, cross3(sub3(b, a), sub3(c, a)))
-        if list(incident) not in (top, bottom):
-            raise InternalDisagreement(
-                f"facet {f} does not support K + {t}L: its vertices {list(incident)} are"
-                f" neither extreme face {top} nor {bottom} of its plane"
-            )
+        i, j, k = incident[:3]
+        a0, a1, a2 = placed[i]
+        b0, b1, b2 = placed[j]
+        c0, c1, c2 = placed[k]
+        x0, x1, x2 = b0 - a0, b1 - a1, b2 - a2
+        y0, y1, y2 = c0 - a0, c1 - a1, c2 - a2
+        n0 = x1 * y2 - x2 * y1
+        n1 = x2 * y0 - x0 * y2
+        n2 = x0 * y1 - x1 * y0
+        # the plane's level: a vertex is above, below or on it
+        h = n0 * a0 + n1 * a1 + n2 * a2
+        above = below = False
+        on = []
+        for v, (p0, p1, p2) in enumerate(placed):
+            s = n0 * p0 + n1 * p1 + n2 * p2
+            if s > h:
+                if below:
+                    break
+                above = True
+            elif s < h:
+                if above:
+                    break
+                below = True
+            else:
+                on.append(v)
+        else:
+            if on == list(incident):
+                continue
+        top, bottom = _extreme_faces(placed, (n0, n1, n2))
+        raise InternalDisagreement(
+            f"facet {f} does not support K + {t}L: its vertices {list(incident)} are"
+            f" neither extreme face {top} nor {bottom} of its plane"
+        )
 
 
 def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     """Coefficients of Vol(K + tL) from Vol(K) and the facets of K + L.
 
     Both vertex sets must span three dimensions; a flat body raises
-    :class:`DegenerateHull` rather than being special-cased. The sums are
-    formed on the integer lattice of K and L together (see
-    :func:`trivol.geometry._clear_denominators`): a positive per-axis
-    affine map commutes with Minkowski sums up to a translation, so each
-    sum's volume is its lattice volume times one factor. The facets of
-    K + L are read off the normal fans of K and L (:func:`_sum_facets`)
-    and closed up by :func:`_check_closed`, whose edge table gives the
-    one pulling triangulation (:func:`_edge_simplices`). The vertices,
-    each the sum of one (i, j) pair, are placed at k_i + t*l_j for
-    t = 1, 2 and 3, checked at t = 2 and 3 (see the module docstring),
-    and measured on the lattice over that triangulation. The coefficients
-    are the forward differences of these integer volumes and Vol(K) (see
-    the module docstring). Each set is read once, K first.
+    :class:`DegenerateHull` rather than being special-cased. Each body is
+    hulled once, on its own lattice (:func:`trivol.geometry._hull3`), for
+    its volume and facets. The sums are formed on the integer lattice of
+    K and L together (see :func:`trivol.geometry._clear_denominators`): a
+    positive per-axis affine map commutes with Minkowski sums up to a
+    translation, so each sum's volume is its lattice volume times one
+    factor. The facets of K + L are read off the normal fans of K and L,
+    from the bodies' facets moved to that lattice (:func:`_joint_facets`,
+    :func:`_sum_facets`), and closed up by :func:`_check_closed`, whose
+    edge table gives the one pulling triangulation
+    (:func:`_edge_simplices`). The vertices, each the sum of one (i, j)
+    pair, are placed at k_i + t*l_j for t = 1, 2 and 3, checked at t = 2
+    and 3 (see the module docstring), and measured on the lattice over
+    that triangulation. The coefficients are the forward differences of
+    these integer volumes and Vol(K) (see the module docstring). Each set
+    is read once, K first.
     """
-    bodies, volumes = [k, l], []
+    bodies, hulls = [k, l], []
     for i, name in enumerate("kl"):
         bodies[i] = body = _read_points(bodies[i], 3)
         if not body:
             raise EmptyPolytope(f"empty vertex list for body {name}")
         try:
-            volumes.append(hull_volume_3d(body))
+            hulls.append(_hull3(body))
         except DegenerateHull as exc:
             raise DegenerateHull(f"body {name} does not span three dimensions") from exc
     k, l = bodies
-    ipts, (scales, _, divisors) = _clear_denominators([*k, *l], 3)
+    ipts, axes = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
+    scales, _, divisors = axes
     unit = Fraction(prod(divisors), 6 * prod(scales))
+    (axes_k, facets_k, vol_k), (axes_l, facets_l, vol_l) = hulls
     sums, firsts = _pair_sums(ik, il)
-    vertices, facets = _vertex_facets(len(sums), _sum_facets(ik, il, sums))
+    facets = _sum_facets(
+        ik, il, sums, _joint_facets(facets_k, axes_k, axes), _joint_facets(facets_l, axes_l, axes)
+    )
+    vertices, facets = _vertex_facets(len(sums), facets)
     simplices = _edge_simplices(facets, _check_closed(facets))
     pairs = [(ik[i], il[j]) for i, j in (firsts[p] for p in vertices)]
     # P_t = Vol(K + tL) / unit, and the hull of K above already gave P_0
-    p0, ps = volumes[0] / unit, []
+    p0, ps = vol_k / unit, []
     for t in (1, 2, 3):
         placed = [(a0 + t * b0, a1 + t * b1, a2 + t * b2) for (a0, a1, a2), (b0, b1, b2) in pairs]
         if t > 1:
@@ -476,12 +508,12 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     p1, p2, p3 = ps
     # the forward differences of P_0..P_3 as monomial coefficients, int terms first
     cubic = VolumeCubic(
-        volumes[0],
+        vol_k,
         (18 * p1 - 9 * p2 + 2 * p3 - 11 * p0) * unit / 6,
         (4 * p2 - 5 * p1 - p3 + 2 * p0) * unit / 2,
         (3 * p1 - 3 * p2 + p3 - p0) * unit / 6,
     )
     # the leading coefficient is Vol(L), which the check above also found
-    if cubic.c3 != volumes[1]:
-        raise InternalDisagreement(f"fitted c3 = {cubic.c3} != Vol(L) = {volumes[1]}")
+    if cubic.c3 != vol_l:
+        raise InternalDisagreement(f"fitted c3 = {cubic.c3} != Vol(L) = {vol_l}")
     return cubic

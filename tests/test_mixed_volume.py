@@ -2,8 +2,10 @@
 
 import random
 import re
+import sys
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -301,22 +303,91 @@ def test_volume_cubic_agrees_with_fresh_minkowski_hulls_at_other_t():
             assert cubic.value_at(t) == hull_volume_3d(minkowski_sum_vertices(k, scaled)), (k, l, t)
 
 
-def fan_and_scan_facets(k, l):
-    """The facets of K + L from ``_sum_facets`` and from the 3D scan of the
-    sums, sorted alike; a DegenerateHull from either stands for its list."""
-    ipts, _ = geometry._clear_denominators([*k, *l], 3)
+def joint_lattice(k, l):
+    """K's and L's points on their joint lattice, the sums and each body's
+    facets moved there from its own hull, as ``volume_cubic`` forms them."""
+    ipts, axes = geometry._clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
     sums, _ = mixed_volume._pair_sums(ik, il)
-    got = []
-    for facets in (
-        lambda: mixed_volume._sum_facets(ik, il, sums),
-        lambda: sorted(incident for _, incident in geometry._hull_facets(sums)),
-    ):
+    facets = []
+    for body in (k, l):
+        own, body_facets, _ = geometry._hull3(body)
+        facets.append(mixed_volume._joint_facets(body_facets, own, axes))
+    return ik, il, sums, facets
+
+
+def fan_and_scan_facets(k, l):
+    """The facets of K + L from ``_sum_facets`` and from the 3D scan of the
+    sums, sorted alike."""
+    ik, il, sums, (facets_k, facets_l) = joint_lattice(k, l)
+    fan = mixed_volume._sum_facets(ik, il, sums, facets_k, facets_l)
+    return fan, sorted(incident for _, incident in geometry._hull_facets(sums))
+
+
+def primitive(normal):
+    g = gcd(*normal)
+    return tuple(c // g for c in normal)
+
+
+def test_joint_facets_match_the_scan_on_the_joint_lattice():
+    """Each body's own facets with their normals moved to the joint lattice
+    are the facets a scan of the body's joint-lattice points finds, in the
+    same order, with the same normals up to a positive factor."""
+    rng = random.Random(79)
+
+    def rational_body():
+        while True:
+            pts = [
+                tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3))
+                for _ in range(rng.randint(4, 7))
+            ]
+            try:
+                hull_volume_3d(pts)
+            except DegenerateHull:
+                continue
+            return pts
+
+    def wide_body(n):
+        return [
+            tuple(F(rng.randint(-(10**12), 10**12), rng.randint(1, 10**9)) for _ in range(3))
+            for _ in range(n)
+        ]
+
+    pairs = [(CUBE, OCTA), (OCTA, CUBE), (SIMPLEX, SIMPLEX), *WITH_EXTRA_POINTS, REFLECTED_SIMPLEX]
+    pairs.append((random_body(rng, 24), random_body(rng, 24)))
+    pairs += [(wide_body(5), wide_body(4)) for _ in range(3)]
+    pairs += [(rational_body(), rational_body()) for _ in range(160)]
+    moved = 0
+    for k, l in pairs:
+        ik, il, _, joint = joint_lattice(k, l)
+        for points, facets in zip((ik, il), joint):
+            scanned = geometry._hull_facets(list(dict.fromkeys(points)))
+            assert [(primitive(n), incident) for n, incident in facets] == [
+                (primitive(n), incident) for n, incident in scanned
+            ], (k, l)
+            moved += any(n != m for (n, _), (m, _) in zip(facets, scanned))
+    # of the bodies, those whose moved normals differ from the scan's before reduction
+    assert (moved, 2 * len(pairs)) == (333, 344)
+
+
+def test_volume_cubic_scans_each_body_once():
+    """One facet scan per body, on its own lattice, and none of the sums."""
+    scan = geometry._hull_facets.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is scan:
+            calls.append(None)
+
+    for k, l in [(CUBE, OCTA), WITH_EXTRA_POINTS[2]]:
+        calls.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
         try:
-            got.append(facets())
-        except DegenerateHull as exc:
-            got.append(type(exc))
-    return got
+            volume_cubic(k, l)
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) == 2, (k, l)
 
 
 def test_pair_sums_index_every_pair_once():
@@ -350,35 +421,67 @@ def test_sum_facets_match_the_scan_of_the_sums():
             pts.append(tuple(sum(c) / 4 for c in zip(*pts[:4])))
         return pts
 
+    def flat(pts):
+        a, *rest = pts
+        edges = [geometry.sub3(p, a) for p in rest]
+        return not any(geometry._det(rows) for rows in combinations(edges, 3))
+
     pairs = [(CUBE, OCTA), (OCTA, CUBE)] + WITH_EXTRA_POINTS
     pairs += [(body(rational), body(rational)) for rational in [False] * 30 + [True] * 15]
-    coincident = spanning = 0
+    coincident = rejected = 0
     for k, l in pairs:
-        fan, scan = fan_and_scan_facets(k, l)
-        assert fan == scan, (k, l)
-        coincident += len(minkowski_sum_vertices(k, l)) < len(k) * len(l)
-        spanning += fan != DegenerateHull
-    # the draws exercise coincident sums, and every K + L spans 3D
-    assert (coincident, spanning) == (34, len(pairs))
+        for name, pts in zip("kl", (k, l)):
+            if flat(pts):
+                # volume_cubic rejects it before the fans are formed
+                with pytest.raises(DegenerateHull) as caught:
+                    volume_cubic(k, l)
+                assert str(caught.value) == f"body {name} does not span three dimensions"
+                rejected += 1
+                break
+        else:
+            fan, scan = fan_and_scan_facets(k, l)
+            assert fan == scan, (k, l)
+            coincident += len(minkowski_sum_vertices(k, l)) < len(k) * len(l)
+    # the draws exercise coincident sums among the solid pairs, and flat bodies
+    assert (coincident, rejected, len(pairs)) == (23, 11, 51)
 
 
-def test_sum_facets_on_flat_and_empty_bodies():
+def test_sum_facets_on_flat_and_empty_bodies(monkeypatch):
+    """``_sum_facets`` takes only solid bodies: ``volume_cubic`` rejects an
+    empty or flat body, K first, before the normal fans are read, even
+    where K + L spans three dimensions."""
     flat = [(F(x), F(y), F(0)) for x, y in product((0, 1), repeat=2)]
-    segment = [(F(0), F(0), F(0)), (F(1), F(1), F(0))]
-    point = [(F(0), F(0), F(0))]
-    # volume_cubic rejects a flat body, but K + L spans three dimensions here
-    triangle = [(F(0), F(0), F(1))] + segment
-    for k, l in [(flat, OCTA), (CUBE, segment), (point, CUBE), (flat, triangle)]:
-        fan, scan = fan_and_scan_facets(k, l)
-        assert isinstance(scan, list) and fan == scan, (k, l)
-    for k, l in [(flat, flat), (flat, segment), (segment, segment), (point, flat), (point, point)]:
-        assert fan_and_scan_facets(k, l) == [DegenerateHull, DegenerateHull], (k, l)
-    # an empty body has no sums, so no face of K + L spans a plane
-    for ik, il in [([], [(0, 0, 0)]), ([], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])]:
-        for k, l in [(ik, il), (il, ik)]:
-            sums, _ = mixed_volume._pair_sums(k, l)
+    segment = [(0, 0, 0), (1, 1, 0)]
+    point = [(0, 0, 0)]
+    triangle = [(0, 0, 1), *segment]
+    spanning = [(flat, OCTA), (point, CUBE), (flat, triangle)]
+    flat_sums = [(flat, flat), (flat, segment), (segment, segment), (point, flat), (point, point)]
+    for k, l in spanning + flat_sums:
+        ipts, _ = geometry._clear_denominators([*k, *l], 3)
+        sums, _ = mixed_volume._pair_sums(ipts[: len(k)], ipts[len(k) :])
+        if (k, l) in spanning:
+            assert geometry._hull_facets(sums), (k, l)
+        else:
             with pytest.raises(DegenerateHull):
-                mixed_volume._sum_facets(k, l, sums)
+                geometry._hull_facets(sums)
+
+    def unreachable(*args):
+        raise AssertionError("_sum_facets reached")
+
+    monkeypatch.setattr(mixed_volume, "_sum_facets", unreachable)
+    cases = [
+        ((CUBE, segment), DegenerateHull, "body l does not span three dimensions"),
+        ((point, []), DegenerateHull, "body k does not span three dimensions"),
+        ((SIMPLEX, []), EmptyPolytope, "empty vertex list for body l"),
+        (([], SIMPLEX), EmptyPolytope, "empty vertex list for body k"),
+        (([], point), EmptyPolytope, "empty vertex list for body k"),
+    ]
+    for bodies in spanning + flat_sums:
+        cases.append((bodies, DegenerateHull, "body k does not span three dimensions"))
+    for bodies, error, message in cases:
+        with pytest.raises(error) as caught:
+            volume_cubic(*bodies)
+        assert str(caught.value) == message, bodies
 
 
 def test_volume_cubic_on_24_point_bodies_forms_only_the_fan_candidates(monkeypatch):
@@ -418,10 +521,9 @@ def test_edge_table_triangulates_as_the_generic_pull():
     pairs.append(([(x, y, z) for x, y in pentagon for z in (0, 1)], OCTA))
     sizes = set()
     for k, l in pairs:
-        ipts, _ = geometry._clear_denominators([*k, *l], 3)
-        ik, il = ipts[: len(k)], ipts[len(k) :]
-        sums, _ = mixed_volume._pair_sums(ik, il)
-        _, facets = mixed_volume._vertex_facets(len(sums), mixed_volume._sum_facets(ik, il, sums))
+        ik, il, sums, (facets_k, facets_l) = joint_lattice(k, l)
+        sum_facets = mixed_volume._sum_facets(ik, il, sums, facets_k, facets_l)
+        _, facets = mixed_volume._vertex_facets(len(sums), sum_facets)
         table = mixed_volume._edge_simplices(facets, mixed_volume._check_closed(facets))
         pulled = list(geometry._pulling_simplices(facets, 3))
         assert len(table) == len(pulled) == len({tuple(sorted(s)) for s in pulled}), (k, l)
