@@ -46,7 +46,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from numbers import Rational
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
@@ -57,9 +56,7 @@ __all__ = [
     "Point3",
     "Point4",
     "Tetrahedron",
-    "add3",
     "sub3",
-    "scale3",
     "dot3",
     "cross3",
     "orient",
@@ -74,16 +71,8 @@ Point3 = Vec3
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def add3(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
 def sub3(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def scale3(u: Vec3, s: Fraction) -> Vec3:
-    return (u[0] * s, u[1] * s, u[2] * s)
 
 
 def dot3(u: Vec3, v: Vec3) -> Fraction:
@@ -128,13 +117,14 @@ def _read_coordinate(x: object) -> Fraction | int:
 
 
 def _edge_det(vertices: Sequence[Point3]) -> Fraction:
-    """det[v1 - v0, v2 - v0, v3 - v0]: six times the signed volume of four
-    3D points, trusted (the certificate runs it on polynomials). Another
+    """det[v1 - v0, v2 - v0, v3 - v0], the first edge against the cross
+    product of the other two: six times the signed volume of four 3D
+    points, trusted (the certificate runs it on polynomials). Another
     count raises ValueError, a zero determinant DegenerateTetrahedron."""
     if len(vertices) != 4:
         raise ValueError(f"expected 4 vertices, got {len(vertices)}")
-    v0 = vertices[0]
-    d = _det([sub3(v, v0) for v in vertices[1:]])
+    v0, v1, v2, v3 = vertices
+    d = dot3(sub3(v1, v0), cross3(sub3(v2, v0), sub3(v3, v0)))
     if d == 0:
         raise DegenerateTetrahedron(f"affinely dependent vertices: {vertices}")
     return d
@@ -204,8 +194,7 @@ def facet_normal_set(t: Tetrahedron) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     of any closed polytope do. The order is: facet opposite vertex 3,
     then opposite vertex 2, 1 and 0.
     """
-    half = Fraction(1, 2)
-    return tuple(scale3(n, half) for n in _facet_cross_products(t))
+    return tuple(tuple(Fraction(c, 2) for c in n) for n in _facet_cross_products(t))
 
 
 def support(vertices: Iterable[Point3], u: Vec3) -> Fraction:
@@ -286,37 +275,6 @@ def _lattice_points(
     if len(lattice) > dim:
         return list(lattice.values()), list(lattice), axes
     raise DegenerateHull(f"points do not span {dim} dimensions")
-
-
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a 3x3 or 4x4 matrix: its first row against the
-    cofactors of the others."""
-    return sum(map(mul, m[0], _cofactor_normal(m[1:])))
-
-
-def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Signed maximal minors of d - 1 rows in d columns.
-
-    Entry j is (-1)^j times the minor without column j. The result is
-    orthogonal to every row, and zero exactly when the rows are linearly
-    dependent. d is 3 or 4, each written out.
-    """
-    if len(rows[0]) == 3:
-        return cross3(*rows)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
-    # the 2x2 minors of the last two rows, shared by all four cofactors
-    m01 = b0 * c1 - b1 * c0
-    m02 = b0 * c2 - b2 * c0
-    m03 = b0 * c3 - b3 * c0
-    m12 = b1 * c2 - b2 * c1
-    m13 = b1 * c3 - b3 * c1
-    m23 = b2 * c3 - b3 * c2
-    return (
-        a1 * m23 - a2 * m13 + a3 * m12,
-        a2 * m03 - a0 * m23 - a3 * m02,
-        a0 * m13 - a1 * m03 + a3 * m01,
-        a1 * m02 - a0 * m12 - a2 * m01,
-    )
 
 
 # what a facet scan yields per spanning subset: (outward normal, incident)
@@ -401,8 +359,9 @@ def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
     4-subset from its one side-test pass, with the cofactor normal and
     the dot products inline.
 
-    The normal of rows (i, j, k) is :func:`_cofactor_normal` of the rows
-    cycled to (k, i, j), an even permutation with the same cofactors, so
+    The normal of rows (i, j, k) is their signed maximal minors (entry m
+    is (-1)^m times the minor without column m), expanded along row k: the
+    rows cycled to (k, i, j), an even permutation with the same minors, so
     the six 2x2 minors of rows i and j are computed once for every k.
     """
     n = len(pts)
@@ -488,9 +447,9 @@ def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[in
     dimensions, given the simplices of a triangulation that all start
     with point 0, as :func:`_pulling_simplices` gives them: the sum of
     |det| over the simplices of the rows p - pts[0]. Each determinant is
-    :func:`_det` written out: in 3D the first row against the cross
-    product of the others, in 4D the Laplace expansion of the 2x2 minors
-    of the first two rows against those of the last two."""
+    written out: in 3D the first row against the cross product of the
+    others, in 4D the Laplace expansion of the 2x2 minors of the first two
+    rows against those of the last two."""
     if len(pts[0]) == 3:
         a0, a1, a2 = pts[0]
         rows = [(p0 - a0, p1 - a1, p2 - a2) for p0, p1, p2 in pts]

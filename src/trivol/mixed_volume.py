@@ -88,7 +88,6 @@ from .geometry import (
     _read_points,
     _Spanning,
     _support,
-    add3,
     cross3,
     dot3,
     sub3,
@@ -160,7 +159,8 @@ def minkowski_sum_vertices(k: Iterable[Point3], l: Iterable[Point3]) -> list[Poi
     k, l = _read_points(k, 3), _read_points(l, 3)
     if not k or not l:
         raise EmptyPolytope("Minkowski sum of an empty vertex list")
-    return list(dict.fromkeys(add3(p, q) for p in k for q in l))
+    sums = ((p0 + q0, p1 + q1, p2 + q2) for p0, p1, p2 in k for q0, q1, q2 in l)
+    return list(dict.fromkeys(sums))
 
 
 def fit_cubic(ts: Sequence[object], values: Sequence[object]) -> VolumeCubic:

@@ -17,11 +17,6 @@ one per corner of the box. Its volume is computed here two exact ways:
   support-sum evaluation; the integral is evaluated analytically and
   cross-checked against Simpson's rule, which is exact for cubics.
 
-``cross_section_volume`` measures one slice directly from the same slice
-construction (``q_vertex_points``, ``r_vertex_points``): the 3D hull of
-the weighted Minkowski sum of their vertex sets, with no mixed-volume
-formula. The tests use it to pin the pipeline's cubic slice by slice.
-
 Every redundant pair of computation paths must agree exactly; a mismatch
 raises :class:`InternalDisagreement` rather than returning anything.
 
@@ -52,16 +47,8 @@ from .errors import (
     InvalidBounds,
     OmegaViolated,
 )
-from .geometry import (
-    Point3,
-    Point4,
-    Tetrahedron,
-    Vec3,
-    hull_volume_3d,
-    orient,
-    scale3,
-)
-from .mixed_volume import _support_sum6, minkowski_sum_vertices
+from .geometry import Point3, Point4, Tetrahedron, Vec3, orient
+from .mixed_volume import _support_sum6
 from .rational import parse_rational
 
 __all__ = [
@@ -74,9 +61,6 @@ __all__ = [
     "omega_check",
     "omega_prime_check",
     "omega_dprime_check",
-    "q_vertex_points",
-    "r_vertex_points",
-    "cross_section_volume",
     "build_Q",
     "build_R",
     "integrate_cross_sections",
@@ -242,55 +226,22 @@ def _slice_points(a: tuple, b: tuple, level: Fraction | int) -> list[Point3]:
     ]
 
 
-def q_vertex_points(bounds: Box3Bounds) -> list[Point3]:
-    """Vertices of the bottom slice (x3 = a3); flat when a3 == 0."""
-    return _slice_points(bounds.a, bounds.b, bounds.a[2])
-
-
-def r_vertex_points(bounds: Box3Bounds) -> list[Point3]:
-    """Vertices of the top slice (x3 = b3); always a genuine tetrahedron."""
-    return _slice_points(bounds.a, bounds.b, bounds.b[2])
-
-
-def cross_section_volume(box: Box3Bounds, t: object) -> Fraction:
-    """Exact 3-volume of the hull's slice at third-coordinate value t.
-
-    The axes are reordered internally (see :func:`omega_normalize`); t,
-    read by :func:`parse_rational`, is on the third axis after that
-    reordering and must lie within its bounds. The slice is the Minkowski
-    combination of the bottom and top slice tetrahedra weighted by where t
-    sits in the range, measured from the summed vertex sets. The t = a3 = 0
-    section is flat and returns 0; every other one is full-dimensional.
-    """
-    nb = omega_normalize(box).bounds
-    a3, b3 = nb.a[2], nb.b[2]
-    pos = parse_rational(t)
-    if not a3 <= pos <= b3:
-        raise InvalidBounds(f"section position {pos} outside [{a3}, {b3}]")
-    if pos == a3 == 0:
-        return Fraction(0)
-    h = b3 - a3
-    wq = (b3 - pos) / h
-    wr = (pos - a3) / h
-    scaled_q = [scale3(p, wq) for p in q_vertex_points(nb)]
-    scaled_r = [scale3(p, wr) for p in r_vertex_points(nb)]
-    return hull_volume_3d(minkowski_sum_vertices(scaled_q, scaled_r))
-
-
 def build_Q(box: OmegaBox) -> Tetrahedron:
     """Oriented tetrahedron of the bottom slice.
 
     Raises :class:`DegenerateTetrahedron` when a3 == 0, where the bottom
     slice collapses into the y = 0 plane.
     """
-    if box.bounds.a[2] == 0:
+    nb = box.bounds
+    if nb.a[2] == 0:
         raise DegenerateTetrahedron("bottom slice is flat when a3 == 0")
-    return orient(q_vertex_points(box.bounds))
+    return orient(_slice_points(nb.a, nb.b, nb.a[2]))
 
 
 def build_R(box: OmegaBox) -> Tetrahedron:
     """Oriented tetrahedron of the top slice."""
-    return orient(r_vertex_points(box.bounds))
+    nb = box.bounds
+    return orient(_slice_points(nb.a, nb.b, nb.b[2]))
 
 
 def _slice_directions(a: tuple, b: tuple, level: Fraction | int) -> tuple[Vec3, Vec3, Vec3, Vec3]:

@@ -16,8 +16,9 @@ from trivol import verify
 from trivol.geometry import hull_volume_3d, tetra_volume
 from trivol.mixed_volume import fit_cubic, minkowski_sum_vertices, volume_cubic
 from trivol.oracle import monte_carlo_volume
-from trivol.trilinear import build_Q, build_R, cross_section_volume, omega_normalize
+from trivol.trilinear import build_Q, build_R, omega_normalize
 
+from reference import cross_section_volume
 from testutil import random_box
 
 UNIT = Box3Bounds((0, 0, 0), (1, 1, 1))

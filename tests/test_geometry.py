@@ -4,7 +4,7 @@ import random
 import warnings
 from decimal import Decimal
 from fractions import Fraction as F
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial, gcd
 from operator import add, mul, ne, sub
 
@@ -20,13 +20,11 @@ from trivol import (
 )
 from trivol.geometry import (
     Tetrahedron,
-    _cofactor_normal,
-    _det,
+    _edge_det,
     _hull_facets,
     _lattice_points,
     _pulling_simplices,
     _pulling_volume,
-    add3,
     cross3,
     dot3,
     facet_normal_set,
@@ -39,6 +37,7 @@ from trivol.geometry import (
 from trivol.mixed_volume import minkowski_sum_vertices, mixed_volume_against, volume_cubic
 from trivol.oracle import hull_facets_4d, hull_volume_4d, monte_carlo_volume
 
+from reference import add3, det_by_permutation_sum
 from testutil import (
     random_box,
     random_points,
@@ -54,58 +53,67 @@ E3 = (F(0), F(0), F(1))
 SIMPLEX = [ORIGIN, E1, E2, E3]
 
 
-def _det_by_permutation_sum(m):
-    n = len(m)
-    total = F(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = F(1)
-        for i in range(n):
-            term *= m[i][perm[i]]
-        total += sign * term
-    return total
-
-
 def test_det_small_3x3_cases():
-    identity = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert _det(identity) == 1
-    repeated = [[F(1), F(2), F(3)], [F(1), F(2), F(3)], [F(4), F(5), F(6)]]
-    assert _det(repeated) == 0
-    m = [[F(1), F(2), F(3)], [F(0), F(1), F(4)], [F(5), F(6), F(0)]]
-    assert _det(m) == 1
+    """``_edge_det`` of the origin and three rows is their determinant;
+    dependent rows raise."""
+    identity = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    assert _edge_det((ORIGIN, *identity)) == 1
+    repeated = [(F(1), F(2), F(3)), (F(1), F(2), F(3)), (F(4), F(5), F(6))]
+    with pytest.raises(DegenerateTetrahedron, match="^affinely dependent vertices: "):
+        _edge_det((ORIGIN, *repeated))
+    m = [(F(1), F(2), F(3)), (F(0), F(1), F(4)), (F(5), F(6), F(0))]
+    assert _edge_det((ORIGIN, *m)) == 1
 
 
 def test_det4_small_cases():
-    identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert _det(identity) == 1
-    # an odd permutation matrix (single transposition of rows 0 and 1)
+    """A one-simplex ``_pulling_volume`` from the origin is |det| of its
+    four rows."""
+
+    def abs_det4(rows):
+        return _pulling_volume([(0, 0, 0, 0), *rows], [(0, 1, 2, 3, 4)])
+
+    identity = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert abs_det4(identity) == 1
+    # an odd permutation matrix (single transposition of rows 0 and 1), det -1
     swap = [identity[1], identity[0], identity[2], identity[3]]
-    assert _det(swap) == -1
-    ones = [1] * 4
-    lifted = [ones] + [[int(v[i]) for v in SIMPLEX] for i in range(3)]
-    assert _det(lifted) == 1
+    assert abs_det4(swap) == 1
+    ones = (1,) * 4
+    lifted = [ones] + [tuple(int(v[i]) for v in SIMPLEX) for i in range(3)]
+    assert abs_det4(lifted) == 1
+    assert abs_det4([tuple(k * x for x in row) for k, row in enumerate(identity, 1)]) == 24
+    assert abs_det4([identity[0], identity[1], identity[0], identity[3]]) == 0
 
 
 def test_determinants_match_permutation_expansion():
+    """``_edge_det`` against the permutation expansion of its edge rows, on
+    small and 40-digit ints, with the rows in both orientations (the first
+    two swapped) and the tetrahedron moved off the origin; a zero
+    determinant raises."""
     rng = random.Random(31)
-    for _ in range(100):
-        m3 = [[F(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-        assert _det(m3) == _det_by_permutation_sum(m3)
-        m4 = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        assert _det(m4) == _det_by_permutation_sum(m4)
+    signs = set()
+    for span in (4, 10**40):
+        for _ in range(100):
+            rows = [tuple(rng.randint(-span, span) for _ in range(3)) for _ in range(3)]
+            base = tuple(rng.randint(-span, span) for _ in range(3))
+            for m in (rows, [rows[1], rows[0], rows[2]]):
+                expected = det_by_permutation_sum(m)
+                vertices = (base, *(add3(base, r) for r in m))
+                if expected == 0:
+                    with pytest.raises(DegenerateTetrahedron):
+                        _edge_det(vertices)
+                else:
+                    assert _edge_det(vertices) == expected
+                signs.add((span, (expected > 0) - (expected < 0)))
+    assert signs == {(4, -1), (4, 0), (4, 1), (10**40, -1), (10**40, 1)}
 
 
 def test_pulling_volume_matches_the_generic_determinant():
-    """The written-out determinants of ``_pulling_volume`` against |_det|
-    of the rows p - pts[0], simplex by simplex and summed, in d = 3 and 4:
-    small and 40-digit integer coordinates, each simplex in both
-    orientations (its first two rows swapped), and simplices through a
-    point in the plane of points 0, 1 and 2, whose determinant is 0."""
+    """The written-out determinants of ``_pulling_volume`` against the
+    absolute permutation expansion of the rows p - pts[0], simplex by
+    simplex and summed, in d = 3 and 4: small and 40-digit integer
+    coordinates, each simplex in both orientations (its first two rows
+    swapped), and simplices through a point in the plane of points 0, 1
+    and 2, whose determinant is 0."""
     rng = random.Random(37)
     signs = set()
     for d in (3, 4):
@@ -117,7 +125,7 @@ def test_pulling_volume_matches_the_generic_determinant():
                 simplices += [(0, s[2], s[1], *s[3:]) for s in simplices]
                 simplices.append((0, 1, 2, len(pts) - 1, *rng.sample(range(3, len(pts) - 1), d - 3)))
                 rows = [tuple(map(sub, p, pts[0])) for p in pts]
-                dets = [_det([rows[i] for i in s[1:]]) for s in simplices]
+                dets = [det_by_permutation_sum([rows[i] for i in s[1:]]) for s in simplices]
                 assert [_pulling_volume(pts, [s]) for s in simplices] == list(map(abs, dets))
                 assert _pulling_volume(pts, simplices) == sum(map(abs, dets))
                 signs.update((d, (det > 0) - (det < 0)) for det in dets)
@@ -346,7 +354,7 @@ def _pulled_dets(points):
     facets = [incident for _, incident in _hull_facets(ipts)]
     rows = [tuple(map(sub, p, ipts[0])) for p in ipts]
     return [
-        abs(_det_by_permutation_sum([rows[i] for i in simplex[1:]]))
+        abs(det_by_permutation_sum([rows[i] for i in simplex[1:]]))
         for simplex in _pulling_simplices(facets, len(ipts[0]))
     ]
 
@@ -591,15 +599,20 @@ def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
 
 
 def _reference_facets(pts):
-    """The facet scan without shortcuts: every d-subset's cofactor normal,
-    side-tested against every point, facets kept once in subset order, as
-    (primitive outward normal, incident)."""
+    """The facet scan without shortcuts: every d-subset's normal, its
+    signed maximal minors by the permutation expansion, side-tested
+    against every point, facets kept once in subset order, as (primitive
+    outward normal, incident)."""
     d = len(pts[0])
     found = set()
     facets = []
     for subset in combinations(range(len(pts)), d):
         base = pts[subset[0]]
-        normal = _cofactor_normal([tuple(map(sub, pts[i], base)) for i in subset[1:]])
+        rows = [tuple(map(sub, pts[i], base)) for i in subset[1:]]
+        # the signed maximal minors: entry j is (-1)^j times the minor without column j
+        normal = tuple(
+            (-1) ** j * det_by_permutation_sum([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)
+        )
         if not any(normal):
             continue
         side = [sum(map(mul, normal, map(sub, p, base))) for p in pts]
@@ -621,7 +634,7 @@ def _grid_cloud(rng, d, n, span):
         pts = list({tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)})
         rng.shuffle(pts)
         diffs = [tuple(map(sub, p, pts[0])) for p in pts[1:]]
-        if any(map(_det_by_permutation_sum, combinations(diffs, d))):
+        if any(map(det_by_permutation_sum, combinations(diffs, d))):
             return pts
 
 

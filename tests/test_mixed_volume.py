@@ -2,7 +2,6 @@
 
 import random
 import re
-import sys
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import gcd
@@ -11,16 +10,17 @@ import pytest
 
 from trivol import Box3Bounds, DegenerateHull, EmptyPolytope, InternalDisagreement
 from trivol import geometry, mixed_volume, trilinear
-from trivol.geometry import hull_volume_3d, orient, scale3, tetra_volume
+from trivol.geometry import hull_volume_3d, orient, tetra_volume
 from trivol.mixed_volume import (
     fit_cubic,
     minkowski_sum_vertices,
     mixed_volume_against,
     volume_cubic,
 )
-from trivol.trilinear import build_R, omega_normalize, q_vertex_points, r_vertex_points
+from trivol.trilinear import build_R, omega_normalize
 
-from testutil import random_body, random_points, random_tetrahedron
+from reference import add3, det_by_permutation_sum, q_vertex_points, r_vertex_points, scale3
+from testutil import random_body, random_points, random_tetrahedron, trivol_calls
 
 CUBE = [tuple(map(F, p)) for p in product((-1, 1), repeat=3)]
 OCTA = [
@@ -373,21 +373,9 @@ def test_joint_facets_match_the_scan_on_the_joint_lattice():
 def test_volume_cubic_scans_each_body_once():
     """One facet scan per body, on its own lattice, and none of the sums."""
     scan = geometry._hull_facets.__code__
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is scan:
-            calls.append(None)
-
     for k, l in [(CUBE, OCTA), WITH_EXTRA_POINTS[2]]:
-        calls.clear()
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            volume_cubic(k, l)
-        finally:
-            sys.setprofile(previous)
-        assert len(calls) == 2, (k, l)
+        calls = trivol_calls(lambda: volume_cubic(k, l))
+        assert calls[scan] == 2, (k, l)
 
 
 def test_pair_sums_index_every_pair_once():
@@ -400,7 +388,7 @@ def test_pair_sums_index_every_pair_once():
         pairs = list(product(range(len(ik)), range(len(il))))  # k-major
         first = {}
         for i, j in pairs:
-            first.setdefault(sums.index(geometry.add3(ik[i], il[j])), (i, j))
+            first.setdefault(sums.index(add3(ik[i], il[j])), (i, j))
         assert firsts == [first[n] for n in range(len(sums))]
         coincident.append(len(pairs) - len(firsts))
     # pairs whose sum an earlier pair already formed
@@ -424,7 +412,7 @@ def test_sum_facets_match_the_scan_of_the_sums():
     def flat(pts):
         a, *rest = pts
         edges = [geometry.sub3(p, a) for p in rest]
-        return not any(geometry._det(rows) for rows in combinations(edges, 3))
+        return not any(map(det_by_permutation_sum, combinations(edges, 3)))
 
     pairs = [(CUBE, OCTA), (OCTA, CUBE)] + WITH_EXTRA_POINTS
     pairs += [(body(rational), body(rational)) for rational in [False] * 30 + [True] * 15]

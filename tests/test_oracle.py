@@ -1,7 +1,8 @@
 """The 4D hull oracle and its Monte Carlo check, and the geometric cross-sections.
 
-The cross-sections live in :mod:`trivol.trilinear`; they are tested here
-because, like the oracle, they measure the hull by brute-force hulls.
+The cross-sections are the tests' own reference (``reference.py``); they
+are tested here because, like the oracle, they measure the hull by
+brute-force hulls.
 """
 
 import ast
@@ -27,9 +28,10 @@ from trivol import (
 )
 from trivol.geometry import tetra_volume
 from trivol.oracle import Facet4, hull_facets_4d, monte_carlo_volume
-from trivol.trilinear import build_Q, build_R, cross_section_volume, omega_normalize
+from trivol.trilinear import build_Q, build_R, omega_normalize
 
-from testutil import random_box, random_wide_box
+from reference import cross_section_volume
+from testutil import random_box, random_wide_box, trivol_calls
 
 UNIT = Box3Bounds((0, 0, 0), (1, 1, 1))
 SHIFTED = Box3Bounds((1, 1, 1), (2, 2, 2))
@@ -173,24 +175,6 @@ def test_oracle_imports_only_geometry_from_the_package():
     assert package == [".geometry"]
 
 
-def _trivol_calls(route, box):
-    """The code objects of the trivol functions that ``route(box)`` calls."""
-    package = os.path.dirname(trilinear.__file__)
-    calls = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
-            calls.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        route(box)
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 def test_oracle_shares_only_allowed_kernels_with_the_other_routes():
     """The oracle route reaches no function of the formula or the pipeline
     routes but the coordinate reader, on a generic, a tied, a flat-bottomed
@@ -203,9 +187,10 @@ def test_oracle_shares_only_allowed_kernels_with_the_other_routes():
         random_wide_box(random.Random(29)),
     ]
     for box in boxes:
-        oracle_calls = _trivol_calls(lambda b: hull_volume_4d(list(extreme_points(b))), box)
-        others = _trivol_calls(closed_form_volume, box) | _trivol_calls(
-            trilinear.pipeline_volume, box
+        oracle_calls = trivol_calls(lambda: hull_volume_4d(list(extreme_points(box)))).keys()
+        others = (
+            trivol_calls(lambda: closed_form_volume(box)).keys()
+            | trivol_calls(lambda: trilinear.pipeline_volume(box)).keys()
         )
         assert hull_volume_4d.__code__ in oracle_calls and geometry._edge_det.__code__ in others
         shared = sorted(

@@ -12,7 +12,9 @@ import pytest
 
 from trivol import Box3Bounds, InvalidBounds, cli, closed_form_volume, parse_rational
 from trivol.mixed_volume import fit_cubic, volume_cubic
-from trivol.trilinear import cross_section_volume, hull_volume_formula, integrate_cross_sections
+from trivol.trilinear import hull_volume_formula, integrate_cross_sections
+
+from reference import cross_section_volume
 
 SIMPLEX = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 

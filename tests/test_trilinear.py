@@ -33,10 +33,10 @@ from trivol.trilinear import (
     omega_normalize,
     omega_prime_check,
     ordering_values,
-    q_vertex_points,
 )
 from trivol.verify import support_maxima
 
+from reference import q_vertex_points
 from testutil import random_box, random_rational_box
 
 

@@ -1,12 +1,38 @@
-"""Deterministic random generators shared by the test modules."""
+"""Deterministic random generators and a call recorder shared by the
+test modules."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import trivol
 from trivol import Box3Bounds, DegenerateTetrahedron, verify
 from trivol.geometry import Tetrahedron, orient
+
+_PACKAGE = os.path.dirname(trivol.__file__)
+
+
+def trivol_calls(fn) -> Counter:
+    """How often ``fn()`` calls each trivol function, by code object: the
+    profile hook counts every call event whose code lies in the package
+    (a generator's every resume is one too)."""
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
 def random_box(rng: random.Random, max_bound: int = 10, nonzero_lower: bool = False) -> Box3Bounds:
