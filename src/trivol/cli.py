@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification found a counterexample (a property
 violation, or an internal disagreement inside a suite), 2 bad input
 (bounds, files, arguments) or output that cannot be written (an
-unwritable ``--out``, a reader that closed the pipe early), 3 internal
+``--out`` that cannot be opened or written, a full disk, a reader that
+closed the pipe early), each as one line and never a traceback, 3 internal
 disagreement between computation methods. Code 3 marks a bug in this
 package, never a user error, so CI can tell the two apart.
 
@@ -23,6 +24,7 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -272,19 +274,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         volume = fmt(*trilinear._formula_ratio(ia, ib, d))
         rows.append(bounds + (volume, _PERM_TEXT[perm]))
 
+    out = args.out
     try:
-        sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+        with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as sink:
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(["a1", "b1", "a2", "b2", "a3", "b3", "volume", "perm"])
+            writer.writerows(rows)
+            if skipped:
+                sink.write(f"# skipped: {skipped}\n")
     except OSError as exc:
-        raise InvalidBounds(f"cannot write {args.out}: {exc}") from exc
-    try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(["a1", "b1", "a2", "b2", "a3", "b3", "volume", "perm"])
-        writer.writerows(rows)
-        if skipped:
-            sink.write(f"# skipped: {skipped}\n")
-    finally:
-        if args.out:
-            sink.close()
+        if not out:
+            raise  # stdout's own failure, which main reports
+        raise InvalidBounds(f"cannot write {out}: {exc}") from exc
     return 0
 
 
@@ -411,11 +412,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # by name, so a handler rebound in this module after the parser was built runs
         code = globals()[args.handler](args)
-        sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+        sys.stdout.flush()  # a closed reader or a full disk shows up here, not at exit
         return code
-    except BrokenPipeError as exc:
-        # the rest of the buffered output goes nowhere, so the exit flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # stdout failed (input and --out errors arrive as InvalidBounds); the rest
+        # of the buffered output goes nowhere, so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except InternalDisagreement as exc:

@@ -487,21 +487,22 @@ def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[in
     return total
 
 
-def _hull3(points: Iterable[Point3]) -> tuple[_AxisMap, list[_Spanning], Fraction]:
+def _hull3(points: Iterable[Point3]) -> tuple[list[tuple], _AxisMap, list[_Spanning], Fraction]:
     """The hull of a 3D point set from one facet scan on its own lattice.
 
     Runs :func:`_lattice_points` and :func:`_hull_facets` once and returns
-    the per-axis map, the facets as (outward normal, incident) on the
-    deduplicated lattice points, and the exact volume, summed over a
-    pulling triangulation (see :func:`_pulling_simplices`) and scaled
-    back. Raises as :func:`hull_volume_3d` does.
+    the distinct points read, first occurrences in input order, the
+    per-axis map, the facets as (outward normal, incident) with indices
+    into those points, and the exact volume, summed over a pulling
+    triangulation (see :func:`_pulling_simplices`) and scaled back.
+    Raises as :func:`hull_volume_3d` does.
     """
-    _, ipts, axes = _lattice_points(points, 3)
+    pts, ipts, axes = _lattice_points(points, 3)
     facets = _hull_facets(ipts)
     scales, _, divisors = axes
     simplices = _pulling_simplices([incident for _, incident in facets], 3)
     volume = Fraction(_pulling_volume(ipts, simplices) * prod(divisors), 6 * prod(scales))
-    return axes, facets, volume
+    return pts, axes, facets, volume
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
@@ -513,4 +514,4 @@ def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     one included, raises :class:`DegenerateHull`; flat input never reports
     volume zero.
     """
-    return _hull3(points)[2]
+    return _hull3(points)[3]

@@ -42,12 +42,13 @@ the edges off those facets (``_fan``) and forms one candidate face per
 facet of K or of L and per such pair of edges: O(f_K + f_L + e_K * e_L)
 candidates for f facets and e edges, none of which scans the sums.
 The face lattice of K + tL does not depend on t either, and each
-vertex stays the sum k_i + t*l_j of one pair of points (i, j): the
-pair of the unique vertices of K and L that are extreme in the
-vertex's normal cone. The facets of K + L, restricted to its
+vertex stays the sum k_i + t*l_j of exactly one pair of distinct points
+(i, j): the pair of the unique vertices of K and L that are extreme in
+the vertex's normal cone. So a point of K + L is named by its pair,
+the id i * |L| + j, and no sum is formed or deduplicated; sums that
+coincide are never vertices. The facets of K + L, restricted to its
 vertices, and one pulling triangulation read from them serve every t;
-only the vertex coordinates move. One pass over the pairs
-(``_pair_sums``) forms every sum and the first pair of each. Two checks
+only the vertex coordinates move. Two checks
 certify this on every call, in the sense of McConnell, Mehlhorn, Naeher
 and Schweitzer, "Certifying algorithms" (2011), at a cost of
 O(facets * vertices) each:
@@ -185,18 +186,6 @@ def fit_cubic(ts: Sequence[object], values: Sequence[object]) -> VolumeCubic:
     return VolumeCubic(c0, c1, c2, c3)
 
 
-def _pair_sums(
-    ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """The distinct lattice sums ik[i] + il[j] in k-major order of first
-    occurrence, and the first (i, j) of each; in one pass over the pairs."""
-    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
-    for i, (a0, a1, a2) in enumerate(ik):
-        for j, (b0, b1, b2) in enumerate(il):
-            firsts.setdefault((a0 + b0, a1 + b1, a2 + b2), (i, j))
-    return list(firsts), list(firsts.values())
-
-
 def _joint_facets(
     facets: Sequence[_Spanning], own: _AxisMap, joint: _AxisMap
 ) -> list[_Spanning]:
@@ -209,8 +198,9 @@ def _joint_facets(
     own lattice is n_k s_k G_k / (g_k S_k) on the joint one: times the
     product of all S_j g_j, the positive int weight
     s_k G_k prod(S_j g_j for j != k). Positive weights keep each normal
-    outward. Both lattices drop the same duplicates, in input order, so
-    the incident indices hold on the joint points too.
+    outward. The joint points are the body's distinct points as
+    :func:`trivol.geometry._hull3` returns them, so the incident indices
+    hold on them too.
     """
     (s, _, g), (joint_s, _, joint_g) = own, joint
     w0, w1, w2 = (
@@ -222,17 +212,16 @@ def _joint_facets(
 def _sum_facets(
     ik: Sequence[tuple[int, ...]],
     il: Sequence[tuple[int, ...]],
-    sums: Sequence[tuple[int, ...]],
     facets_k: Sequence[_Spanning],
     facets_l: Sequence[_Spanning],
 ) -> list[tuple[int, ...]]:
-    """The facets of K + L, as the ascending indices of the ``sums`` (as
-    :func:`_pair_sums` returns them) on each; sorted.
+    """The facets of K + L, each as the ascending pair ids
+    i * len(il) + j of the sums k_i + l_j on it; sorted.
 
-    K and L must span three dimensions, and ``facets_k`` and ``facets_l``
-    are their facets as (outward normal, incident) on the joint lattice
-    (:func:`_joint_facets`), with the incident indices into the
-    deduplicated ``ik`` and ``il``. The facet normals are the rays of each
+    K and L must span three dimensions: ``ik`` and ``il`` are their
+    distinct points on the joint lattice, and ``facets_k`` and
+    ``facets_l`` their facets as (outward normal, incident) there
+    (:func:`_joint_facets`). The facet normals are the rays of each
     body's normal fan, and :func:`_fan` gives its 2D cones. The face in
     direction u is F_K(u) + F_L(u), so the candidates are:
 
@@ -243,21 +232,19 @@ def _sum_facets(
       both; the face is then the cone's face of K plus that of L.
 
     That is O(f_K + f_L + e_K * e_L) candidates for f facets and e edges,
-    each mapped to ``sums`` by :func:`_sum_face`, and no scan of the sums.
+    each named by :func:`_sum_face`, and no sum is formed or scanned.
     Each candidate is a facet: a facet of one body plus a face of the
     other, or two edges that are not parallel. Nothing here shows that no
     facet is missed; the closure check in :func:`volume_cubic` does.
     """
-    pk, pl = list(dict.fromkeys(ik)), list(dict.fromkeys(il))
-    index = {s: n for n, s in enumerate(sums)}
-    at = [[index[a0 + b0, a1 + b1, a2 + b2] for b0, b1, b2 in pl] for a0, a1, a2 in pk]
-    faces = {_sum_face(at, face, _extreme_faces(pl, u)[0]) for u, face in facets_k}
-    faces.update(_sum_face(at, _extreme_faces(pk, u)[0], face) for u, face in facets_l)
-    cones_l = _fan(pl, facets_l)
+    n = len(il)
+    faces = {_sum_face(n, face, _top_face(il, u)) for u, face in facets_k}
+    faces.update(_sum_face(n, _top_face(ik, u), face) for u, face in facets_l)
+    cones_l = _fan(il, facets_l)
     # e x f lies strictly inside cone(n, m) around e iff f.n > 0 > f.m, and
     # inside cone(n', m') around f iff e.n' < 0 < e.m' (see _fan); -(e x f)
     # iff all four signs flip
-    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in _fan(pk, facets_k):
+    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in _fan(ik, facets_k):
         for (f0, f1, f2), (p0, p1, p2), (q0, q1, q2), face_l in cones_l:
             a = f0 * n0 + f1 * n1 + f2 * n2
             b = f0 * m0 + f1 * m1 + f2 * m2
@@ -269,16 +256,15 @@ def _sum_facets(
                     continue
             else:
                 continue
-            faces.add(_sum_face(at, face_k, face_l))
+            faces.add(_sum_face(n, face_k, face_l))
     return sorted(faces)
 
 
-def _sum_face(
-    at: Sequence[Sequence[int]], face_k: Iterable[int], face_l: Iterable[int]
-) -> tuple[int, ...]:
-    """One candidate face of K + L: the ascending indices at[i][j] of the
-    sums k_i + l_j for i in ``face_k`` and j in ``face_l``."""
-    return tuple(sorted({row[j] for row in (at[i] for i in face_k) for j in face_l}))
+def _sum_face(n: int, face_k: Iterable[int], face_l: Iterable[int]) -> tuple[int, ...]:
+    """One candidate face of K + L, for n points of L: the ascending pair
+    ids i * n + j of the sums k_i + l_j for i in ``face_k`` and j in
+    ``face_l``."""
+    return tuple(sorted(i * n + j for i in face_k for j in face_l))
 
 
 def _fan(pts: Sequence[tuple[int, ...]], facets: Sequence[_Spanning]) -> list[tuple]:
@@ -309,25 +295,18 @@ def _fan(pts: Sequence[tuple[int, ...]], facets: Sequence[_Spanning]) -> list[tu
     return cones
 
 
-def _extreme_faces(
-    body: Sequence[tuple[int, ...]], u: tuple[int, int, int]
-) -> tuple[list[int], list[int]]:
-    """The indices of the points of ``body`` with the largest and with the
-    smallest dot product with ``u``, in one pass."""
+def _top_face(body: Sequence[tuple[int, ...]], u: tuple[int, int, int]) -> list[int]:
+    """The indices of the points of ``body`` with the largest dot product
+    with ``u``."""
     u0, u1, u2 = u
-    hi = lo = None
-    top, bottom = [], []
+    hi, top = None, []
     for i, (p0, p1, p2) in enumerate(body):
         d = u0 * p0 + u1 * p1 + u2 * p2
         if hi is None or d > hi:
             hi, top = d, [i]
         elif d == hi:
             top.append(i)
-        if lo is None or d < lo:
-            lo, bottom = d, [i]
-        elif d == lo:
-            bottom.append(i)
-    return top, bottom
+    return top
 
 
 def _vertex_facets(
@@ -417,8 +396,8 @@ def _check_planes(
     :func:`trivol.geometry._scan3`: the cross product once, then per
     vertex its side of the plane, stopping at the first vertex on the
     side opposite to one already seen, and the indices of those on it.
-    The extreme faces are formed (:func:`_extreme_faces`) only for the
-    message of a facet that fails."""
+    The extreme faces, along the normal and against it, are formed
+    (:func:`_top_face`) only for the message of a facet that fails."""
     for f, incident in enumerate(facets):
         i, j, k = incident[:3]
         a0, a1, a2 = placed[i]
@@ -448,7 +427,7 @@ def _check_planes(
         else:
             if on == list(incident):
                 continue
-        top, bottom = _extreme_faces(placed, (n0, n1, n2))
+        top, bottom = _top_face(placed, (n0, n1, n2)), _top_face(placed, (-n0, -n1, -n2))
         raise InternalDisagreement(
             f"facet {f} does not support K + {t}L: its vertices {list(incident)} are"
             f" neither extreme face {top} nor {bottom} of its plane"
@@ -469,35 +448,35 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     from the bodies' facets moved to that lattice (:func:`_joint_facets`,
     :func:`_sum_facets`), and closed up by :func:`_check_closed`, whose
     edge table gives the one pulling triangulation
-    (:func:`_edge_simplices`). The vertices, each the sum of one (i, j)
-    pair, are placed at k_i + t*l_j for t = 1, 2 and 3, checked at t = 2
-    and 3 (see the module docstring), and measured on the lattice over
-    that triangulation. The coefficients are the forward differences of
-    these integer volumes and Vol(K) (see the module docstring). Each set
-    is read once, K first.
+    (:func:`_edge_simplices`). Each point of K + L is named by its pair
+    id i * |L| + j over the distinct points that ``_hull3`` returns; the
+    vertices, each the sum of exactly one pair, are placed at
+    k_i + t*l_j for t = 1, 2 and 3, checked at t = 2 and 3 (see the
+    module docstring), and measured on the lattice over that
+    triangulation. The coefficients are the forward differences of these
+    integer volumes and Vol(K) (see the module docstring). Each set is
+    read, and its duplicates dropped, once, K first.
     """
-    bodies, hulls = [k, l], []
-    for i, name in enumerate("kl"):
-        bodies[i] = body = _read_points(bodies[i], 3)
+    hulls = []
+    for body, name in zip((k, l), "kl"):
+        body = _read_points(body, 3)
         if not body:
             raise EmptyPolytope(f"empty vertex list for body {name}")
         try:
             hulls.append(_hull3(body))
         except DegenerateHull as exc:
             raise DegenerateHull(f"body {name} does not span three dimensions") from exc
-    k, l = bodies
+    (k, axes_k, facets_k, vol_k), (l, axes_l, facets_l, vol_l) = hulls
     ipts, axes = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
     scales, _, divisors = axes
     unit = Fraction(prod(divisors), 6 * prod(scales))
-    (axes_k, facets_k, vol_k), (axes_l, facets_l, vol_l) = hulls
-    sums, firsts = _pair_sums(ik, il)
     facets = _sum_facets(
-        ik, il, sums, _joint_facets(facets_k, axes_k, axes), _joint_facets(facets_l, axes_l, axes)
+        ik, il, _joint_facets(facets_k, axes_k, axes), _joint_facets(facets_l, axes_l, axes)
     )
-    vertices, facets = _vertex_facets(len(sums), facets)
+    vertices, facets = _vertex_facets(len(ik) * len(il), facets)
     simplices = _edge_simplices(facets, _check_closed(facets))
-    pairs = [(ik[i], il[j]) for i, j in (firsts[p] for p in vertices)]
+    pairs = [(ik[i], il[j]) for i, j in (divmod(p, len(il)) for p in vertices)]
     # P_t = Vol(K + tL) / unit, and the hull of K above already gave P_0
     p0, ps = vol_k / unit, []
     for t in (1, 2, 3):

@@ -1,6 +1,8 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import dataclasses
+import errno
+import io
 import json
 import os
 import random
@@ -683,18 +685,23 @@ def test_sweep_unwritable_out_is_bad_input(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {target}: ")
 
 
+def cli_env():
+    """The environment for a ``python -m trivol.cli`` subprocess that
+    imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
     # 5^6 rows, several times a pipe buffer; the reader leaves after one line
     cfg = tmp_path / "sweep.json"
     grid = {k: [0, 1, 2, 3, 4] if k[0] == "a" else [5, 6, 7, 8, 9] for k in SWEEP_KEYS}
     cfg.write_text(json.dumps(grid))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "trivol.cli", "sweep", "--file", str(cfg)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=cli_env(),
     )
     assert proc.stdout.readline() == b"a1,b1,a2,b2,a3,b3,volume,perm\n"
     proc.stdout.close()
@@ -704,6 +711,57 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC. Its file
+    descriptor is a scratch file's, which ``main`` points at os.devnull."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_failed_write_to_stdout_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({k: [0] if k[0] == "a" else [1, 2] for k in SWEEP_KEYS}))
+    with open(tmp_path / "stdout", "w") as scratch:
+        monkeypatch.setattr(sys, "stdout", FullStdout(scratch.fileno()))
+        open_fds = len(os.listdir("/dev/fd"))
+        for argv in (["volume", "--bounds", "1,2,1,3,2,5"], ["sweep", "--file", str(cfg)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"error: cannot write output: {ENOSPC}\n"
+        assert len(os.listdir("/dev/fd")) == open_fds  # the os.devnull descriptor is closed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_writes_to_a_full_device_exit_2_with_one_line(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({k: [0] if k[0] == "a" else [1, 2] for k in SWEEP_KEYS}))
+    cases = [
+        (["volume", "--bounds", "1,2,1,3,2,5"], "output"),
+        (["sweep", "--file", str(cfg)], "output"),
+        (["sweep", "--file", str(cfg), "--out", "/dev/full"], "/dev/full"),
+    ]
+    for argv, target in cases:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "trivol.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=cli_env(),
+                timeout=60,
+            )
+        assert (proc.returncode, proc.stderr.decode()) == (2, f"error: cannot write {target}: {ENOSPC}\n")
 
 
 def test_mixed_volume_cube_octahedron(tmp_path, capsys):

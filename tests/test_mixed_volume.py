@@ -304,24 +304,25 @@ def test_volume_cubic_agrees_with_fresh_minkowski_hulls_at_other_t():
 
 
 def joint_lattice(k, l):
-    """K's and L's points on their joint lattice, the sums and each body's
+    """K's and L's distinct points on their joint lattice and each body's
     facets moved there from its own hull, as ``volume_cubic`` forms them."""
-    ipts, axes = geometry._clear_denominators([*k, *l], 3)
-    ik, il = ipts[: len(k)], ipts[len(k) :]
-    sums, _ = mixed_volume._pair_sums(ik, il)
-    facets = []
-    for body in (k, l):
-        own, body_facets, _ = geometry._hull3(body)
-        facets.append(mixed_volume._joint_facets(body_facets, own, axes))
-    return ik, il, sums, facets
+    (dk, own_k, facets_k, _), (dl, own_l, facets_l, _) = map(geometry._hull3, (k, l))
+    ipts, axes = geometry._clear_denominators([*dk, *dl], 3)
+    moved = [mixed_volume._joint_facets(f, own, axes) for f, own in [(facets_k, own_k), (facets_l, own_l)]]
+    return ipts[: len(dk)], ipts[len(dk) :], moved
 
 
 def fan_and_scan_facets(k, l):
     """The facets of K + L from ``_sum_facets`` and from the 3D scan of the
-    sums, sorted alike."""
-    ik, il, sums, (facets_k, facets_l) = joint_lattice(k, l)
-    fan = mixed_volume._sum_facets(ik, il, sums, facets_k, facets_l)
-    return fan, sorted(incident for _, incident in geometry._hull_facets(sums))
+    distinct sums, each as the ascending ids i * len(il) + j of every pair
+    whose sum lies on it, sorted alike."""
+    ik, il, (facets_k, facets_l) = joint_lattice(k, l)
+    fan = mixed_volume._sum_facets(ik, il, facets_k, facets_l)
+    sums = minkowski_sum_vertices(ik, il)
+    index = {s: n for n, s in enumerate(sums)}
+    at = [index[add3(a, b)] for a, b in product(ik, il)]  # k-major, as the pair ids
+    scan = [set(incident) for _, incident in geometry._hull_facets(sums)]
+    return fan, sorted(tuple(p for p, n in enumerate(at) if n in face) for face in scan)
 
 
 def primitive(normal):
@@ -359,9 +360,10 @@ def test_joint_facets_match_the_scan_on_the_joint_lattice():
     pairs += [(rational_body(), rational_body()) for _ in range(160)]
     moved = 0
     for k, l in pairs:
-        ik, il, _, joint = joint_lattice(k, l)
+        ik, il, joint = joint_lattice(k, l)
         for points, facets in zip((ik, il), joint):
-            scanned = geometry._hull_facets(list(dict.fromkeys(points)))
+            assert len(set(points)) == len(points), (k, l)
+            scanned = geometry._hull_facets(points)
             assert [(primitive(n), incident) for n, incident in facets] == [
                 (primitive(n), incident) for n, incident in scanned
             ], (k, l)
@@ -378,21 +380,38 @@ def test_volume_cubic_scans_each_body_once():
         assert calls[scan] == 2, (k, l)
 
 
-def test_pair_sums_index_every_pair_once():
+def test_each_vertex_of_the_sum_is_the_sum_of_one_pair(monkeypatch):
+    """A face of K + L in direction u is F_K(u) + F_L(u), so a vertex is
+    the sum of exactly one pair of distinct points, and ``volume_cubic``
+    names each point of K + L by its pair id i * len(il) + j. On each
+    fixture the vertices, found by a scan of the distinct sums, are the
+    sums of one pair each, and are the pair ids ``_vertex_facets`` keeps;
+    the fixtures also hold sums of several pairs, none of them a vertex."""
+    real = mixed_volume._vertex_facets
+    kept = []
+
+    def keep(*args):
+        kept.append(real(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(mixed_volume, "_vertex_facets", keep)
     coincident = []
-    for k, l in [(CUBE, OCTA), *WITH_EXTRA_POINTS]:
-        ipts, _ = geometry._clear_denominators([*k, *l], 3)
-        ik, il = ipts[: len(k)], ipts[len(k) :]
-        sums, firsts = mixed_volume._pair_sums(ik, il)
-        assert sums == minkowski_sum_vertices(ik, il)
-        pairs = list(product(range(len(ik)), range(len(il))))  # k-major
-        first = {}
-        for i, j in pairs:
-            first.setdefault(sums.index(add3(ik[i], il[j])), (i, j))
-        assert firsts == [first[n] for n in range(len(sums))]
-        coincident.append(len(pairs) - len(firsts))
-    # pairs whose sum an earlier pair already formed
-    assert coincident == [12, 16, 37, 0, 12]
+    for (k, l), count in zip(WITH_EXTRA_POINTS, VERTEX_COUNTS):
+        ik, il, _ = joint_lattice(k, l)
+        pairs = {}  # each distinct sum and the ids of the pairs that form it, k-major
+        for p, (a, b) in enumerate(product(ik, il)):
+            pairs.setdefault(add3(a, b), []).append(p)
+        sums = list(pairs)
+        faces = [set(incident) for _, incident in geometry._hull_facets(sums)]
+        every = set(range(len(sums)))
+        vertices = [n for n in range(len(sums)) if every.intersection(*(f for f in faces if n in f)) == {n}]
+        assert len(vertices) == count, (k, l)
+        assert all(len(pairs[sums[n]]) == 1 for n in vertices), (k, l)
+        volume_cubic(k, l)
+        assert kept[-1][0] == [pairs[sums[n]][0] for n in vertices], (k, l)
+        coincident.append(sum(len(ids) - 1 for ids in pairs.values()))
+    # pairs whose sum an earlier pair already formed, on the distinct points
+    assert coincident == [0, 37, 0, 12]
 
 
 def test_sum_facets_match_the_scan_of_the_sums():
@@ -446,7 +465,7 @@ def test_sum_facets_on_flat_and_empty_bodies(monkeypatch):
     flat_sums = [(flat, flat), (flat, segment), (segment, segment), (point, flat), (point, point)]
     for k, l in spanning + flat_sums:
         ipts, _ = geometry._clear_denominators([*k, *l], 3)
-        sums, _ = mixed_volume._pair_sums(ipts[: len(k)], ipts[len(k) :])
+        sums = minkowski_sum_vertices(ipts[: len(k)], ipts[len(k) :])
         if (k, l) in spanning:
             assert geometry._hull_facets(sums), (k, l)
         else:
@@ -509,9 +528,9 @@ def test_edge_table_triangulates_as_the_generic_pull():
     pairs.append(([(x, y, z) for x, y in pentagon for z in (0, 1)], OCTA))
     sizes = set()
     for k, l in pairs:
-        ik, il, sums, (facets_k, facets_l) = joint_lattice(k, l)
-        sum_facets = mixed_volume._sum_facets(ik, il, sums, facets_k, facets_l)
-        _, facets = mixed_volume._vertex_facets(len(sums), sum_facets)
+        ik, il, (facets_k, facets_l) = joint_lattice(k, l)
+        sum_facets = mixed_volume._sum_facets(ik, il, facets_k, facets_l)
+        _, facets = mixed_volume._vertex_facets(len(ik) * len(il), sum_facets)
         table = mixed_volume._edge_simplices(facets, mixed_volume._check_closed(facets))
         pulled = list(geometry._pulling_simplices(facets, 3))
         assert len(table) == len(pulled) == len({tuple(sorted(s)) for s in pulled}), (k, l)
@@ -549,26 +568,26 @@ def test_volume_cubic_closure_check_catches_a_dropped_facet(monkeypatch, recorde
 
 
 def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, recorded_facets):
-    real = mixed_volume._pair_sums
+    real = mixed_volume._vertex_facets
     caught = []
     for (k, l), expected in zip(WITH_EXTRA_POINTS, recorded_facets[0]):
         caught.append(0)
-        for n in range(len(minkowski_sum_vertices(k, l))):
+        n_k, n_l = len(dict.fromkeys(k)), len(dict.fromkeys(l))
+        for n in range(n_k * n_l):
 
-            def mis_mapped(ik, il):
-                sums, firsts = real(ik, il)
-                i, j = firsts[n]
-                firsts[n] = (i, (j + 1) % len(il))
-                return sums, firsts
+            def mis_mapped(*args):
+                vertices, facets = real(*args)
+                i, j = divmod(n, n_l)
+                return [i * n_l + (j + 1) % n_l if p == n else p for p in vertices], facets
 
-            monkeypatch.setattr(mixed_volume, "_pair_sums", mis_mapped)
+            monkeypatch.setattr(mixed_volume, "_vertex_facets", mis_mapped)
             try:
                 got = volume_cubic(k, l)
             except InternalDisagreement as exc:
                 assert re.match("^facet [0-9]+ does not support K \\+ 2L: ", str(exc)), exc
                 caught[-1] += 1
             else:
-                assert got == expected  # a sum that is not a vertex is never placed
+                assert got == expected  # a pair that is not a vertex is never placed
     # a mis-mapped pair is caught exactly at the vertices of K + L
     assert caught == VERTEX_COUNTS
 
@@ -586,14 +605,19 @@ def test_check_planes_on_real_and_planted_facets(monkeypatch):
     facets = [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)]
     real(cube, facets, 2)
     pointed = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # each with its extreme faces along the plane's normal n, then along -n
     planted = [
-        (cube, [facets[0], (0, 3, 5)]),  # vertices on both sides of the plane
-        (cube, [facets[0], (0, 2, 4)]),  # vertex 6 on the plane too
-        (pointed, [(0, 3, 4), (0, 1, 2, 3)]),  # collinear first three: every vertex "on" it
+        # n = (1, 1, -1): vertices on both sides of the plane
+        (cube, [facets[0], (0, 3, 5)], "[0, 3, 5] are neither extreme face [6] nor [1]"),
+        # n = (0, 0, -1): vertex 6 on the plane too
+        (cube, [facets[0], (0, 2, 4)], "[0, 2, 4] are neither extreme face [0, 2, 4, 6] nor [1, 3, 5, 7]"),
+        # collinear first three, n = 0: every vertex "on" it and both faces all
+        (pointed, [(0, 3, 4), (0, 1, 2, 3)], "[0, 1, 2, 3] are neither extreme face [0, 1, 2, 3, 4] nor [0, 1, 2, 3, 4]"),
     ]
-    for placed, wrong in planted:
-        with pytest.raises(InternalDisagreement, match="^facet 1 does not support K \\+ 2L: "):
+    for placed, wrong, faces in planted:
+        with pytest.raises(InternalDisagreement) as caught:
             real(placed, wrong, 2)
+        assert str(caught.value) == f"facet 1 does not support K + 2L: its vertices {faces} of its plane"
 
 
 def test_fit_cubic_recovers_known_polynomial():
