@@ -17,12 +17,15 @@ denominators, subtract the minimum, divide by the gcd; see
 :func:`_clear_denominators`) so that everything after runs on small
 Python ints, and finds facets by brute force: every point d-subset is
 tested, and its integer cofactor normal spans a facet when every point
-lies on one side. The side test of a subset stops at the first point on
-the side opposite to one already seen, and the point that refuted the
-previous subset is tried first; a subset that spans takes its incident
-points and outward normal from that same pass: 5.0 dot products per
-subset with a nonzero normal on the oracle's eight-point box graphs (345
-over 69 per hull). The scan is written out for each of d = 3 and 4.
+lies on one side. In 3D the side test of a subset stops at the first
+point on the side opposite to one already seen, and the point that
+refuted the previous subset is tried first; a subset that spans takes
+its incident points and outward normal from that same pass. In 4D the
+side of a point is the orientation of the five points together, which
+every one of its five 4-subsets shares up to sign, so each orientation
+is computed once and every subset reads its sides off that table of
+signs: on the oracle's eight-point box graphs, 70 normals and 56
+orientations per hull. The scan is written out for each of d = 3 and 4.
 The volume is a sum of simplex determinants, also written out for each
 d, over a pulling triangulation, which reads only the facets' incident
 point sets: the faces below a facet are intersections of facets, so no
@@ -43,9 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm, prod
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb, gcd, lcm, prod
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
@@ -294,8 +299,9 @@ def _hull_facets(pts: Sequence[tuple[int, ...]]) -> list[_Spanning]:
     incident points, since those points span the facet's hyperplane.
 
     Points that do not span d dimensions raise :class:`DegenerateHull`:
-    either a spanning subset has every point on its hyperplane, or no
-    subset spans a facet.
+    in 3D either a spanning subset has every point on its plane or no
+    subset spans a facet; in 4D, where :func:`_scan4` yields no subset
+    with every point on its hyperplane, no subset spans a facet.
     """
     d = len(pts[0])
     facets = {}
@@ -355,59 +361,100 @@ def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
 
 
 def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """:func:`_scan3` for d = 4: (outward normal, incident) per spanning
-    4-subset from its one side-test pass, with the cofactor normal and
-    the dot products inline.
+    """The 4-subsets of distinct integer points whose hyperplane has every
+    point weakly on one side, in lexicographic order, each as (outward
+    normal, incident) like :func:`_scan3`'s, read off a table of signs.
 
-    The normal of rows (i, j, k) is their signed maximal minors (entry m
-    is (-1)^m times the minor without column m), expanded along row k: the
-    rows cycled to (k, i, j), an even permutation with the same minors, so
-    the six 2x2 minors of rows i and j are computed once for every k.
+    The first pass takes every 4-subset in lexicographic order. Its
+    cofactor normal has as entry m (-1)^m times the minor of rows (i, j,
+    k) without column m, expanded along row k: the rows cycled to (k, i,
+    j), an even permutation with the same minors, so the six 2x2 minors
+    of rows i and j are computed once for every k. The orientation of
+    each 5-subset is its first four points' normal against its last
+    point, computed once and kept as a sign. The side of a point q of a
+    4-subset is the orientation of the two together, flipped once per
+    subset point below q (see :func:`_sign_reads`), so the second pass
+    reads every subset's sides off the table. A subset with sides of both
+    signs is no facet. One with no sign at all has a zero normal (the
+    subset is dependent) or every point on its hyperplane (the input is
+    flat), so flat input spans no facet and :func:`_hull_facets` raises.
     """
     n = len(pts)
+    if n < 5:
+        # no point lies off a 4-subset of them: they are flat
+        return
+    normals = []
+    signs = []
     for first in range(n - 3):
         b0, b1, b2, b3 = pts[first]
-        diffs = [(t, p0 - b0, p1 - b1, p2 - b2, p3 - b3) for t, (p0, p1, p2, p3) in enumerate(pts)]
-        ring = diffs[:first] + diffs[first + 1 :]
-        for i in range(first + 1, n - 2):
-            _, x0, x1, x2, x3 = diffs[i]
-            for j in range(i + 1, n - 1):
-                _, y0, y1, y2, y3 = diffs[j]
+        # the points after ``first``, as differences to it
+        rows = [(p0 - b0, p1 - b1, p2 - b2, p3 - b3) for p0, p1, p2, p3 in pts[first + 1 :]]
+        last = len(rows)
+        for i in range(last - 2):
+            x0, x1, x2, x3 = rows[i]
+            for j in range(i + 1, last - 1):
+                y0, y1, y2, y3 = rows[j]
                 m01 = x0 * y1 - x1 * y0
                 m02 = x0 * y2 - x2 * y0
                 m03 = x0 * y3 - x3 * y0
                 m12 = x1 * y2 - x2 * y1
                 m13 = x1 * y3 - x3 * y1
                 m23 = x2 * y3 - x3 * y2
-                for k in range(j + 1, n):
-                    _, z0, z1, z2, z3 = diffs[k]
+                for k in range(j + 1, last):
+                    z0, z1, z2, z3 = rows[k]
                     n0 = z1 * m23 - z2 * m13 + z3 * m12
                     n1 = z2 * m03 - z0 * m23 - z3 * m02
                     n2 = z0 * m13 - z1 * m03 + z3 * m01
                     n3 = z1 * m02 - z0 * m12 - z2 * m01
-                    if not (n0 or n1 or n2 or n3):
-                        continue
-                    above = below = False
-                    on = [first]
-                    for q in ring:
-                        t, q0, q1, q2, q3 = q
+                    normals.append((n0, n1, n2, n3))
+                    for q0, q1, q2, q3 in rows[k + 1 :]:
                         s = n0 * q0 + n1 * q1 + n2 * q2 + n3 * q3
-                        if s > 0:
-                            if below:
-                                break
-                            above = True
-                        elif s < 0:
-                            if above:
-                                break
-                            below = True
-                        else:
-                            on.append(t)
-                    else:
-                        on.sort()
-                        yield ((-n0, -n1, -n2, -n3) if above else (n0, n1, n2, n3)), tuple(on)
-                        continue
-                    ring[ring.index(q)] = ring[0]
-                    ring[0] = q
+                        signs.append((s > 0) - (s < 0))
+    # the orientations, then the same negated: the reads of odd parity
+    table = signs + [-s for s in signs]
+    for (subset, others, read), normal in zip(_sign_reads(n), normals):
+        sides = read(table)
+        if 1 in sides:
+            if -1 in sides:
+                continue
+            n0, n1, n2, n3 = normal
+            normal = (-n0, -n1, -n2, -n3)
+        elif -1 not in sides:
+            continue
+        if 0 in sides:
+            subset = tuple(sorted((*subset, *(q for q, s in zip(others, sides) if not s))))
+        yield normal, subset
+
+
+@lru_cache(maxsize=4)
+def _sign_reads(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], itemgetter]]:
+    """Where :func:`_scan4` reads the sides of each 4-subset of n points:
+    per subset in lexicographic order, the subset, the other points in
+    increasing order and a getter of their sides from the scan's table.
+
+    The table holds the signs of the C(n, 5) orientations in
+    lexicographic order of 5-subsets, then the same signs negated. Point
+    q at position p of a 5-subset lies on the side of the other four
+    given by the subset's sign times (-1)^p: moving q to the end takes
+    4 - p transpositions. Depends on n only, so it is built on first use
+    per n and a few are kept.
+    """
+    offset = comb(n, 5)
+    reads: dict[tuple[int, ...], tuple[list[int], list[int]]] = {
+        subset: ([], []) for subset in combinations(range(n), 4)
+    }
+    # a 4-subset's 5-subsets come in increasing order of the point added
+    for r, five in enumerate(combinations(range(n), 5)):
+        for p, q in enumerate(five):
+            others, at = reads[five[:p] + five[p + 1 :]]
+            others.append(q)
+            at.append(r + offset * (p & 1))
+    # a getter of one index returns a scalar, not a tuple: that index is
+    # read twice, and the scan's zip with ``others`` drops the repeat
+    return [
+        (subset, tuple(others), itemgetter(*at, *at) if len(at) == 1 else itemgetter(*at))
+        for subset, (others, at) in reads.items()
+    ]
 
 
 _SCANS = {3: _scan3, 4: _scan4}

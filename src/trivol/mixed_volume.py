@@ -459,7 +459,8 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
     """
     hulls = []
     for body, name in zip((k, l), "kl"):
-        body = _read_points(body, 3)
+        # _hull3 reads the points; only the empty check comes first
+        body = list(body)
         if not body:
             raise EmptyPolytope(f"empty vertex list for body {name}")
         try:

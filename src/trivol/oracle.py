@@ -49,14 +49,17 @@ class Facet4:
 def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]]:
     """Deduplicated points and all facets of their 4D convex hull.
 
-    The hyperplane through every affinely independent 4-subset of the
-    points on their integer lattice (see
-    :func:`trivol.geometry._clear_denominators`) is tested against the
-    point set until two points lie on opposite sides of it; each facet is
-    kept once, in order of its first spanning subset, mapped back to the
-    original coordinates and only then reduced by its gcd. On lattice
-    points the map is the identity, so the facets are the lattice ones.
-    Points that do not span four dimensions raise :class:`DegenerateHull`.
+    On the points' integer lattice (see
+    :func:`trivol.geometry._clear_denominators`) the orientation of every
+    5-subset is computed once, and the hyperplane through every 4-subset
+    is a facet when the sides it reads off those orientations for the
+    other points hold one sign and not the other (see
+    :func:`trivol.geometry._scan4`). Each facet is kept once, in order of
+    its first spanning subset, mapped back to the original coordinates
+    and only then reduced by its gcd. On lattice points the map is the
+    identity, so the facets are the lattice ones. Points that do not span
+    four dimensions raise :class:`DegenerateHull`: the hyperplane of each
+    independent 4-subset holds every point, so no subset spans a facet.
     """
     pts, ipts, (scales, shifts, divisors) = _lattice_points(points, 4)
     # n . ((s*x - m) / g) <= offset, times the lcm of the divisors

@@ -9,6 +9,8 @@ from math import factorial, gcd
 from operator import add, mul, ne, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivol import (
     Box3Bounds,
@@ -658,6 +660,11 @@ def _shapes():
         yield _lattice_points(extreme_points(box), 4)[1]
 
 
+def _primitive(facets):
+    """(normal, incident) facets with each normal divided by its gcd."""
+    return [(tuple(x // gcd(*normal) for x in normal), inc) for normal, inc in facets]
+
+
 def test_hull_facets_match_the_reference_scan():
     rng = random.Random(31)
     clouds = [
@@ -670,11 +677,61 @@ def test_hull_facets_match_the_reference_scan():
     non_simplex = 0
     for pts in clouds + list(_shapes()):
         facets = _hull_facets(pts)
-        primitive = [(tuple(x // gcd(*normal) for x in normal), inc) for normal, inc in facets]
-        assert primitive == _reference_facets(pts)
+        assert _primitive(facets) == _reference_facets(pts)
         non_simplex += sum(len(incident) > len(pts[0]) for _, incident in facets)
     # coplanar points on the small grids make facets that are not simplices
     assert non_simplex > 100
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=5, max_size=12))
+def test_hull_facets_4d_match_the_reference_on_small_grids(points):
+    """The 4D sign-table scan against the plain one on {0, 1, 2}^4, rich
+    in dependent subsets, coplanar points and flat sets. Duplicates are
+    dropped first, as the lattice does; a set the reference finds flat
+    (no facet, or one holding every point) raises the one message."""
+    pts = list(dict.fromkeys(points))
+    expected = _reference_facets(pts)
+    if expected and len(expected[0][1]) < len(pts):
+        assert _primitive(_hull_facets(pts)) == expected
+    else:
+        with pytest.raises(DegenerateHull) as caught:
+            _hull_facets(pts)
+        assert str(caught.value) == "points do not span 4 dimensions"
+
+
+def test_hull_facets_4d_of_a_5_point_simplex():
+    """Each 4-subset of five points has one other point, whose side is one
+    read of the sign table: every subset of a 4-simplex is a facet with
+    the fifth point strictly inside, in three orders of the points."""
+    simplex = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)]
+    for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)):
+        pts = [simplex[i] for i in order]
+        facets = _hull_facets(pts)
+        assert sorted(inc for _, inc in facets) == list(combinations(range(5), 4))
+        assert _primitive(facets) == _reference_facets(pts)
+        # outward: the point off each facet lies strictly below it
+        for normal, incident in facets:
+            (q,) = set(range(5)) - set(incident)
+            assert sum(map(mul, normal, map(sub, pts[q], pts[incident[0]]))) < 0
+    with pytest.raises(DegenerateHull, match="points do not span 4 dimensions"):
+        _hull_facets([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)])
+
+
+def test_hull_facets_4d_of_the_4_cube():
+    """The 16 corners of the 4-cube: eight facets x_k = 0 and x_k = 1 of
+    eight points each, found from the subsets with zero-side points."""
+    cube = list(product((0, 1), repeat=4))
+    facets = _primitive(_hull_facets(cube))
+    expected = {
+        (tuple(-1 if k == m and c == 0 else int(k == m) for m in range(4)),
+         tuple(i for i, p in enumerate(cube) if p[k] == c))
+        for k in range(4)
+        for c in (0, 1)
+    }
+    assert len(facets) == 8 and set(facets) == expected
+    assert facets == _reference_facets(cube)
+    assert hull_volume_4d(cube) == 1
 
 
 def _flat_sets(d):

@@ -380,6 +380,16 @@ def test_volume_cubic_scans_each_body_once():
         assert calls[scan] == 2, (k, l)
 
 
+def test_volume_cubic_reads_each_body_once():
+    """Each body's coordinates are read once, by the reader inside
+    ``_hull3``; the empty check before it takes no pass of its own, and
+    bodies given as one-shot iterators give the same cubic."""
+    read = geometry._read_points.__code__
+    calls = trivol_calls(lambda: volume_cubic(CUBE, OCTA))
+    assert calls[read] == 2
+    assert volume_cubic(iter(CUBE), (p for p in OCTA)) == volume_cubic(CUBE, OCTA)
+
+
 def test_each_vertex_of_the_sum_is_the_sum_of_one_pair(monkeypatch):
     """A face of K + L in direction u is F_K(u) + F_L(u), so a vertex is
     the sum of exactly one pair of distinct points, and ``volume_cubic``

@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MV = "src/trivol/mixed_volume.py"
 GEO = "src/trivol/geometry.py"
 T_MV = "tests/test_mixed_volume.py::"
+T_GEO = "tests/test_geometry.py::"
 
 # (file, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -100,6 +101,29 @@ MUTANTS = [
         "\n                        pass",
         ["tests/test_geometry.py::test_hull_facets_match_the_reference_scan"],
     ),
+    # _scan4 reads every side unflipped by where the point sorts into the subset
+    (
+        GEO,
+        "at.append(r + offset * (p & 1))",
+        "at.append(r)",
+        [T_GEO + "test_hull_facets_4d_of_a_5_point_simplex"],
+    ),
+    # _scan4 keeps the normal of a subset with points above it
+    (
+        GEO,
+        "            normal = (-n0, -n1, -n2, -n3)\n",
+        "            normal = (n0, n1, n2, n3)\n",
+        [T_GEO + "test_hull_facets_4d_of_the_4_cube"],
+    ),
+    # _scan4 yields a subset with no point off its hyperplane: a zero normal
+    (
+        GEO,
+        "        elif -1 not in sides:\n            continue\n",
+        "",
+        [T_GEO + "test_hull_facets_4d_of_the_4_cube"],
+    ),
+    # _scan4 leaves the points with side 0 out of the incident ones
+    (GEO, "        if 0 in sides:\n", "        if False:\n", [T_GEO + "test_hull_facets_4d_of_the_4_cube"]),
     # a sign flipped in the written-out 3D determinant
     (
         GEO,
