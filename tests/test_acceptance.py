@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import permutations
 
 from trivol import Box3Bounds, closed_form_volume, extreme_points, hull_volume_4d, pipeline_volume
 from trivol import verify
@@ -19,9 +19,8 @@ from trivol.oracle import monte_carlo_volume
 from trivol.trilinear import build_Q, build_R, omega_normalize
 
 from reference import cross_section_volume
-from testutil import random_box
+from testutil import CUBE, OCTA, UNIT, random_box
 
-UNIT = Box3Bounds((0, 0, 0), (1, 1, 1))
 UNIT_VOLUME = F(5, 24)  # frozen after formula and 4D hull oracle agreed
 
 
@@ -73,16 +72,10 @@ def test_criterion_05_mixed_volume_symmetry():
 
 def test_criterion_06_cube_octahedron_volume_polynomial():
     with criterion(6, "cube+octahedron cubic is (8, 24, 12, 4/3) and predicts t=5"):
-        cube = [tuple(map(F, p)) for p in product((-1, 1), repeat=3)]
-        octa = [
-            tuple(F(s) if i == j else F(0) for i in range(3))
-            for j in range(3)
-            for s in (1, -1)
-        ]
-        cubic = volume_cubic(cube, octa)
+        cubic = volume_cubic(CUBE, OCTA)
         assert cubic.coefficients == (F(8), F(24), F(12), F(4, 3))
-        at5 = [tuple(5 * c for c in p) for p in octa]
-        assert cubic.value_at(5) == hull_volume_3d(minkowski_sum_vertices(cube, at5))
+        at5 = [tuple(5 * c for c in p) for p in OCTA]
+        assert cubic.value_at(5) == hull_volume_3d(minkowski_sum_vertices(CUBE, at5))
 
 
 def test_criterion_07_cross_section_cubicity_and_bernstein_coefficients():

@@ -8,6 +8,12 @@ Proven here:
 
 * the pipeline's product-form, Simpson and formula checks cannot fire on
   any box, and the slice determinants are the slice volumes it carries;
+* the closed form ``_hull_volume24`` is symmetric in axes 2 and 3;
+* Simpson's rule is exact on every cubic: ``_simpson48`` is
+  12 (hi - lo)^2 times ``_beta4`` over ZZ[m0, m1, m2, m3, lo, hi];
+* the oriented slice tetrahedron's ``_facet_cross_products`` are
+  (b1 - a1)(b2 - a2) times its ``_slice_directions``, taken in the order
+  (0, 1, 3, 2), so those directions are its outward facet normals;
 * the ordering forms: key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i) for
   the ``ordering_values`` keys, with k the third axis. As b_k > a_k and
   b > 0, equal keys mean equal ratios a_i/b_i and a larger key a larger
@@ -25,10 +31,12 @@ Still sampled, not proven: agreement with the 4D hull oracle (the
 three-way suite). The sampled support-maxima suite runs too.
 """
 
+from types import SimpleNamespace
+
 import pytest
 import sympy
 
-from trivol.geometry import _edge_det, dot3
+from trivol.geometry import _edge_det, _facet_cross_products, dot3
 from trivol.trilinear import (
     _beta4,
     _hull_volume24,
@@ -57,13 +65,32 @@ def test_integrated_slice_cubic_is_the_closed_form():
     assert _beta4(M6, a3, b3) == _hull_volume24(A, B)
 
 
-def test_simpson_is_exact_on_the_slice_cubic():
-    assert _simpson48(M6, a3, b3) == 12 * (b3 - a3) ** 2 * _beta4(M6, a3, b3)
+def test_closed_form_is_symmetric_in_axes_2_and_3():
+    assert _hull_volume24((a1, a3, a2), (b1, b3, b2)) == _hull_volume24(A, B)
+
+
+_, *CUBIC, LO, HI = sympy.ring("m0 m1 m2 m3 lo hi", sympy.ZZ)
+
+
+def test_simpson_is_exact_on_every_cubic():
+    assert _simpson48(CUBIC, LO, HI) == 12 * (HI - LO) ** 2 * _beta4(CUBIC, LO, HI)
 
 
 @pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
 def test_slice_determinant_is_the_slice_volume(level):
     assert _edge_det(_slice_points(A, B, level)) == -level * BASE
+
+
+@pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
+def test_facet_cross_products_are_the_slice_directions(level):
+    # the determinant above is negative for level > 0, so orient swaps v0
+    # and v1; the kernel reads only the vertices, which orient cannot read
+    # on a ring
+    v0, v1, v2, v3 = _slice_points(A, B, level)
+    crosses = _facet_cross_products(SimpleNamespace(vertices=(v1, v0, v2, v3)))
+    dirs = _slice_directions(A, B, level)
+    scale = (b1 - a1) * (b2 - a2)
+    assert crosses == tuple(tuple(scale * c for c in dirs[k]) for k in (0, 1, 3, 2))
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])

@@ -19,7 +19,7 @@ from trivol import mixed_volume, trilinear, verify
 from trivol.mixed_volume import volume_cubic
 from trivol.rational import format_rational
 
-from testutil import random_body, random_box, random_rational_box
+from testutil import CUBE, OCTA, as_json, random_body, random_box, random_rational_box
 
 
 def run_cli(capsys, *argv):
@@ -205,10 +205,7 @@ def test_box_file_parse_errors_name_the_file_and_key(tmp_path, capsys, int_digit
 
 
 GRID = {"a1": [0], "b1": [1], "a2": [0], "b2": [1], "a3": [0], "b3": [1]}
-BODIES = {  # the cube and the octahedron
-    "k": [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
-    "l": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-}
+BODIES = {"k": as_json(CUBE), "l": as_json(OCTA)}
 
 
 @pytest.mark.parametrize(
@@ -420,27 +417,6 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     assert lines[1] == "0,1,0,1,0,1,5/24,123"
     assert lines[-1] == "# skipped: 1"  # the 1,1 combination is not a box
     assert len(lines) == 5
-
-
-def test_sweep_rows_match_the_library(tmp_path, capsys):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(
-        json.dumps(
-            {"a1": [0], "b1": [1, 2, 3], "a2": [0], "b2": [1, 2, 3], "a3": [0], "b3": [1, 2, 3]}
-        )
-    )
-    code, out, _ = run_cli(capsys, "sweep", "--file", str(cfg))
-    assert code == 0
-    rows = out.splitlines()[1:]
-    assert len(rows) == 27
-    for row in rows:
-        a1, b1, a2, b2, a3, b3, volume, perm = row.split(",")
-        box = trilinear.Box3Bounds(
-            tuple(map(parse_rational, (a1, a2, a3))),
-            tuple(map(parse_rational, (b1, b2, b3))),
-        )
-        assert parse_rational(volume) == trilinear.closed_form_volume(box)
-        assert perm == "".join(str(d) for d in trilinear.omega_normalize(box).perm)
 
 
 def test_sweep_float_mode_and_out_file(tmp_path, capsys):
@@ -765,10 +741,8 @@ def test_writes_to_a_full_device_exit_2_with_one_line(tmp_path):
 
 
 def test_mixed_volume_cube_octahedron(tmp_path, capsys):
-    cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     cfg = tmp_path / "bodies.json"
-    cfg.write_text(json.dumps({"k": cube, "l": octa}))
+    cfg.write_text(json.dumps(BODIES))
     code, out, _ = run_cli(capsys, "mixed-volume", "--file", str(cfg))
     assert code == 0
     doc = json.loads(out)
@@ -792,8 +766,6 @@ def test_mixed_volume_on_24_point_bodies(tmp_path, capsys):
 
 
 def test_mixed_volume_fit_disagreeing_with_vol_l_exits_3(tmp_path, capsys, monkeypatch):
-    cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     real = mixed_volume._pulling_volume
     calls = []
 
@@ -803,12 +775,11 @@ def test_mixed_volume_fit_disagreeing_with_vol_l_exits_3(tmp_path, capsys, monke
         return real(points, simplices) + 1 if len(calls) == 2 else real(points, simplices)
 
     monkeypatch.setattr(mixed_volume, "_pulling_volume", faulty)
-    points = [[tuple(map(F, p)) for p in body] for body in (cube, octa)]
     with pytest.raises(InternalDisagreement, match="^fitted c3 = .* != Vol\\(L\\) = 4/3$"):
-        volume_cubic(*points)
+        volume_cubic(CUBE, OCTA)
     calls.clear()
     cfg = tmp_path / "bodies.json"
-    cfg.write_text(json.dumps({"k": cube, "l": octa}))
+    cfg.write_text(json.dumps(BODIES))
     code, out, err = run_cli(capsys, "mixed-volume", "--file", str(cfg))
     assert (code, out) == (3, "")
     assert err.startswith("internal disagreement (this is a bug): fitted c3 = ")
@@ -817,7 +788,7 @@ def test_mixed_volume_fit_disagreeing_with_vol_l_exits_3(tmp_path, capsys, monke
 
 def test_mixed_volume_rejects_flat_body(tmp_path, capsys):
     flat = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
-    octa = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    octa = BODIES["l"]
     cfg = tmp_path / "bodies.json"
     for name, bodies in (("k", {"k": flat, "l": octa}), ("l", {"k": octa, "l": flat})):
         cfg.write_text(json.dumps(bodies))

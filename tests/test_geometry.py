@@ -41,6 +41,7 @@ from trivol.oracle import hull_facets_4d, hull_volume_4d, monte_carlo_volume
 
 from reference import add3, det_by_permutation_sum
 from testutil import (
+    SIMPLEX,
     random_box,
     random_points,
     random_rational_box,
@@ -52,7 +53,6 @@ ORIGIN = (F(0), F(0), F(0))
 E1 = (F(1), F(0), F(0))
 E2 = (F(0), F(1), F(0))
 E3 = (F(0), F(0), F(1))
-SIMPLEX = [ORIGIN, E1, E2, E3]
 
 
 def test_det_small_3x3_cases():

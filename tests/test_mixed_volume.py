@@ -20,23 +20,8 @@ from trivol.mixed_volume import (
 from trivol.trilinear import build_R, omega_normalize
 
 from reference import add3, det_by_permutation_sum, q_vertex_points, r_vertex_points, scale3
-from testutil import random_body, random_points, random_tetrahedron, trivol_calls
+from testutil import CUBE, OCTA, SIMPLEX, random_body, random_points, random_tetrahedron, trivol_calls
 
-CUBE = [tuple(map(F, p)) for p in product((-1, 1), repeat=3)]
-OCTA = [
-    (F(1), F(0), F(0)),
-    (F(-1), F(0), F(0)),
-    (F(0), F(1), F(0)),
-    (F(0), F(-1), F(0)),
-    (F(0), F(0), F(1)),
-    (F(0), F(0), F(-1)),
-]
-SIMPLEX = [
-    (F(0), F(0), F(0)),
-    (F(1), F(0), F(0)),
-    (F(0), F(1), F(0)),
-    (F(0), F(0), F(1)),
-]
 _REGULAR = [tuple(map(F, p)) for p in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
 # a regular simplex T and -T
 REFLECTED_SIMPLEX = (_REGULAR, [tuple(-c for c in p) for p in _REGULAR])

@@ -1,4 +1,4 @@
-"""Hypothesis properties of the volume routes, the axis ordering and the CLI.
+"""Hypothesis properties of the volume routes and the CLI.
 
 Every volume property is checked on both exact routes. Runs are
 derandomized, so the suite tests the same examples on every run.
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trivol import Box3Bounds, cli, closed_form_volume, pipeline_volume
-from trivol.trilinear import omega_check, omega_normalize, ordering_values
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
@@ -72,36 +71,6 @@ def extreme_boxes(draw):
 @given(extreme_boxes())
 def test_routes_agree_at_extreme_magnitudes(box):
     assert both_volumes(box)[0] > 0
-
-
-@st.composite
-def tied_boxes(draw):
-    """Boxes whose axes often tie in the ordering: each lower bound is 0,
-    a ratio shared by all axes times its upper bound, or free."""
-    shared = draw(st.fractions(min_value=0, max_value=F(5, 6), max_denominator=6))
-    a, b = [], []
-    for _ in range(3):
-        hi = draw(WIDTH)
-        ratio = draw(
-            st.sampled_from((F(0), shared))
-            | st.fractions(min_value=0, max_value=F(5, 6), max_denominator=6)
-        )
-        a.append(ratio * hi)
-        b.append(hi)
-    return Box3Bounds(tuple(a), tuple(b))
-
-
-@settings(PROPERTY_SETTINGS, max_examples=100)
-@given(tied_boxes())
-def test_normalize_is_the_stable_sort_by_ordering_values(box):
-    keys = ordering_values(box)
-    order = sorted(range(3), key=lambda i: keys[i])
-    norm = omega_normalize(box)
-    assert norm.perm == tuple(order.index(i) + 1 for i in range(3))
-    assert norm.bounds == Box3Bounds(
-        tuple(box.a[i] for i in order), tuple(box.b[i] for i in order)
-    )
-    assert omega_check(norm.bounds)
 
 
 # bound-like text: well-formed nonnegative values, signed values with

@@ -1,5 +1,5 @@
-"""Deterministic random generators and a call recorder shared by the
-test modules."""
+"""Shared fixtures, deterministic random generators and a call recorder
+for the test modules."""
 
 from __future__ import annotations
 
@@ -8,12 +8,26 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import trivol
 from trivol import Box3Bounds, DegenerateTetrahedron, verify
 from trivol.geometry import Tetrahedron, orient
 
 _PACKAGE = os.path.dirname(trivol.__file__)
+
+UNIT = Box3Bounds((0, 0, 0), (1, 1, 1))
+SHIFTED = Box3Bounds((1, 1, 1), (2, 2, 2))
+
+# Fraction bodies: the cube [-1, 1]^3, the octahedron and the unit simplex
+CUBE = [tuple(map(Fraction, p)) for p in product((-1, 1), repeat=3)]
+OCTA = [tuple(Fraction(s * (i == k)) for i in range(3)) for k in range(3) for s in (1, -1)]
+SIMPLEX = [(Fraction(0),) * 3] + [tuple(Fraction(i == k) for i in range(3)) for k in range(3)]
+
+
+def as_json(body: list) -> list:
+    """``body`` as lists of int coordinates, the form the CLI reads."""
+    return [[int(c) for c in p] for p in body]
 
 
 def trivol_calls(fn) -> Counter:

@@ -34,8 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 MV = "src/trivol/mixed_volume.py"
 GEO = "src/trivol/geometry.py"
+TRI = "src/trivol/trilinear.py"
 T_MV = "tests/test_mixed_volume.py::"
 T_GEO = "tests/test_geometry.py::"
+T_CERT = "tests/test_certificate.py::"
 
 # (file, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -140,17 +142,47 @@ MUTANTS = [
     ),
     # the cleared axis reports twice its lcm: caught by a cross-route test
     (
-        "src/trivol/trilinear.py",
+        TRI,
         "hi.numerator * (d // hi.denominator), d\n",
         "hi.numerator * (d // hi.denominator), 2 * d\n",
         ["tests/test_cli.py::test_volume_all_methods_unit_box"],
     ),
     # a tie between the second and third ordering keys breaks the wrong way
     (
-        "src/trivol/trilinear.py",
+        TRI,
         "_AXIS_ORDERS[k1 <= k2, k1 <= k3, k2 <= k3]",
         "_AXIS_ORDERS[k1 <= k2, k1 <= k3, k2 < k3]",
         ["tests/test_trilinear.py::TestNormalization::test_axis_order_is_the_stable_argsort_of_its_keys"],
+    ),
+    # a box normalized with a nontrivial order keeps its input axes' cleared ints
+    (
+        TRI,
+        "box.__dict__.update(a=a, b=b, cleared=(ia, ib, d))",
+        "box.__dict__.update(a=a, b=b, cleared=self.cleared)",
+        ["tests/test_trilinear.py::test_normalize_is_the_stable_sort_on_ratios"],
+    ),
+    # the closed form loses its symmetry in axes 2 and 3
+    (
+        TRI,
+        "- a2 * b3 - b2 * a3 - 3 * a2 * a3)",
+        "- 2 * a2 * b3 - b2 * a3 - 3 * a2 * a3)",
+        [T_CERT + "test_closed_form_is_symmetric_in_axes_2_and_3"],
+    ),
+    # Simpson's midpoint weight 4 becomes 3
+    (TRI, "4 * section8(lo + hi)", "3 * section8(lo + hi)", [T_CERT + "test_simpson_is_exact_on_every_cubic"]),
+    # a sign flipped in the first slice direction
+    (
+        TRI,
+        "(1, -a2 * level, -b1 * level),",
+        "(1, -a2 * level, b1 * level),",
+        [T_CERT + "test_facet_cross_products_are_the_slice_directions"],
+    ),
+    # the last slice direction is off by one
+    (
+        TRI,
+        "(-1, a2 * level, a1 * level),",
+        "(-1, a2 * level, a1 * level + 1),",
+        [T_CERT + "test_facet_cross_products_are_the_slice_directions"],
     ),
     # a failed write to stdout leaks the os.devnull descriptor
     (
