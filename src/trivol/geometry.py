@@ -27,19 +27,25 @@ is computed once and every subset reads its sides off that table of
 signs: on the oracle's eight-point box graphs, 70 normals and 56
 orientations per hull. The scan is written out for each of d = 3 and 4.
 The volume is a sum of simplex determinants, also written out for each
-d, over a pulling triangulation, which reads only the facets' incident
-point sets: the faces below a facet are intersections of facets, so no
-hull is ever taken in a lower dimension. At the scale this package
-works with (a few dozen points) that is fast enough, and it avoids the
-degeneracy handling an incremental hull algorithm would need to get
-exact answers. Flat input is found by the same scan, with no separate
-rank test.
-In 3D the scan, the triangulation and the volume are one private
-kernel, :func:`_hull3`, which also returns the facets and the per-axis
-map: ``trivol.mixed_volume.volume_cubic`` hulls each body once through
-it and reads the body's normal fan off those facets. It sums the same
-determinants over a triangulation of K + tL that it reads off the edges
-that certify its facets instead (see that module).
+d, over a pulling triangulation read off the facets' incident point
+sets alone (:func:`_pulling_simplices`), so no hull is ever taken in a
+lower dimension. At the scale this package works with (a few dozen
+points) that is fast enough, and it avoids the degeneracy handling an
+incremental hull algorithm would need to get exact answers. Flat input
+is found by the same scan, with no separate rank test.
+Every 3D hull certifies that its facet list is closed, in the sense of
+McConnell, Mehlhorn, Naeher and Schweitzer, "Certifying algorithms"
+(2011), by one bitmask pass (:func:`_closed_facets`). A point is a
+vertex iff its facets meet in it alone. On the facets restricted to the
+vertices, every facet with m vertices must share exactly two (an edge)
+with exactly m other facets, and no two facets more. Every edge of a
+listed facet then borders another listed facet, and the facets of a
+3-polytope are connected through their edges, so true facets that
+close are all of them. The 3D triangulation is read off the edges so
+proved (:func:`_edge_simplices`). :func:`_hull3` runs the scan, this
+certificate and the volume, and also returns what
+``trivol.mixed_volume.volume_cubic`` reads each body's normal fan off;
+that function closes K + L by the same certificate.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from numbers import Rational
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope
+from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope, InternalDisagreement
 from .rational import parse_rational
 
 __all__ = [
@@ -534,22 +540,95 @@ def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[in
     return total
 
 
-def _hull3(points: Iterable[Point3]) -> tuple[list[tuple], _AxisMap, list[_Spanning], Fraction]:
+# per facet, (edge, g) for each facet g that it shares an edge with, in
+# increasing g: the edge as the bitmask of its two vertices
+_Edges = list[list[tuple[int, int]]]
+
+
+def _closed_facets(
+    n: int, facets: Sequence[tuple[int, ...]], subject: str
+) -> tuple[list[int], Sequence[tuple[int, ...]], _Edges]:
+    """The closure certificate of the module docstring, in one bitmask
+    pass, for the facets of the hull of ``n`` points given as their
+    incident points, ascending. Returns the vertices, ascending; the
+    facets as the positions of their vertices in that list, ascending;
+    and their edge table. Unless the facets close, raises
+    :class:`InternalDisagreement` naming ``subject``."""
+    bits = [1 << p for p in range(n)]
+    masks = [sum(map(bits.__getitem__, incident)) for incident in facets]
+    meet = [-1] * n  # all ones: the meet of no facets
+    for mask, incident in zip(masks, facets):
+        for p in incident:
+            meet[p] &= mask
+    vertices = [p for p in range(n) if meet[p] == bits[p]]
+    # when every point is a vertex, as on nearly every body hull, each is its own position
+    if len(vertices) < n:
+        index = {p: v for v, p in enumerate(vertices)}
+        facets = [tuple([index[p] for p in incident if p in index]) for incident in facets]
+        masks = [sum(map(bits.__getitem__, incident)) for incident in facets]
+    edges: _Edges = [[] for _ in facets]
+    for f, mask in enumerate(masks):
+        for g in range(f + 1, len(masks)):
+            edge = mask & masks[g]
+            if edge & (edge - 1):  # two or more vertices
+                if edge.bit_count() > 2:
+                    raise InternalDisagreement(
+                        f"facets of {subject} do not close:"
+                        f" facets {f} and {g} share {edge.bit_count()} vertices"
+                    )
+                edges[f].append((edge, g))
+                edges[g].append((edge, f))
+    for f, (incident, own) in enumerate(zip(facets, edges)):
+        if len(own) != len(incident) or len(own) < 3:
+            raise InternalDisagreement(
+                f"facets of {subject} do not close: facet {f} has {len(own)} edge neighbours"
+                f" for {len(incident)} vertices"
+            )
+    return vertices, facets, edges
+
+
+def _edge_simplices(facets: Sequence[tuple[int, ...]], edges: _Edges) -> list[tuple[int, ...]]:
+    """The pulling triangulation of a 3-polytope from vertex 0, read off
+    the facets and the edge table that :func:`_closed_facets` returns: a
+    facet that holds vertex 0 is skipped, a triangle F gives (0, *F), and
+    any other facet is fanned from its lowest vertex v, as (0, v, *e) for
+    each of its edges e that misses v. These are the simplices that
+    :func:`_pulling_simplices` yields for ``d = 3``, with no face search."""
+    simplices = []
+    for incident, own in zip(facets, edges):
+        v = incident[0]
+        if v == 0:
+            continue
+        if len(incident) == 3:
+            simplices.append((0, *incident))
+            continue
+        bit = 1 << v
+        for e, _ in own:
+            if not e & bit:
+                simplices.append((0, v, (e & -e).bit_length() - 1, e.bit_length() - 1))
+    return simplices
+
+
+def _hull3(
+    points: Iterable[Point3],
+) -> tuple[list[tuple], _AxisMap, list[_Spanning], list[int], _Edges, Fraction]:
     """The hull of a 3D point set from one facet scan on its own lattice.
 
-    Runs :func:`_lattice_points` and :func:`_hull_facets` once and returns
-    the distinct points read, first occurrences in input order, the
-    per-axis map, the facets as (outward normal, incident) with indices
-    into those points, and the exact volume, summed over a pulling
-    triangulation (see :func:`_pulling_simplices`) and scaled back.
-    Raises as :func:`hull_volume_3d` does.
+    Runs :func:`_lattice_points`, :func:`_hull_facets` and the closure
+    certificate (:func:`_closed_facets`) once; the scan's side test has
+    shown that each facet supports the points. Returns the distinct points
+    read, first occurrences in input order; the per-axis map; the facets
+    as (outward normal, incident) with indices into those points; the
+    vertices and the edge table; and the exact volume, summed over
+    :func:`_edge_simplices` and scaled back. Raises as
+    :func:`hull_volume_3d` does.
     """
     pts, ipts, axes = _lattice_points(points, 3)
     facets = _hull_facets(ipts)
+    vertices, closed, edges = _closed_facets(len(ipts), [f for _, f in facets], "the hull")
+    lattice = _pulling_volume([ipts[v] for v in vertices], _edge_simplices(closed, edges))
     scales, _, divisors = axes
-    simplices = _pulling_simplices([incident for _, incident in facets], 3)
-    volume = Fraction(_pulling_volume(ipts, simplices) * prod(divisors), 6 * prod(scales))
-    return pts, axes, facets, volume
+    return pts, axes, facets, vertices, edges, Fraction(lattice * prod(divisors), 6 * prod(scales))
 
 
 def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
@@ -559,6 +638,7 @@ def hull_volume_3d(points: Iterable[Point3]) -> Fraction:
     triangulation on the points' integer lattice and scaled back (see
     :func:`_hull3`). A set that does not span three dimensions, the empty
     one included, raises :class:`DegenerateHull`; flat input never reports
-    volume zero.
+    volume zero. Facets that do not close, a bug, raise
+    :class:`InternalDisagreement`.
     """
-    return _hull3(points)[3]
+    return _hull3(points)[-1]

@@ -35,12 +35,12 @@ face in direction u is F_K(u) + t F_L(u). So a facet's normal is a facet
 normal of K or of L, or is the cross product of an edge direction of
 each that lies strictly inside both edges' normal cones.
 Each body is hulled once, on its own lattice (``geometry._hull3``),
-which gives its volume and its facets; the facet normals are moved to
-the lattice of K and L together by positive per-axis weights
-(``_joint_facets``), so no body is scanned twice. ``_sum_facets`` reads
-the edges off those facets (``_fan``) and forms one candidate face per
-facet of K or of L and per such pair of edges: O(f_K + f_L + e_K * e_L)
-candidates for f facets and e edges, none of which scans the sums.
+which gives its volume, its facets and its edge table; the facet
+normals are moved to the lattice of K and L together by positive
+per-axis weights (``_joint_facets``), so no body is scanned twice.
+``_sum_facets`` forms one candidate face per facet of K or of L and per
+such pair of edges (``_fan``): O(f_K + f_L + e_K * e_L) candidates for
+f facets and e edges, none of which scans the sums.
 The face lattice of K + tL does not depend on t either, and each
 vertex stays the sum k_i + t*l_j of exactly one pair of distinct points
 (i, j): the pair of the unique vertices of K and L that are extreme in
@@ -48,24 +48,17 @@ the vertex's normal cone. So a point of K + L is named by its pair,
 the id i * |L| + j, and no sum is formed or deduplicated; sums that
 coincide are never vertices. The facets of K + L, restricted to its
 vertices, and one pulling triangulation read from them serve every t;
-only the vertex coordinates move. Two checks
-certify this on every call, in the sense of McConnell, Mehlhorn, Naeher
-and Schweitzer, "Certifying algorithms" (2011), at a cost of
-O(facets * vertices) each:
+only the vertex coordinates move. Two checks certify this on every
+call, at a cost of O(facets * vertices) each:
 
-* closure, once: every facet with m vertices shares exactly two vertices
-  (an edge) with exactly m other facets, and no two facets share more.
-  Every edge of a listed facet then borders another listed facet, and
-  the facets of a 3-polytope are connected through their edges, so the
-  list holds them all. Each listed face is a facet by construction, with
-  every sum on its plane, so closure is what proves that the fan route
-  missed none. The check returns the edges it proved, and the pulling
-  triangulation is read off that table (``_edge_simplices``): each facet
-  that misses vertex 0 is a triangle, or a fan from its lowest vertex
-  over its edges;
+* closure, once: the certificate of the ``trivol.geometry`` docstring
+  (``geometry._closed_facets``), whose edge table gives the
+  triangulation. Each candidate is a facet by construction, so closure
+  proves that the fan route missed none;
 * support, at t = 2 and 3: the plane through each facet's first three
   vertices has every vertex weakly on one side and holds exactly that
   facet's vertices, in one side-test pass per facet (``_check_planes``).
+  A body's own facets need none: its scan's side test is that check.
 
 Either failing raises :class:`InternalDisagreement`, with its own message.
 """
@@ -83,6 +76,9 @@ from .geometry import (
     Tetrahedron,
     _AxisMap,
     _clear_denominators,
+    _closed_facets,
+    _edge_simplices,
+    _Edges,
     _facet_cross_products,
     _hull3,
     _pulling_volume,
@@ -209,19 +205,21 @@ def _joint_facets(
     return [((n0 * w0, n1 * w1, n2 * w2), incident) for (n0, n1, n2), incident in facets]
 
 
+# a body's facets on the joint lattice, its vertices and its edge table
+_Body = tuple[Sequence[_Spanning], Sequence[int], _Edges]
+
+
 def _sum_facets(
-    ik: Sequence[tuple[int, ...]],
-    il: Sequence[tuple[int, ...]],
-    facets_k: Sequence[_Spanning],
-    facets_l: Sequence[_Spanning],
+    ik: Sequence[tuple[int, ...]], il: Sequence[tuple[int, ...]], body_k: _Body, body_l: _Body
 ) -> list[tuple[int, ...]]:
     """The facets of K + L, each as the ascending pair ids
     i * len(il) + j of the sums k_i + l_j on it; sorted.
 
     K and L must span three dimensions: ``ik`` and ``il`` are their
-    distinct points on the joint lattice, and ``facets_k`` and
-    ``facets_l`` their facets as (outward normal, incident) there
-    (:func:`_joint_facets`). The facet normals are the rays of each
+    distinct points on the joint lattice, and ``body_k`` and ``body_l``
+    their facets as (outward normal, incident) there
+    (:func:`_joint_facets`), with the vertices and the edge table from
+    :func:`trivol.geometry._hull3`. The facet normals are the rays of each
     body's normal fan, and :func:`_fan` gives its 2D cones. The face in
     direction u is F_K(u) + F_L(u), so the candidates are:
 
@@ -238,13 +236,14 @@ def _sum_facets(
     facet is missed; the closure check in :func:`volume_cubic` does.
     """
     n = len(il)
+    (facets_k, *_), (facets_l, *_) = body_k, body_l
     faces = {_sum_face(n, face, _top_face(il, u)) for u, face in facets_k}
     faces.update(_sum_face(n, _top_face(ik, u), face) for u, face in facets_l)
-    cones_l = _fan(il, facets_l)
+    cones_l = _fan(il, body_l)
     # e x f lies strictly inside cone(n, m) around e iff f.n > 0 > f.m, and
     # inside cone(n', m') around f iff e.n' < 0 < e.m' (see _fan); -(e x f)
     # iff all four signs flip
-    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in _fan(ik, facets_k):
+    for (e0, e1, e2), (n0, n1, n2), (m0, m1, m2), face_k in _fan(ik, body_k):
         for (f0, f1, f2), (p0, p1, p2), (q0, q1, q2), face_l in cones_l:
             a = f0 * n0 + f1 * n1 + f2 * n2
             b = f0 * m0 + f1 * m1 + f2 * m2
@@ -267,31 +266,31 @@ def _sum_face(n: int, face_k: Iterable[int], face_l: Iterable[int]) -> tuple[int
     return tuple(sorted(i * n + j for i in face_k for j in face_l))
 
 
-def _fan(pts: Sequence[tuple[int, ...]], facets: Sequence[_Spanning]) -> list[tuple]:
-    """The 2D cones of the normal fan of a 3-polytope, read off its facets
-    (outward normal, incident) on the distinct integer points ``pts``;
-    the facet normals are the fan's rays.
+def _fan(pts: Sequence[tuple[int, ...]], body: _Body) -> list[tuple]:
+    """The 2D cones of the normal fan of a 3-polytope on the distinct
+    integer points ``pts``, one per edge in the edge table of ``body``
+    (see :func:`_sum_facets`); the facet normals are the fan's rays.
 
-    An edge is two facets f and g that share two or more points, its
-    points are the shared ones (with any inside it) and its cone is
-    cone(n_f, n_g); it is given as (e, n_f, n_g, face), with the edge
-    direction e signed so that det(n_f, n_g, e) > 0. Then a vector u
-    perpendicular to e lies strictly inside the cone iff u.(e x n_f) > 0
-    and u.(n_g x e) > 0, and for u = e x f these are |e|^2 f.n_f > 0 and
-    -|e|^2 f.n_g > 0.
+    The edge of facets f and g has cone(n_f, n_g) and as its face its two
+    end vertices: a sum with a point inside it is no vertex of K + L, and
+    the closure check drops it either way. It is given as (e, n_f, n_g,
+    face), with the edge direction e signed so that det(n_f, n_g, e) > 0.
+    Then a vector u perpendicular to e lies strictly inside the cone iff
+    u.(e x n_f) > 0 and u.(n_g x e) > 0, and for u = e x f these are
+    |e|^2 f.n_f > 0 and -|e|^2 f.n_g > 0.
     """
-    incidences = [frozenset(incident) for _, incident in facets]
+    facets, vertices, edges = body
     cones = []
-    for f, (nf, _) in enumerate(facets):
-        for g in range(f + 1, len(facets)):
-            shared = incidences[f] & incidences[g]
-            if len(shared) > 1:
-                ng = facets[g][0]
-                p, q, *_ = shared
+    for f, own in enumerate(edges):
+        nf = facets[f][0]
+        for edge, g in own:
+            if g > f:
+                p, q = vertices[(edge & -edge).bit_length() - 1], vertices[edge.bit_length() - 1]
                 e = sub3(pts[q], pts[p])
+                ng = facets[g][0]
                 if dot3(cross3(nf, ng), e) < 0:
                     e = sub3(pts[p], pts[q])
-                cones.append((e, nf, ng, shared))
+                cones.append((e, nf, ng, (p, q)))
     return cones
 
 
@@ -307,82 +306,6 @@ def _top_face(body: Sequence[tuple[int, ...]], u: tuple[int, int, int]) -> list[
         elif d == hi:
             top.append(i)
     return top
-
-
-def _vertex_facets(
-    n: int, facets: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The vertices among ``n`` points and each facet's incident vertices.
-
-    A point is a vertex iff the facets incident to it meet in it alone.
-    Returns the vertex indices in ascending order and, per facet, the
-    positions in that list of its incident vertices, ascending.
-    """
-    masks = [sum(1 << p for p in incident) for incident in facets]
-    meet = [-1] * n  # all ones: the meet of no facets
-    for mask, incident in zip(masks, facets):
-        for p in incident:
-            meet[p] &= mask
-    vertices = [p for p in range(n) if meet[p] == 1 << p]
-    index = {p: v for v, p in enumerate(vertices)}
-    return vertices, [tuple(index[p] for p in incident if p in index) for incident in facets]
-
-
-def _check_closed(facets: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Raise unless every facet with m vertices shares exactly two
-    vertices with exactly m other facets, and no two facets share more
-    than two: each edge of each polygon borders one other listed facet.
-    Returns the edges so proved: per facet, the bitmask of the two
-    vertices it shares with each of its m neighbours."""
-    masks = [sum(1 << v for v in incident) for incident in facets]
-    edges: list[list[int]] = [[] for _ in facets]
-    for f, mask in enumerate(masks):
-        for g in range(f + 1, len(masks)):
-            edge = mask & masks[g]
-            shared = edge.bit_count()
-            if shared > 2:
-                raise InternalDisagreement(
-                    f"facets of K + L do not close: facets {f} and {g} share {shared} vertices"
-                )
-            if shared == 2:
-                edges[f].append(edge)
-                edges[g].append(edge)
-    for f, (incident, own) in enumerate(zip(facets, edges)):
-        if len(own) != len(incident) or len(own) < 3:
-            raise InternalDisagreement(
-                f"facets of K + L do not close: facet {f} has {len(own)} edge neighbours"
-                f" for {len(incident)} vertices"
-            )
-    return edges
-
-
-def _edge_simplices(
-    facets: Sequence[tuple[int, ...]], edges: Sequence[Sequence[int]]
-) -> list[tuple[int, int, int, int]]:
-    """The pulling triangulation of a 3-polytope from vertex 0, read off
-    its facets (ascending vertex indices) and the edge table that
-    :func:`_check_closed` returns for them.
-
-    A facet that holds vertex 0 is skipped, a triangle F gives (0, *F),
-    and any other facet is fanned from its lowest vertex v: (0, v, *e)
-    for each of its edges e that does not hold v. On closed facets of
-    vertices only, these are the simplices that
-    :func:`trivol.geometry._pulling_simplices` yields for ``d = 3``,
-    with no search for the faces below each facet.
-    """
-    simplices = []
-    for incident, own in zip(facets, edges):
-        v = incident[0]
-        if v == 0:
-            continue
-        if len(incident) == 3:
-            simplices.append((0, *incident))
-            continue
-        bit = 1 << v
-        for e in own:
-            if not e & bit:
-                simplices.append((0, v, (e & -e).bit_length() - 1, e.bit_length() - 1))
-    return simplices
 
 
 def _check_planes(
@@ -439,23 +362,18 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
 
     Both vertex sets must span three dimensions; a flat body raises
     :class:`DegenerateHull` rather than being special-cased. Each body is
-    hulled once, on its own lattice (:func:`trivol.geometry._hull3`), for
-    its volume and facets. The sums are formed on the integer lattice of
-    K and L together (see :func:`trivol.geometry._clear_denominators`): a
-    positive per-axis affine map commutes with Minkowski sums up to a
-    translation, so each sum's volume is its lattice volume times one
-    factor. The facets of K + L are read off the normal fans of K and L,
-    from the bodies' facets moved to that lattice (:func:`_joint_facets`,
-    :func:`_sum_facets`), and closed up by :func:`_check_closed`, whose
-    edge table gives the one pulling triangulation
-    (:func:`_edge_simplices`). Each point of K + L is named by its pair
-    id i * |L| + j over the distinct points that ``_hull3`` returns; the
-    vertices, each the sum of exactly one pair, are placed at
-    k_i + t*l_j for t = 1, 2 and 3, checked at t = 2 and 3 (see the
-    module docstring), and measured on the lattice over that
-    triangulation. The coefficients are the forward differences of these
-    integer volumes and Vol(K) (see the module docstring). Each set is
-    read, and its duplicates dropped, once, K first.
+    hulled once (:func:`trivol.geometry._hull3`). The sums are formed on
+    the integer lattice of K and L together (see
+    :func:`trivol.geometry._clear_denominators`): a positive per-axis
+    affine map commutes with Minkowski sums up to a translation, so each
+    sum's volume is its lattice volume times one factor. The facets of
+    K + L, read off the normal fans (:func:`_sum_facets`), are closed up
+    and triangulated as the module docstring says. Each vertex, named by its pair id i * |L| + j
+    over the distinct points that ``_hull3`` returns, is placed at
+    k_i + t*l_j for t = 1, 2 and 3, checked at t = 2 and 3, and measured
+    on the lattice. The coefficients are the forward differences of these
+    integer volumes and Vol(K). Each set is read, and its duplicates
+    dropped, once, K first.
     """
     hulls = []
     for body, name in zip((k, l), "kl"):
@@ -467,31 +385,32 @@ def volume_cubic(k: Iterable[Point3], l: Iterable[Point3]) -> VolumeCubic:
             hulls.append(_hull3(body))
         except DegenerateHull as exc:
             raise DegenerateHull(f"body {name} does not span three dimensions") from exc
-    (k, axes_k, facets_k, vol_k), (l, axes_l, facets_l, vol_l) = hulls
+    (k, axes_k, facets_k, *fan_k, vol_k), (l, axes_l, facets_l, *fan_l, vol_l) = hulls
     ipts, axes = _clear_denominators([*k, *l], 3)
     ik, il = ipts[: len(k)], ipts[len(k) :]
-    scales, _, divisors = axes
-    unit = Fraction(prod(divisors), 6 * prod(scales))
-    facets = _sum_facets(
-        ik, il, _joint_facets(facets_k, axes_k, axes), _joint_facets(facets_l, axes_l, axes)
-    )
-    vertices, facets = _vertex_facets(len(ik) * len(il), facets)
-    simplices = _edge_simplices(facets, _check_closed(facets))
+    body_k = (_joint_facets(facets_k, axes_k, axes), *fan_k)
+    body_l = (_joint_facets(facets_l, axes_l, axes), *fan_l)
+    facets = _sum_facets(ik, il, body_k, body_l)
+    vertices, facets, edges = _closed_facets(len(ik) * len(il), facets, "K + L")
+    simplices = _edge_simplices(facets, edges)
     pairs = [(ik[i], il[j]) for i, j in (divmod(p, len(il)) for p in vertices)]
-    # P_t = Vol(K + tL) / unit, and the hull of K above already gave P_0
-    p0, ps = vol_k / unit, []
+    # P_t = Vol(K + tL) / unit for t = 1, 2, 3
+    ps = []
     for t in (1, 2, 3):
         placed = [(a0 + t * b0, a1 + t * b1, a2 + t * b2) for (a0, a1, a2), (b0, b1, b2) in pairs]
         if t > 1:
             _check_planes(placed, facets, t)
         ps.append(_pulling_volume(placed, simplices))
     p1, p2, p3 = ps
-    # the forward differences of P_0..P_3 as monomial coefficients, int terms first
+    # the forward differences as monomial coefficients, one fraction each:
+    # unit = num / den, and P_0 unit = Vol(K) = vn / vd
+    scales, _, divisors = axes
+    num, den, vn, vd = prod(divisors), 6 * prod(scales), vol_k.numerator, vol_k.denominator
     cubic = VolumeCubic(
         vol_k,
-        (18 * p1 - 9 * p2 + 2 * p3 - 11 * p0) * unit / 6,
-        (4 * p2 - 5 * p1 - p3 + 2 * p0) * unit / 2,
-        (3 * p1 - 3 * p2 + p3 - p0) * unit / 6,
+        Fraction((18 * p1 - 9 * p2 + 2 * p3) * num * vd - 11 * vn * den, 6 * den * vd),
+        Fraction((4 * p2 - 5 * p1 - p3) * num * vd + 2 * vn * den, 2 * den * vd),
+        Fraction((3 * p1 - 3 * p2 + p3) * num * vd - vn * den, 6 * den * vd),
     )
     # the leading coefficient is Vol(L), which the check above also found
     if cubic.c3 != vol_l:

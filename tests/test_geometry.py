@@ -42,11 +42,11 @@ from trivol.oracle import hull_facets_4d, hull_volume_4d, monte_carlo_volume
 from reference import add3, det_by_permutation_sum
 from testutil import (
     SIMPLEX,
+    hull_shapes,
     random_box,
     random_points,
     random_rational_box,
     random_tetrahedron,
-    random_wide_box,
 )
 
 ORIGIN = (F(0), F(0), F(0))
@@ -640,26 +640,6 @@ def _grid_cloud(rng, d, n, span):
             return pts
 
 
-def _shapes():
-    rng = random.Random(41)
-    for d in (3, 4):
-        yield [tuple(c) for c in product((0, 1), repeat=d)]
-        yield [tuple(s * (i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
-    for _ in range(6):
-        k, l = (list(random_tetrahedron(rng, span=3).vertices) for _ in range(2))
-        yield _lattice_points(minkowski_sum_vertices(k, l), 3)[1]
-    # the oracle's own inputs, box graphs on their lattice; the wide box's
-    # 20- to 40-digit bounds give ~200-digit coordinates and normals
-    boxes = [
-        random_box(rng, nonzero_lower=True),
-        random_rational_box(rng),
-        random_wide_box(rng),
-        Box3Bounds((0, 0, 0), (2, 3, 5)),
-    ]
-    for box in boxes:
-        yield _lattice_points(extreme_points(box), 4)[1]
-
-
 def _primitive(facets):
     """(normal, incident) facets with each normal divided by its gcd."""
     return [(tuple(x // gcd(*normal) for x in normal), inc) for normal, inc in facets]
@@ -675,7 +655,7 @@ def test_hull_facets_match_the_reference_scan():
     # a 2D cloud is scanned as the prism over it
     clouds = [_prism(pts) if len(pts[0]) == 2 else pts for pts in clouds]
     non_simplex = 0
-    for pts in clouds + list(_shapes()):
+    for pts in clouds + list(hull_shapes()):
         facets = _hull_facets(pts)
         assert _primitive(facets) == _reference_facets(pts)
         non_simplex += sum(len(incident) > len(pts[0]) for _, incident in facets)

@@ -20,7 +20,16 @@ from trivol.mixed_volume import (
 from trivol.trilinear import build_R, omega_normalize
 
 from reference import add3, det_by_permutation_sum, q_vertex_points, r_vertex_points, scale3
-from testutil import CUBE, OCTA, SIMPLEX, random_body, random_points, random_tetrahedron, trivol_calls
+from testutil import (
+    CUBE,
+    OCTA,
+    SIMPLEX,
+    hull_shapes,
+    random_body,
+    random_points,
+    random_tetrahedron,
+    trivol_calls,
+)
 
 _REGULAR = [tuple(map(F, p)) for p in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
 # a regular simplex T and -T
@@ -290,24 +299,38 @@ def test_volume_cubic_agrees_with_fresh_minkowski_hulls_at_other_t():
 
 def joint_lattice(k, l):
     """K's and L's distinct points on their joint lattice and each body's
-    facets moved there from its own hull, as ``volume_cubic`` forms them."""
-    (dk, own_k, facets_k, _), (dl, own_l, facets_l, _) = map(geometry._hull3, (k, l))
+    facets moved there from its own hull, with the hull's vertices and
+    edge table: the bodies that ``volume_cubic`` gives ``_sum_facets``."""
+    (dk, own_k, *body_k, _), (dl, own_l, *body_l, _) = map(geometry._hull3, (k, l))
     ipts, axes = geometry._clear_denominators([*dk, *dl], 3)
-    moved = [mixed_volume._joint_facets(f, own, axes) for f, own in [(facets_k, own_k), (facets_l, own_l)]]
+    moved = [
+        (mixed_volume._joint_facets(f, own, axes), *fan)
+        for own, (f, *fan) in [(own_k, body_k), (own_l, body_l)]
+    ]
     return ipts[: len(dk)], ipts[len(dk) :], moved
 
 
 def fan_and_scan_facets(k, l):
     """The facets of K + L from ``_sum_facets`` and from the 3D scan of the
-    distinct sums, each as the ascending ids i * len(il) + j of every pair
-    whose sum lies on it, sorted alike."""
-    ik, il, (facets_k, facets_l) = joint_lattice(k, l)
-    fan = mixed_volume._sum_facets(ik, il, facets_k, facets_l)
+    distinct sums, each as the ascending ids i * len(il) + j of pairs
+    whose sum lies on it, sorted alike: every such pair on the scan's
+    side. Also the fan's faces of two edges, which pair two points of K
+    with two of L (one with a facet of K or of L has three of that body),
+    and both sides restricted to the vertices of K + L."""
+    ik, il, bodies = joint_lattice(k, l)
+    fan = mixed_volume._sum_facets(ik, il, *bodies)
+    n = len(il)
+    edge_pairs = [f for f in fan if len({p // n for p in f}) == len({p % n for p in f}) == 2]
     sums = minkowski_sum_vertices(ik, il)
     index = {s: n for n, s in enumerate(sums)}
     at = [index[add3(a, b)] for a, b in product(ik, il)]  # k-major, as the pair ids
     scan = [set(incident) for _, incident in geometry._hull_facets(sums)]
-    return fan, sorted(tuple(p for p, n in enumerate(at) if n in face) for face in scan)
+    every = set(range(len(sums)))
+    corners = {n for n in every if every.intersection(*(f for f in scan if n in f)) == {n}}
+    scan = sorted(tuple(p for p, n in enumerate(at) if n in face) for face in scan)
+    vertices = {p for p, n in enumerate(at) if n in corners}
+    on_vertices = [sorted(tuple(p for p in f if p in vertices) for f in faces) for faces in (fan, scan)]
+    return fan, edge_pairs, scan, on_vertices
 
 
 def primitive(normal):
@@ -346,7 +369,7 @@ def test_joint_facets_match_the_scan_on_the_joint_lattice():
     moved = 0
     for k, l in pairs:
         ik, il, joint = joint_lattice(k, l)
-        for points, facets in zip((ik, il), joint):
+        for points, (facets, *_) in zip((ik, il), joint):
             assert len(set(points)) == len(points), (k, l)
             scanned = geometry._hull_facets(points)
             assert [(primitive(n), incident) for n, incident in facets] == [
@@ -380,16 +403,17 @@ def test_each_vertex_of_the_sum_is_the_sum_of_one_pair(monkeypatch):
     the sum of exactly one pair of distinct points, and ``volume_cubic``
     names each point of K + L by its pair id i * len(il) + j. On each
     fixture the vertices, found by a scan of the distinct sums, are the
-    sums of one pair each, and are the pair ids ``_vertex_facets`` keeps;
-    the fixtures also hold sums of several pairs, none of them a vertex."""
-    real = mixed_volume._vertex_facets
+    sums of one pair each, and are the pair ids that the closure check of
+    K + L keeps; the fixtures also hold sums of several pairs, none of
+    them a vertex."""
+    real = mixed_volume._closed_facets
     kept = []
 
     def keep(*args):
         kept.append(real(*args))
         return kept[-1]
 
-    monkeypatch.setattr(mixed_volume, "_vertex_facets", keep)
+    monkeypatch.setattr(mixed_volume, "_closed_facets", keep)
     coincident = []
     for (k, l), count in zip(WITH_EXTRA_POINTS, VERTEX_COUNTS):
         ik, il, _ = joint_lattice(k, l)
@@ -430,7 +454,7 @@ def test_sum_facets_match_the_scan_of_the_sums():
 
     pairs = [(CUBE, OCTA), (OCTA, CUBE)] + WITH_EXTRA_POINTS
     pairs += [(body(rational), body(rational)) for rational in [False] * 30 + [True] * 15]
-    coincident = rejected = 0
+    coincident = rejected = trimmed = 0
     for k, l in pairs:
         for name, pts in zip("kl", (k, l)):
             if flat(pts):
@@ -441,11 +465,18 @@ def test_sum_facets_match_the_scan_of_the_sums():
                 rejected += 1
                 break
         else:
-            fan, scan = fan_and_scan_facets(k, l)
-            assert fan == scan, (k, l)
+            fan, edge_pairs, scan, on_vertices = fan_and_scan_facets(k, l)
+            assert on_vertices[0] == on_vertices[1], (k, l)
+            # a face with a facet of K or of L lists every sum on it
+            assert all(face in scan for face in fan if face not in edge_pairs), (k, l)
+            # one of two edges only their end vertices, leaving out the sums
+            # with a point inside an edge
+            assert all(any(set(face) <= set(facet) for facet in scan) for face in edge_pairs), (k, l)
+            trimmed += fan != scan
             coincident += len(minkowski_sum_vertices(k, l)) < len(k) * len(l)
-    # the draws exercise coincident sums among the solid pairs, and flat bodies
-    assert (coincident, rejected, len(pairs)) == (23, 11, 51)
+    # the draws exercise coincident sums and trimmed faces among the solid
+    # pairs, and flat bodies
+    assert (coincident, trimmed, rejected, len(pairs)) == (23, 21, 11, 51)
 
 
 def test_sum_facets_on_flat_and_empty_bodies(monkeypatch):
@@ -512,27 +543,37 @@ def test_volume_cubic_on_24_point_bodies_forms_only_the_fan_candidates(monkeypat
 
 
 def test_edge_table_triangulates_as_the_generic_pull():
-    """The simplices ``volume_cubic`` reads off the edge table of the
-    closure check are those of the generic pulling triangulation from
-    vertex 0, as sets of sorted tuples, with none repeated. A pentagonal
-    prism plus the octahedron adds pentagons that do not hold vertex 0."""
+    """The simplices read off the edge table of the closure check are
+    those of the generic pulling triangulation from vertex 0, as sets of
+    sorted tuples, with none repeated: on the facets of K + L that
+    ``volume_cubic`` closes, and on the hulls of the 3D test shapes, some
+    with points inside facets and edges. A pentagonal prism plus the
+    octahedron adds pentagons that do not hold vertex 0."""
     rng = random.Random(24)
     pairs = [(CUBE, OCTA), (OCTA, CUBE), *WITH_EXTRA_POINTS, REFLECTED_SIMPLEX]
     pairs.append((random_body(rng, 24), random_body(rng, 24)))
     pentagon = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)]
     pairs.append(([(x, y, z) for x, y in pentagon for z in (0, 1)], OCTA))
-    sizes = set()
+    cases = []
     for k, l in pairs:
-        ik, il, (facets_k, facets_l) = joint_lattice(k, l)
-        sum_facets = mixed_volume._sum_facets(ik, il, facets_k, facets_l)
-        _, facets = mixed_volume._vertex_facets(len(ik) * len(il), sum_facets)
-        table = mixed_volume._edge_simplices(facets, mixed_volume._check_closed(facets))
+        ik, il, bodies = joint_lattice(k, l)
+        cases.append(("K + L", len(ik) * len(il), mixed_volume._sum_facets(ik, il, *bodies)))
+    shapes = [pts for pts in hull_shapes() if len(pts[0]) == 3]
+    cases += [("the hull", len(pts), [f for _, f in geometry._hull_facets(pts)]) for pts in shapes]
+    sizes = {"K + L": set(), "the hull": set()}
+    inside = 0
+    for subject, n, incidences in cases:
+        vertices, facets, edges = geometry._closed_facets(n, incidences, subject)
+        table = geometry._edge_simplices(facets, edges)
         pulled = list(geometry._pulling_simplices(facets, 3))
-        assert len(table) == len(pulled) == len({tuple(sorted(s)) for s in pulled}), (k, l)
-        assert {tuple(sorted(s)) for s in table} == {tuple(sorted(s)) for s in pulled}, (k, l)
-        sizes.update((len(incident), incident[0] == 0) for incident in facets)
-    # (vertices, holds vertex 0) of the facets met
-    assert sizes == {(m, held) for m in (3, 4, 5) for held in (False, True)}
+        assert len(table) == len(pulled) == len({tuple(sorted(s)) for s in pulled}), incidences
+        assert {tuple(sorted(s)) for s in table} == {tuple(sorted(s)) for s in pulled}, incidences
+        sizes[subject].update((len(incident), incident[0] == 0) for incident in facets)
+        inside += subject == "the hull" and len(vertices) < n
+    # (vertices, holds vertex 0) of the facets met, and the shapes with points that are no vertex
+    met = {(m, held) for m in (3, 4, 5) for held in (False, True)}
+    assert sizes == {"K + L": met, "the hull": met}
+    assert (inside, len(shapes)) == (6, 8)
 
 
 @pytest.fixture
@@ -554,16 +595,34 @@ def recorded_facets(monkeypatch):
 
 
 def test_volume_cubic_closure_check_catches_a_dropped_facet(monkeypatch, recorded_facets):
+    """A facet dropped from those of K + L fails the closure check of
+    K + L; one dropped from a body's own scan fails that of its hull, in
+    ``hull_volume_3d`` and in ``volume_cubic``."""
     for (k, l), facets in zip(WITH_EXTRA_POINTS, recorded_facets[1]):
         for drop in range(len(facets)):
             dropped = facets[:drop] + facets[drop + 1 :]
             monkeypatch.setattr(mixed_volume, "_sum_facets", lambda *args: dropped)
             with pytest.raises(InternalDisagreement, match="^facets of K \\+ L do not close: "):
                 volume_cubic(k, l)
+    monkeypatch.undo()
+    scan = geometry._hull_facets
+    for k, l in WITH_EXTRA_POINTS:
+        for body in (k, l):
+            for drop in range(len(geometry._hull3(body)[2])):
+
+                def planted(pts):
+                    facets = scan(pts)
+                    return facets[:drop] + facets[drop + 1 :]
+
+                monkeypatch.setattr(geometry, "_hull_facets", planted)
+                for run in (lambda: hull_volume_3d(body), lambda: volume_cubic(k, l)):
+                    with pytest.raises(InternalDisagreement, match="^facets of the hull do not close: "):
+                        run()
+                monkeypatch.undo()
 
 
 def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, recorded_facets):
-    real = mixed_volume._vertex_facets
+    real = mixed_volume._closed_facets
     caught = []
     for (k, l), expected in zip(WITH_EXTRA_POINTS, recorded_facets[0]):
         caught.append(0)
@@ -571,11 +630,11 @@ def test_volume_cubic_plane_check_catches_a_mis_mapped_vertex_pair(monkeypatch, 
         for n in range(n_k * n_l):
 
             def mis_mapped(*args):
-                vertices, facets = real(*args)
+                vertices, facets, edges = real(*args)
                 i, j = divmod(n, n_l)
-                return [i * n_l + (j + 1) % n_l if p == n else p for p in vertices], facets
+                return [i * n_l + (j + 1) % n_l if p == n else p for p in vertices], facets, edges
 
-            monkeypatch.setattr(mixed_volume, "_vertex_facets", mis_mapped)
+            monkeypatch.setattr(mixed_volume, "_closed_facets", mis_mapped)
             try:
                 got = volume_cubic(k, l)
             except InternalDisagreement as exc:

@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import product
 
 import trivol
-from trivol import Box3Bounds, DegenerateTetrahedron, verify
-from trivol.geometry import Tetrahedron, orient
+from trivol import Box3Bounds, DegenerateTetrahedron, extreme_points, verify
+from trivol.geometry import Tetrahedron, _lattice_points, orient
+from trivol.mixed_volume import minkowski_sum_vertices
 
 _PACKAGE = os.path.dirname(trivol.__file__)
 
@@ -105,3 +106,26 @@ def random_points(rng: random.Random, n: int, span: int = 5) -> list:
 def random_body(rng: random.Random, n: int) -> list:
     """n random int points in [0, 1000)^3: in general position, almost surely."""
     return [tuple(rng.randrange(1000) for _ in range(3)) for _ in range(n)]
+
+
+def hull_shapes():
+    """Integer point sets in 3D and 4D on their own lattice, the hull scan's
+    test inputs: the unit cube and cross-polytope of each dimension, six
+    sums of two tetrahedra and four box graphs."""
+    rng = random.Random(41)
+    for d in (3, 4):
+        yield [tuple(c) for c in product((0, 1), repeat=d)]
+        yield [tuple(s * (i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
+    for _ in range(6):
+        k, l = (list(random_tetrahedron(rng, span=3).vertices) for _ in range(2))
+        yield _lattice_points(minkowski_sum_vertices(k, l), 3)[1]
+    # the oracle's own inputs, box graphs on their lattice; the wide box's
+    # 20- to 40-digit bounds give ~200-digit coordinates and normals
+    boxes = [
+        random_box(rng, nonzero_lower=True),
+        random_rational_box(rng),
+        random_wide_box(rng),
+        Box3Bounds((0, 0, 0), (2, 3, 5)),
+    ]
+    for box in boxes:
+        yield _lattice_points(extreme_points(box), 4)[1]

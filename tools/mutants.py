@@ -91,11 +91,34 @@ MUTANTS = [
     (MV, "            if a > 0 > b:", "            if a < 0 < b:", [T_MV + "test_volume_cubic_cube_plus_octahedron"]),
     # the pulling triangulation keeps the facets that hold vertex 0
     (
-        MV,
+        GEO,
         "        if v == 0:\n            continue",
         "        if v != 0:\n            continue",
         [T_MV + "test_volume_cubic_cube_plus_octahedron"],
     ),
+    # the edge-table triangulation skips one edge of each facet
+    (
+        GEO,
+        "        for e, _ in own:\n",
+        "        for e, _ in own[1:]:\n",
+        [T_MV + "test_edge_table_triangulates_as_the_generic_pull"],
+    ),
+    # _hull3's facets skip the closure check; K + L still runs it
+    (
+        GEO,
+        "        if len(own) != len(incident) or len(own) < 3:\n",
+        '        if subject != "the hull" and (len(own) != len(incident) or len(own) < 3):\n',
+        [T_MV + "test_volume_cubic_closure_check_catches_a_dropped_facet"],
+    ),
+    # _scan3 keeps the normal of a subset with points above it
+    (
+        GEO,
+        "yield ((-n0, -n1, -n2) if above else (n0, n1, n2)), tuple(on)",
+        "yield ((n0, n1, n2) if above else (-n0, -n1, -n2)), tuple(on)",
+        [T_GEO + "test_hull_facets_match_the_reference_scan"],
+    ),
+    # _scan3 yields a facet's incident points in the order its side test met them
+    (GEO, "                    on.sort()\n", "", [T_GEO + "test_hull_facets_match_the_reference_scan"]),
     # _scan3 forgets the points on a facet's plane
     (
         GEO,
@@ -133,6 +156,13 @@ MUTANTS = [
         "x1 * (y0 * z2 - y2 * z0)",
         ["tests/test_geometry.py::test_pulling_volume_matches_the_generic_determinant"],
     ),
+    # the 4D determinants are summed with their signs: caught by a cross-route test
+    (
+        GEO,
+        "            + m23 * (z0 * w1 - z1 * w0)\n        )\n        total += d if d > 0 else -d\n",
+        "            + m23 * (z0 * w1 - z1 * w0)\n        )\n        total += d\n",
+        ["tests/test_cli.py::test_volume_all_methods_unit_box"],
+    ),
     # a bool read as a coordinate
     (
         GEO,
@@ -167,6 +197,13 @@ MUTANTS = [
         "- a2 * b3 - b2 * a3 - 3 * a2 * a3)",
         "- 2 * a2 * b3 - b2 * a3 - 3 * a2 * a3)",
         [T_CERT + "test_closed_form_is_symmetric_in_axes_2_and_3"],
+    ),
+    # the last bottom-slice support maximum and the first top-slice one swap rows
+    (
+        TRI,
+        "        2 * a1 * a2 * a3 - a1 * a2 * b3,\n        a1 * a2 * a3 - a1 * a2 * b3 - b1 * a2 * b3,\n",
+        "        a1 * a2 * a3 - a1 * a2 * b3 - b1 * a2 * b3,\n        2 * a1 * a2 * a3 - a1 * a2 * b3,\n",
+        [T_CERT + "test_z_value_is_the_support_maximum"],
     ),
     # Simpson's midpoint weight 4 becomes 3
     (TRI, "4 * section8(lo + hi)", "3 * section8(lo + hi)", [T_CERT + "test_simpson_is_exact_on_every_cubic"]),
