@@ -15,7 +15,13 @@ one per corner of the box. Its volume is computed here two exact ways:
   integral. The mixed volumes come from closed-form support maxima (the
   ``_z_values`` table) and are cross-checked against the generic
   support-sum evaluation; the integral is evaluated analytically and
-  cross-checked against Simpson's rule, which is exact for cubics.
+  cross-checked against Simpson's rule, which is exact for cubics. The
+  generic determinant and support-sum checks run on both slices mapped
+  by x_i -> (x_i - a_i)/(b_i - a_i), i = 1, 2, which puts every x at 0
+  or 1. A common affine map scales every volume and mixed volume by its
+  determinant, 1/f with f = (b1-a1)(b2-a2), and its translation changes
+  none (Schneider, *Convex Bodies*, 5.1), so f times each mapped value
+  is the true one, exactly; only y stays wide.
 
 Every redundant pair of computation paths must agree exactly; a mismatch
 raises :class:`InternalDisagreement` rather than returning anything.
@@ -215,14 +221,18 @@ def _axis_order(keys: tuple) -> tuple[tuple[int, int, int], tuple[int, int, int]
     return _AXIS_ORDERS[k1 <= k2, k1 <= k3, k2 <= k3]
 
 
-def _slice_points(a: tuple, b: tuple, level: Fraction | int) -> list[Point3]:
-    """Vertices of the hull slice at x3 = level, in (y, x1, x2) coordinates."""
+def _slice_points(a: tuple, b: tuple, level: Fraction | int, xa: tuple, xb: tuple) -> list[Point3]:
+    """Vertices of the hull slice at x3 = level, in (y, x1, x2) coordinates:
+    y = x1*x2*level at the corners of [a1,b1] x [a2,b2], with x_i placed at
+    xa_i for a_i and xb_i for b_i. ``xa, xb = a, b`` gives the true slice,
+    ``(0, 0), (1, 1)`` its image under the pipeline's map."""
     (a1, a2, _), (b1, b2, _) = a, b
+    p1, p2, q1, q2 = xa[0], xa[1], xb[0], xb[1]
     return [
-        (b1 * b2 * level, b1, b2),
-        (a1 * a2 * level, a1, a2),
-        (b1 * a2 * level, b1, a2),
-        (a1 * b2 * level, a1, b2),
+        (b1 * b2 * level, q1, q2),
+        (a1 * a2 * level, p1, p2),
+        (b1 * a2 * level, q1, p2),
+        (a1 * b2 * level, p1, q2),
     ]
 
 
@@ -235,13 +245,13 @@ def build_Q(box: OmegaBox) -> Tetrahedron:
     nb = box.bounds
     if nb.a[2] == 0:
         raise DegenerateTetrahedron("bottom slice is flat when a3 == 0")
-    return orient(_slice_points(nb.a, nb.b, nb.a[2]))
+    return orient(_slice_points(nb.a, nb.b, nb.a[2], nb.a, nb.b))
 
 
 def build_R(box: OmegaBox) -> Tetrahedron:
     """Oriented tetrahedron of the top slice."""
     nb = box.bounds
-    return orient(_slice_points(nb.a, nb.b, nb.b[2]))
+    return orient(_slice_points(nb.a, nb.b, nb.b[2], nb.a, nb.b))
 
 
 def _slice_directions(a: tuple, b: tuple, level: Fraction | int) -> tuple[Vec3, Vec3, Vec3, Vec3]:
@@ -387,8 +397,9 @@ def _formula_ratio(ia: tuple, ib: tuple, d: tuple) -> tuple[int, int]:
 
 def closed_form_volume(box: Box3Bounds) -> Fraction:
     """Hull volume by formula: normalize the axis order, then evaluate on
-    the normalized box's ``cleared`` ints."""
-    return Fraction(*_formula_ratio(*omega_normalize(box).bounds.cleared))
+    the normalized box's ``cleared`` ints and divide once, by one gcd."""
+    ia, ib, (d1, d2, d3) = omega_normalize(box).bounds.cleared
+    return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
 
 
 @dataclass(frozen=True)
@@ -445,6 +456,14 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     carried 24 times over (the Simpson sum 288*(B3-A3)^2 times, see
     :func:`_simpson48`). Each reported value is one division of such an
     int at the end.
+
+    ``orient`` and the support sums run on both slices mapped by
+    x_i -> (x_i - A_i)/(B_i - A_i), i = 1, 2, so every x is 0 or 1 and only
+    y is wide. The map's determinant is 1/f, f = (B1-A1)(B2-A2), and its
+    translation moves no mixed volume, so f times each int result equals
+    the true slices' value, an identity that ``tests/test_certificate.py``
+    proves over the ring; that product meets the closed form under the
+    same name and scale.
     """
     nb = omega_normalize(box).bounds
     a, b, (d1, d2, d3) = nb.cleared
@@ -453,24 +472,27 @@ def pipeline_volume(box: Box3Bounds) -> VolumeReport:
     hull_scale = 24 * (d1 * d2 * d3) ** 2
 
     # slice quantities, six times over on the scaled box
-    base = (b1 - a1) ** 2 * (b2 - a2) ** 2
+    f = (b1 - a1) * (b2 - a2)
+    base = f * f
     vol_q6, vol_r6 = a3 * base, b3 * base
     v_qqr6, v_qrr6 = _mixed_volumes6_from_z(a, b)
     mixed6 = _mixed_volume6(a, b)
     _require_equal(v_qqr6, mixed6, "bottom-slice mixed volume vs product form", slice_scale)
     _require_equal(v_qrr6, mixed6, "top-slice mixed volume vs product form", slice_scale)
 
-    q_pts, r_pts = _slice_points(a, b, a3), _slice_points(a, b, b3)
+    # the generic checks, on the slices mapped to the unit square
+    q_pts = _slice_points(a, b, a3, (0, 0), (1, 1))
+    r_pts = _slice_points(a, b, b3, (0, 0), (1, 1))
     r_tet = orient(r_pts)
-    _require_equal(r_tet.det, vol_r6, "top slice volume vs determinant", slice_scale)
+    _require_equal(f * r_tet.det, vol_r6, "top slice volume vs determinant", slice_scale)
     if a3 > 0:
         q_tet = orient(q_pts)
-        _require_equal(q_tet.det, vol_q6, "bottom slice volume vs determinant", slice_scale)
+        _require_equal(f * q_tet.det, vol_q6, "bottom slice volume vs determinant", slice_scale)
         _require_equal(
-            _support_sum6(q_tet, r_pts), v_qqr6, "V(Q,Q,R) vs generic support sum", slice_scale
+            f * _support_sum6(q_tet, r_pts), v_qqr6, "V(Q,Q,R) vs generic support sum", slice_scale
         )
     _require_equal(
-        _support_sum6(r_tet, q_pts), v_qrr6, "V(Q,R,R) vs generic support sum", slice_scale
+        f * _support_sum6(r_tet, q_pts), v_qrr6, "V(Q,R,R) vs generic support sum", slice_scale
     )
 
     # hull volume, 24 times over on the scaled box: _beta4 is 4 times the

@@ -74,7 +74,7 @@ def support_maxima(box: Box3Bounds) -> int:
     normalized box."""
     nb = trilinear.omega_normalize(box).bounds
     a, b = nb.a, nb.b
-    q_pts, r_pts = trilinear._slice_points(a, b, a[2]), trilinear._slice_points(a, b, b[2])
+    q_pts, r_pts = (trilinear._slice_points(a, b, level, a, b) for level in (a[2], b[2]))
     dirs = trilinear._slice_directions(a, b, a[2]) + trilinear._slice_directions(a, b, b[2])
     for i, (closed, u) in enumerate(zip(trilinear._z_values(a, b), dirs), start=1):
         generic = support(r_pts if i <= 4 else q_pts, u)

@@ -14,6 +14,14 @@ Proven here:
 * the oriented slice tetrahedron's ``_facet_cross_products`` are
   (b1 - a1)(b2 - a2) times its ``_slice_directions``, taken in the order
   (0, 1, 3, 2), so those directions are its outward facet normals;
+* the pipeline's map x_i -> (x_i - a_i)/(b_i - a_i), i = 1, 2, sends each
+  slice to one over the unit square whose determinant is the true one
+  over f = (b1 - a1)(b2 - a2), and whose ``_facet_cross_products``, in
+  the same order, are (1, b1 - a1, b2 - a2) times the ``_slice_directions``
+  component by component. Those directions sum to zero, and each mapped
+  dot product is the true one less a shift of its direction alone, so f
+  times each mapped support sum is the true one: the generic checks on
+  the mapped slices are the checks on the true slices;
 * the ordering forms: key_i - key_j = (b_k - a_k)(a_i*b_j - a_j*b_i) for
   the ``ordering_values`` keys, with k the third axis. As b_k > a_k and
   b > 0, equal keys mean equal ratios a_i/b_i and a larger key a larger
@@ -78,7 +86,7 @@ def test_simpson_is_exact_on_every_cubic():
 
 @pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
 def test_slice_determinant_is_the_slice_volume(level):
-    assert _edge_det(_slice_points(A, B, level)) == -level * BASE
+    assert _edge_det(_slice_points(A, B, level, A, B)) == -level * BASE
 
 
 @pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
@@ -86,11 +94,55 @@ def test_facet_cross_products_are_the_slice_directions(level):
     # the determinant above is negative for level > 0, so orient swaps v0
     # and v1; the kernel reads only the vertices, which orient cannot read
     # on a ring
-    v0, v1, v2, v3 = _slice_points(A, B, level)
+    v0, v1, v2, v3 = _slice_points(A, B, level, A, B)
     crosses = _facet_cross_products(SimpleNamespace(vertices=(v1, v0, v2, v3)))
     dirs = _slice_directions(A, B, level)
     scale = (b1 - a1) * (b2 - a2)
     assert crosses == tuple(tuple(scale * c for c in dirs[k]) for k in (0, 1, 3, 2))
+
+
+# the pipeline's map x_i -> (x_i - a_i)/(b_i - a_i), i = 1, 2, on the slices
+F = (b1 - a1) * (b2 - a2)
+UNIT_SQUARE = ((0, 0), (1, 1))
+
+
+def _mapped_crosses(level):
+    """``_facet_cross_products`` of the mapped slice, in the vertex order
+    orient gives it (v0 and v1 swapped, as for the true slice)."""
+    v0, v1, v2, v3 = _slice_points(A, B, level, *UNIT_SQUARE)
+    return _facet_cross_products(SimpleNamespace(vertices=(v1, v0, v2, v3)))
+
+
+@pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
+def test_mapped_slice_determinant_is_the_slice_volume_over_f(level):
+    mapped = _edge_det(_slice_points(A, B, level, *UNIT_SQUARE))
+    assert mapped == -level * F
+    assert F * mapped == _edge_det(_slice_points(A, B, level, A, B))
+
+
+@pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
+def test_mapped_facet_cross_products_are_the_scaled_slice_directions(level):
+    dirs = _slice_directions(A, B, level)
+    widths = (1, b1 - a1, b2 - a2)
+    scaled = tuple(tuple(w * c for w, c in zip(widths, dirs[k])) for k in (0, 1, 3, 2))
+    assert _mapped_crosses(level) == scaled
+
+
+@pytest.mark.parametrize("level", [a3, b3], ids=["bottom", "top"])
+def test_slice_directions_sum_to_zero(level):
+    assert tuple(map(sum, zip(*_slice_directions(A, B, level)))) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("level, other", [(a3, b3), (b3, a3)], ids=["bottom", "top"])
+def test_mapped_dot_products_are_the_true_ones_shifted_per_direction(level, other):
+    # with the two proofs above: each mapped support value is the true one
+    # over f, less a shift of its direction alone, and the shifts sum to 0,
+    # so f times the mapped support sum is the true support sum
+    dirs = [_slice_directions(A, B, level)[k] for k in (0, 1, 3, 2)]
+    pairs = zip(_slice_points(A, B, other, A, B), _slice_points(A, B, other, *UNIT_SQUARE))
+    for p, mapped_p in pairs:
+        for u, mapped_u in zip(dirs, _mapped_crosses(level)):
+            assert dot3(mapped_u, mapped_p) == dot3(u, p) - (u[1] * a1 + u[2] * a2)
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
@@ -112,7 +164,7 @@ def test_z_value_is_the_support_maximum(i):
     a, b = ORDERED_A, ORDERED_B
     # entries 1-4: bottom-slice directions against the top slice, 5-8 the reverse
     u = (_slice_directions(a, b, a[2]) + _slice_directions(a, b, b[2]))[i - 1]
-    points = _slice_points(a, b, b[2] if i <= 4 else a[2])
+    points = _slice_points(a, b, b[2] if i <= 4 else a[2], a, b)
     gaps = [_z_values(a, b)[i - 1] - dot3(p, u) for p in points]
     assert 0 in gaps
     assert all(c > 0 for gap in gaps for c in gap.coeffs())

@@ -146,13 +146,13 @@ def test_volume_all_runs_each_method_once(capsys, monkeypatch):
 
 
 def test_volume_all_checks_the_formula_value_it_prints(capsys, monkeypatch):
-    real = trilinear._formula_ratio
+    real = trilinear._hull_volume24
 
-    def plus_one(ia, ib, d):
-        p, q = real(ia, ib, d)
-        return p + q, q
+    def plus_one(a, b):
+        # 24 times the volume, on an integer box: one more unit
+        return real(a, b) + 24
 
-    monkeypatch.setattr(trilinear, "_formula_ratio", plus_one)
+    monkeypatch.setattr(trilinear, "_hull_volume24", plus_one)
     code, out, _ = run_cli(capsys, "volume", "--bounds", "1,2,1,3,2,5")
     assert code == 3
     doc = json.loads(out)

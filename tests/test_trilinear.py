@@ -361,11 +361,21 @@ PIPELINE_CHECKS = [
 ]
 
 
+# 40- to 42-digit rational bounds, a3 > 0 once normalized, so that every
+# check runs
+WIDE = Box3Bounds(
+    (F(10**40 + 1, 10**40 + 3), 10**41 + 7, F(3 * 10**40 + 1, 7)),
+    (F(10**41 + 9, 10**40 + 3), 2 * 10**41 + 11, F(5 * 10**40 + 3, 3)),
+)
+
+
 @pytest.mark.parametrize("route, call, bump, message", PIPELINE_CHECKS)
 def test_each_pipeline_cross_check_can_fire(monkeypatch, route, call, bump, message):
-    _perturb(monkeypatch, route, call, bump)
-    with pytest.raises(InternalDisagreement, match=f"^{re.escape(message)}: "):
-        pipeline_volume(SHIFTED)
+    for bx in (SHIFTED, WIDE):
+        with monkeypatch.context() as patch:
+            _perturb(patch, route, call, bump)
+            with pytest.raises(InternalDisagreement, match=f"^{re.escape(message)}: "):
+                pipeline_volume(bx)
 
 
 def test_flat_bottom_runs_one_check_per_generic_route(monkeypatch):

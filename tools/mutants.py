@@ -38,6 +38,7 @@ TRI = "src/trivol/trilinear.py"
 T_MV = "tests/test_mixed_volume.py::"
 T_GEO = "tests/test_geometry.py::"
 T_CERT = "tests/test_certificate.py::"
+T_TRI = "tests/test_trilinear.py::"
 
 # (file, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -205,6 +206,28 @@ MUTANTS = [
         "        a1 * a2 * a3 - a1 * a2 * b3 - b1 * a2 * b3,\n        2 * a1 * a2 * a3 - a1 * a2 * b3,\n",
         [T_CERT + "test_z_value_is_the_support_maximum"],
     ),
+    # one slice point's x1 is flipped to its other bound: 0 and 1 on the
+    # mapped slices, a1 and b1 on the true ones
+    (
+        TRI,
+        "(b1 * a2 * level, q1, p2),",
+        "(b1 * a2 * level, p1, p2),",
+        [T_CERT + "test_mapped_slice_determinant_is_the_slice_volume_over_f"],
+    ),
+    # the pipeline's map factor f is built from axes 1 and 3
+    (
+        TRI,
+        "    f = (b1 - a1) * (b2 - a2)\n",
+        "    f = (b1 - a1) * (b3 - a3)\n",
+        [T_TRI + "test_pipeline_report_is_pinned"],
+    ),
+    # the top slice skips the map: its generic checks see the true slice
+    (
+        TRI,
+        "_slice_points(a, b, b3, (0, 0), (1, 1))",
+        "_slice_points(a, b, b3, a, b)",
+        [T_TRI + "test_pipeline_report_is_pinned"],
+    ),
     # Simpson's midpoint weight 4 becomes 3
     (TRI, "4 * section8(lo + hi)", "3 * section8(lo + hi)", [T_CERT + "test_simpson_is_exact_on_every_cubic"]),
     # a sign flipped in the first slice direction
@@ -220,6 +243,13 @@ MUTANTS = [
         "(-1, a2 * level, a1 * level),",
         "(-1, a2 * level, a1 * level + 1),",
         [T_CERT + "test_facet_cross_products_are_the_slice_directions"],
+    ),
+    # the package namespace re-exports one name more
+    (
+        "src/trivol/__init__.py",
+        '    "__version__",\n]\n',
+        '    "__version__",\n    "omega_normalize",\n]\nfrom .trilinear import omega_normalize  # noqa: E402\n',
+        ["tests/test_package.py::test_package_namespace_is_the_public_api"],
     ),
     # a failed write to stdout leaks the os.devnull descriptor
     (
