@@ -22,10 +22,16 @@ point on the side opposite to one already seen, and the point that
 refuted the previous subset is tried first; a subset that spans takes
 its incident points and outward normal from that same pass. In 4D the
 side of a point is the orientation of the five points together, which
-every one of its five 4-subsets shares up to sign, so each orientation
-is computed once and every subset reads its sides off that table of
-signs: on the oracle's eight-point box graphs, 70 normals and 56
-orientations per hull. The scan is written out for each of d = 3 and 4.
+every one of its five 4-subsets shares up to sign. Every call computes
+each orientation once, from the normals of the 4-subsets with a later
+point (on the oracle's eight-point box graphs, 35 normals and 56
+orientations per hull), then the normal of each facet whose first
+spanning subset holds the last point. Which subsets span facets, with
+which sign and incident points, is read off the table of signs once per
+table, and the pulling triangulation off the incident sets once per
+tuple of them (:func:`_facet_spec`, :func:`_pulling_simplices`); a
+bounded cache keeps the last reads, and boxes share a few dozen sign
+tables. The scan is written out for each of d = 3 and 4.
 The volume is a sum of simplex determinants, also written out for each
 d, over a pulling triangulation read off the facets' incident point
 sets alone (:func:`_pulling_simplices`), so no hull is ever taken in a
@@ -54,9 +60,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from numbers import Rational
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateHull, DegenerateTetrahedron, EmptyPolytope, InternalDisagreement
@@ -298,20 +303,33 @@ def _hull_facets(pts: Sequence[tuple[int, ...]]) -> list[_Spanning]:
 
     Returns (normal, incident) per facet: the outward cofactor normal of
     its first spanning subset, not reduced, and the indices of the points
-    on its hyperplane, both as the scan for d (:func:`_scan3` or
-    :func:`_scan4`) yields them. Every d-subset is tested; one that spans
-    a facet is kept once, in order of its first spanning subset. Two
-    spanning subsets give the same facet exactly when they have the same
-    incident points, since those points span the facet's hyperplane.
+    on its hyperplane. Every d-subset is tested; one that spans a facet is
+    kept once, in order of its first spanning subset. Two spanning subsets
+    give the same facet exactly when they have the same incident points,
+    since those points span the facet's hyperplane. In 3D the facets are
+    those :func:`_scan3` yields. In 4D :func:`_scan4` computes every
+    orientation and :func:`_facet_spec` reads the facets off their signs;
+    each facet takes the normal that the scan computed for its subset, or
+    :func:`_normal4`'s when the scan computed none, negated as read.
 
     Points that do not span d dimensions raise :class:`DegenerateHull`:
     in 3D either a spanning subset has every point on its plane or no
-    subset spans a facet; in 4D, where :func:`_scan4` yields no subset
-    with every point on its hyperplane, no subset spans a facet.
+    subset spans a facet; in 4D, where :func:`_facet_spec` takes no
+    subset with every point on its hyperplane, no subset spans a facet.
     """
     d = len(pts[0])
+    if d == 4:
+        normals, signs = _scan4(pts)
+        spec = _facet_spec(len(pts), tuple(signs))
+        if not spec:
+            raise DegenerateHull("points do not span 4 dimensions")
+        found = []
+        for subset, rank, negate, incident in spec:
+            n0, n1, n2, n3 = _normal4(pts, subset) if rank is None else normals[rank]
+            found.append(((-n0, -n1, -n2, -n3) if negate else (n0, n1, n2, n3), incident))
+        return found
     facets = {}
-    for normal, incident in _SCANS[d](pts):
+    for normal, incident in _scan3(pts):
         if len(incident) == len(pts):
             raise DegenerateHull(f"points do not span {d} dimensions")
         facets.setdefault(incident, normal)
@@ -366,39 +384,32 @@ def _scan3(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
                 ring[0] = q
 
 
-def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
-    """The 4-subsets of distinct integer points whose hyperplane has every
-    point weakly on one side, in lexicographic order, each as (outward
-    normal, incident) like :func:`_scan3`'s, read off a table of signs.
+def _scan4(pts: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The first pass of the 4D facet scan, run on every call: the signs
+    of the orientations of all C(n, 5) 5-subsets of distinct integer
+    points, in lexicographic order, and the cofactor normals they are
+    computed from, those of the 4-subsets with a later point (the
+    4-subsets of the first n - 1 points), in lexicographic order.
 
-    The first pass takes every 4-subset in lexicographic order. Its
-    cofactor normal has as entry m (-1)^m times the minor of rows (i, j,
-    k) without column m, expanded along row k: the rows cycled to (k, i,
-    j), an even permutation with the same minors, so the six 2x2 minors
-    of rows i and j are computed once for every k. The orientation of
-    each 5-subset is its first four points' normal against its last
-    point, computed once and kept as a sign. The side of a point q of a
-    4-subset is the orientation of the two together, flipped once per
-    subset point below q (see :func:`_sign_reads`), so the second pass
-    reads every subset's sides off the table. A subset with sides of both
-    signs is no facet. One with no sign at all has a zero normal (the
-    subset is dependent) or every point on its hyperplane (the input is
-    flat), so flat input spans no facet and :func:`_hull_facets` raises.
+    Entry m of a subset's normal is (-1)^m times the minor of its rows
+    (i, j, k) of differences to its first point without column m,
+    expanded along row k: the rows cycled to (k, i, j), an even
+    permutation with the same minors, so the six 2x2 minors of rows i and
+    j are computed once for every k. The orientation of each 5-subset is
+    its first four points' normal against its last point. Which subsets
+    span facets is read off these signs by :func:`_facet_spec`.
     """
     n = len(pts)
-    if n < 5:
-        # no point lies off a 4-subset of them: they are flat
-        return
     normals = []
     signs = []
-    for first in range(n - 3):
+    for first in range(n - 4):
         b0, b1, b2, b3 = pts[first]
         # the points after ``first``, as differences to it
         rows = [(p0 - b0, p1 - b1, p2 - b2, p3 - b3) for p0, p1, p2, p3 in pts[first + 1 :]]
         last = len(rows)
-        for i in range(last - 2):
+        for i in range(last - 3):
             x0, x1, x2, x3 = rows[i]
-            for j in range(i + 1, last - 1):
+            for j in range(i + 1, last - 2):
                 y0, y1, y2, y3 = rows[j]
                 m01 = x0 * y1 - x1 * y0
                 m02 = x0 * y2 - x2 * y0
@@ -406,7 +417,7 @@ def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
                 m12 = x1 * y2 - x2 * y1
                 m13 = x1 * y3 - x3 * y1
                 m23 = x2 * y3 - x3 * y2
-                for k in range(j + 1, last):
+                for k in range(j + 1, last - 1):
                     z0, z1, z2, z3 = rows[k]
                     n0 = z1 * m23 - z2 * m13 + z3 * m12
                     n1 = z2 * m03 - z0 * m23 - z3 * m02
@@ -416,59 +427,75 @@ def _scan4(pts: Sequence[tuple[int, ...]]) -> Iterator[_Spanning]:
                     for q0, q1, q2, q3 in rows[k + 1 :]:
                         s = n0 * q0 + n1 * q1 + n2 * q2 + n3 * q3
                         signs.append((s > 0) - (s < 0))
-    # the orientations, then the same negated: the reads of odd parity
-    table = signs + [-s for s in signs]
-    for (subset, others, read), normal in zip(_sign_reads(n), normals):
-        sides = read(table)
-        if 1 in sides:
-            if -1 in sides:
-                continue
-            n0, n1, n2, n3 = normal
-            normal = (-n0, -n1, -n2, -n3)
-        elif -1 not in sides:
-            continue
-        if 0 in sides:
-            subset = tuple(sorted((*subset, *(q for q, s in zip(others, sides) if not s))))
-        yield normal, subset
+    return normals, signs
 
 
-@lru_cache(maxsize=4)
-def _sign_reads(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], itemgetter]]:
-    """Where :func:`_scan4` reads the sides of each 4-subset of n points:
-    per subset in lexicographic order, the subset, the other points in
-    increasing order and a getter of their sides from the scan's table.
+def _normal4(pts: Sequence[tuple[int, ...]], subset: tuple[int, ...]) -> tuple[int, ...]:
+    """The cofactor normal of a 4-subset of the points, entry for entry
+    as :func:`_scan4` computes it: for a facet subset that holds the last
+    point, whose normal the scan does not compute."""
+    a, i, j, k = subset
+    b0, b1, b2, b3 = pts[a]
+    x0, x1, x2, x3 = pts[i]
+    y0, y1, y2, y3 = pts[j]
+    z0, z1, z2, z3 = pts[k]
+    x0, x1, x2, x3 = x0 - b0, x1 - b1, x2 - b2, x3 - b3
+    y0, y1, y2, y3 = y0 - b0, y1 - b1, y2 - b2, y3 - b3
+    z0, z1, z2, z3 = z0 - b0, z1 - b1, z2 - b2, z3 - b3
+    m01 = x0 * y1 - x1 * y0
+    m02 = x0 * y2 - x2 * y0
+    m03 = x0 * y3 - x3 * y0
+    m12 = x1 * y2 - x2 * y1
+    m13 = x1 * y3 - x3 * y1
+    m23 = x2 * y3 - x3 * y2
+    return (
+        z1 * m23 - z2 * m13 + z3 * m12,
+        z2 * m03 - z0 * m23 - z3 * m02,
+        z0 * m13 - z1 * m03 + z3 * m01,
+        z1 * m02 - z0 * m12 - z2 * m01,
+    )
 
-    The table holds the signs of the C(n, 5) orientations in
-    lexicographic order of 5-subsets, then the same signs negated. Point
-    q at position p of a 5-subset lies on the side of the other four
+
+@lru_cache(maxsize=256)
+def _facet_spec(n: int, signs: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The facets of n points in 4D, read off the signs of their
+    orientations that :func:`_scan4` computes: per facet, in order of its
+    first spanning subset, that subset, the rank of its normal among the
+    scan's (None when the subset holds point n - 1), whether that normal
+    is negated to point outward, and the facet's incident points.
+
+    Point q at position p of a 5-subset lies on the side of the other four
     given by the subset's sign times (-1)^p: moving q to the end takes
-    4 - p transpositions. Depends on n only, so it is built on first use
-    per n and a few are kept.
+    4 - p transpositions. A 4-subset with sides of both signs is no facet.
+    One with no sign at all has a zero normal (the subset is dependent) or
+    every point on its hyperplane (the input is flat), so flat input gives
+    no facet. A pure function of the signs, so it runs once per sign
+    table; boxes share a few dozen, and the last 256 are kept.
     """
-    offset = comb(n, 5)
-    reads: dict[tuple[int, ...], tuple[list[int], list[int]]] = {
-        subset: ([], []) for subset in combinations(range(n), 4)
+    reads: dict[tuple[int, ...], list[tuple[int, int]]] = {
+        subset: [] for subset in combinations(range(n), 4)
     }
-    # a 4-subset's 5-subsets come in increasing order of the point added
-    for r, five in enumerate(combinations(range(n), 5)):
+    for sign, five in zip(signs, combinations(range(n), 5)):
         for p, q in enumerate(five):
-            others, at = reads[five[:p] + five[p + 1 :]]
-            others.append(q)
-            at.append(r + offset * (p & 1))
-    # a getter of one index returns a scalar, not a tuple: that index is
-    # read twice, and the scan's zip with ``others`` drops the repeat
-    return [
-        (subset, tuple(others), itemgetter(*at, *at) if len(at) == 1 else itemgetter(*at))
-        for subset, (others, at) in reads.items()
-    ]
+            reads[five[:p] + five[p + 1 :]].append((q, -sign if p & 1 else sign))
+    ranks = {subset: rank for rank, subset in enumerate(combinations(range(n - 1), 4))}
+    facets: dict = {}
+    for subset, sides in reads.items():
+        seen = {s for _, s in sides}
+        above = 1 in seen
+        if above == (-1 in seen):
+            continue
+        incident = tuple(sorted((*subset, *(q for q, s in sides if not s))))
+        facets.setdefault(incident, (subset, ranks.get(subset), above))
+    return tuple((*spec, incident) for incident, spec in facets.items())
 
 
-_SCANS = {3: _scan3, 4: _scan4}
-
-
-def _pulling_simplices(facets: Sequence[Sequence[int]], d: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def _pulling_simplices(facets: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[int, ...], ...]:
     """The simplices of a pulling triangulation of a d-polytope, each as
     d + 1 point indices, read from the incident point sets of its facets.
+    A pure function of those sets, so it runs once per tuple of them and
+    the last 256 are kept.
 
     The faces of a face F are the maximal proper sets among F & G over
     the facets G. A k-face with k + 1 points is a simplex; any other face
@@ -492,7 +519,7 @@ def _pulling_simplices(facets: Sequence[Sequence[int]], d: int) -> Iterator[tupl
             maximal = [f for f in below if not any(f < g for g in below)]
             yield from pull((*cone, min(face)), maximal)
 
-    return pull((0,), facets)
+    return tuple(pull((0,), facets))
 
 
 def _pulling_volume(pts: Sequence[tuple[int, ...]], simplices: Iterable[tuple[int, ...]]) -> int:

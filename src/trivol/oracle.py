@@ -54,12 +54,13 @@ def hull_facets_4d(points: Iterable[Point4]) -> tuple[list[Point4], list[Facet4]
     5-subset is computed once, and the hyperplane through every 4-subset
     is a facet when the sides it reads off those orientations for the
     other points hold one sign and not the other (see
-    :func:`trivol.geometry._scan4`). Each facet is kept once, in order of
-    its first spanning subset, mapped back to the original coordinates
-    and only then reduced by its gcd. On lattice points the map is the
-    identity, so the facets are the lattice ones. Points that do not span
-    four dimensions raise :class:`DegenerateHull`: the hyperplane of each
-    independent 4-subset holds every point, so no subset spans a facet.
+    :func:`trivol.geometry._facet_spec`, which reads each table of signs
+    once). Each facet is kept once, in order of its first spanning
+    subset, mapped back to the original coordinates and only then reduced
+    by its gcd. On lattice points the map is the identity, so the facets
+    are the lattice ones. Points that do not span four dimensions raise
+    :class:`DegenerateHull`: the hyperplane of each independent 4-subset
+    holds every point, so no subset spans a facet.
     """
     pts, ipts, (scales, shifts, divisors) = _lattice_points(points, 4)
     # n . ((s*x - m) / g) <= offset, times the lcm of the divisors
@@ -81,15 +82,16 @@ def hull_volume_4d(points: Iterable[Point4]) -> Fraction:
     The points are moved to their integer lattice once, and
     :func:`hull_facets_4d` runs on the lattice points. Its facets' incident
     point sets give a pulling triangulation (see
-    :func:`trivol.geometry._pulling_simplices`), whose 4x4 determinants
-    are summed on the lattice points; no hull is taken in a lower
+    :func:`trivol.geometry._pulling_simplices`), read from a bounded cache
+    when the same sets were met before, whose 4x4 determinants are summed
+    on the lattice points of every call; no hull is taken in a lower
     dimension. The result is scaled back by the lattice map. Input that
     lies in a hyperplane raises :class:`DegenerateHull`; flat input never
     reports volume zero.
     """
     _, ipts, (scales, _, divisors) = _lattice_points(points, 4)
     _, facets = hull_facets_4d(ipts)
-    volume = _pulling_volume(ipts, _pulling_simplices([f.incident for f in facets], 4))
+    volume = _pulling_volume(ipts, _pulling_simplices(tuple(f.incident for f in facets), 4))
     return Fraction(volume * prod(divisors), 24 * prod(scales))
 
 

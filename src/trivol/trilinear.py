@@ -378,10 +378,12 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
     The expression is symmetric in axes 2 and 3 but not in axis 1; apply
     it only to normalized bounds (or use :func:`closed_form_volume`).
     Bounds are read by :func:`parse_rational`. The formula runs on the
-    integer bounds from :func:`_cleared_axis` (see :func:`_formula_ratio`).
+    integer bounds from :func:`_cleared_axis` and divides once, by one gcd,
+    as :func:`closed_form_volume` does.
     """
     a, b = map(parse_rational, a), map(parse_rational, b)
-    return Fraction(*_formula_ratio(*zip(*map(_cleared_axis, a, b))))
+    ia, ib, (d1, d2, d3) = zip(*map(_cleared_axis, a, b))
+    return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
 
 
 def _formula_ratio(ia: tuple, ib: tuple, d: tuple) -> tuple[int, int]:

@@ -5,6 +5,9 @@ Nothing here runs in a CLI command, so it lives beside the tests, not in
 with ``test_``); test modules import from it as they do from
 ``testutil``.
 
+``_reference_facets`` is the facet scan with no shortcut that the 3D
+and 4D hull scans are held to.
+
 ``cross_section_volume`` measures one slice of the hull geometrically:
 the 3D hull of the weighted Minkowski sum of the bottom and top slice
 tetrahedra, with no mixed-volume formula. The tests use it to pin the
@@ -14,7 +17,9 @@ pipeline's slice cubic slice by slice.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
+from operator import mul, sub
 
 from trivol import Box3Bounds, InvalidBounds, parse_rational
 from trivol.geometry import hull_volume_3d
@@ -46,6 +51,35 @@ def det_by_permutation_sum(m):
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def _reference_facets(pts):
+    """The facet scan without shortcuts: every d-subset's normal, its
+    signed maximal minors by the permutation expansion, side-tested
+    against every point, facets kept once in subset order, as (primitive
+    outward normal, incident)."""
+    d = len(pts[0])
+    found = set()
+    facets = []
+    for subset in combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        rows = [tuple(map(sub, pts[i], base)) for i in subset[1:]]
+        # the signed maximal minors: entry j is (-1)^j times the minor without column j
+        normal = tuple(
+            (-1) ** j * det_by_permutation_sum([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)
+        )
+        if not any(normal):
+            continue
+        side = [sum(map(mul, normal, map(sub, p, base))) for p in pts]
+        if max(side) > 0 and min(side) < 0:
+            continue
+        g = gcd(*normal) if max(side) == 0 else -gcd(*normal)
+        outward = tuple(x // g for x in normal)
+        facet = (outward, sum(map(mul, outward, base)))
+        if facet not in found:
+            found.add(facet)
+            facets.append((outward, tuple(i for i, x in enumerate(side) if x == 0)))
+    return facets
 
 
 def _slice_vertices(bounds: Box3Bounds, level):

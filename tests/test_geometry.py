@@ -23,6 +23,7 @@ from trivol import (
 from trivol.geometry import (
     Tetrahedron,
     _edge_det,
+    _facet_spec,
     _hull_facets,
     _lattice_points,
     _pulling_simplices,
@@ -39,14 +40,17 @@ from trivol.geometry import (
 from trivol.mixed_volume import minkowski_sum_vertices, mixed_volume_against, volume_cubic
 from trivol.oracle import hull_facets_4d, hull_volume_4d, monte_carlo_volume
 
-from reference import add3, det_by_permutation_sum
+from reference import _reference_facets, add3, det_by_permutation_sum
 from testutil import (
+    SHIFTED,
     SIMPLEX,
+    UNIT,
     hull_shapes,
     random_box,
     random_points,
     random_rational_box,
     random_tetrahedron,
+    random_wide_box,
 )
 
 ORIGIN = (F(0), F(0), F(0))
@@ -357,7 +361,7 @@ def _pulled_dets(points):
     rows = [tuple(map(sub, p, ipts[0])) for p in ipts]
     return [
         abs(det_by_permutation_sum([rows[i] for i in simplex[1:]]))
-        for simplex in _pulling_simplices(facets, len(ipts[0]))
+        for simplex in _pulling_simplices(tuple(facets), len(ipts[0]))
     ]
 
 
@@ -600,35 +604,6 @@ def test_hull_volume_ignores_a_wide_translation_and_scales_with_one_axis():
             checked += 1
 
 
-def _reference_facets(pts):
-    """The facet scan without shortcuts: every d-subset's normal, its
-    signed maximal minors by the permutation expansion, side-tested
-    against every point, facets kept once in subset order, as (primitive
-    outward normal, incident)."""
-    d = len(pts[0])
-    found = set()
-    facets = []
-    for subset in combinations(range(len(pts)), d):
-        base = pts[subset[0]]
-        rows = [tuple(map(sub, pts[i], base)) for i in subset[1:]]
-        # the signed maximal minors: entry j is (-1)^j times the minor without column j
-        normal = tuple(
-            (-1) ** j * det_by_permutation_sum([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)
-        )
-        if not any(normal):
-            continue
-        side = [sum(map(mul, normal, map(sub, p, base))) for p in pts]
-        if max(side) > 0 and min(side) < 0:
-            continue
-        g = gcd(*normal) if max(side) == 0 else -gcd(*normal)
-        outward = tuple(x // g for x in normal)
-        facet = (outward, sum(map(mul, outward, base)))
-        if facet not in found:
-            found.add(facet)
-            facets.append((outward, tuple(i for i, x in enumerate(side) if x == 0)))
-    return facets
-
-
 def _grid_cloud(rng, d, n, span):
     """n distinct integer points of {0..span}^d spanning d dimensions: some d
     of them have differences to the first with a nonzero determinant."""
@@ -680,13 +655,18 @@ def test_hull_facets_4d_match_the_reference_on_small_grids(points):
         assert str(caught.value) == "points do not span 4 dimensions"
 
 
+# a 4-simplex in three orders of its points
+SIMPLEX_4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)]
+SIMPLEX_4_ORDERS = [
+    [SIMPLEX_4[i] for i in order] for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3))
+]
+
+
 def test_hull_facets_4d_of_a_5_point_simplex():
     """Each 4-subset of five points has one other point, whose side is one
     read of the sign table: every subset of a 4-simplex is a facet with
     the fifth point strictly inside, in three orders of the points."""
-    simplex = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)]
-    for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)):
-        pts = [simplex[i] for i in order]
+    for pts in SIMPLEX_4_ORDERS:
         facets = _hull_facets(pts)
         assert sorted(inc for _, inc in facets) == list(combinations(range(5), 4))
         assert _primitive(facets) == _reference_facets(pts)
@@ -712,6 +692,54 @@ def test_hull_facets_4d_of_the_4_cube():
     assert len(facets) == 8 and set(facets) == expected
     assert facets == _reference_facets(cube)
     assert hull_volume_4d(cube) == 1
+
+
+def test_hull_memos_give_the_reference_facets_cold_and_warm():
+    """The 4D facets are read off the sign table and the triangulation off
+    the incidences through two bounded caches. The sets are hulled cold,
+    each right after both caches are cleared, then twice with the caches
+    kept, the second time warm: every time the facets are the plain
+    scan's and flat input raises, and the facets and volumes are the cold
+    ones, so no two sets share an entry that they should not. The warm
+    pass misses neither cache."""
+    boxes = [
+        UNIT,
+        SHIFTED,
+        Box3Bounds((1, 1, 2), (2, 2, 4)),  # tied ratios
+        Box3Bounds((0, 0, 0), (2, 3, 5)),  # flat bottom
+        random_wide_box(random.Random(29)),
+    ]
+    sets = [
+        *hull_shapes(),
+        list(product((0, 1), repeat=4)),
+        *SIMPLEX_4_ORDERS,
+        *(_lattice_points(extreme_points(box), 4)[1] for box in boxes),
+    ]
+    flats = [SIMPLEX_4[:4] + [(1, 1, 1, 0)], [p for p in product((0, 1), repeat=4) if p[2] == 0]]
+    expected = [_reference_facets(pts) for pts in sets] + [None] * len(flats)
+    memos = (_facet_spec, _pulling_simplices)
+
+    def hull_all(clear):
+        results = []
+        for pts, reference in zip(sets + flats, expected):
+            if clear:
+                for memo in memos:
+                    memo.cache_clear()
+            if reference is None:
+                for hull in (_hull_facets, hull_volume_4d):
+                    with pytest.raises(DegenerateHull, match="^points do not span 4 dimensions$"):
+                        hull(pts)
+                continue
+            facets = _hull_facets(pts)
+            assert _primitive(facets) == reference
+            results.append((facets, hull_volume_4d(pts) if len(pts[0]) == 4 else None))
+        return results
+
+    cold = hull_all(clear=True)
+    assert hull_all(clear=False) == cold
+    misses = [memo.cache_info().misses for memo in memos]
+    assert hull_all(clear=False) == cold
+    assert [memo.cache_info().misses for memo in memos] == misses
 
 
 def _flat_sets(d):

@@ -565,7 +565,7 @@ def test_edge_table_triangulates_as_the_generic_pull():
     for subject, n, incidences in cases:
         vertices, facets, edges = geometry._closed_facets(n, incidences, subject)
         table = geometry._edge_simplices(facets, edges)
-        pulled = list(geometry._pulling_simplices(facets, 3))
+        pulled = geometry._pulling_simplices(tuple(facets), 3)
         assert len(table) == len(pulled) == len({tuple(sorted(s)) for s in pulled}), incidences
         assert {tuple(sorted(s)) for s in table} == {tuple(sorted(s)) for s in pulled}, incidences
         sizes[subject].update((len(incident), incident[0] == 0) for incident in facets)

@@ -127,29 +127,60 @@ MUTANTS = [
         "\n                        pass",
         ["tests/test_geometry.py::test_hull_facets_match_the_reference_scan"],
     ),
-    # _scan4 reads every side unflipped by where the point sorts into the subset
+    # the 4D read-out takes every side unflipped by where the point sorts into the subset
     (
         GEO,
-        "at.append(r + offset * (p & 1))",
-        "at.append(r)",
+        "(q, -sign if p & 1 else sign)",
+        "(q, sign)",
         [T_GEO + "test_hull_facets_4d_of_a_5_point_simplex"],
     ),
-    # _scan4 keeps the normal of a subset with points above it
+    # the 4D facets keep the normal of a subset with points above it
     (
         GEO,
-        "            normal = (-n0, -n1, -n2, -n3)\n",
-        "            normal = (n0, n1, n2, n3)\n",
+        "(-n0, -n1, -n2, -n3) if negate else (n0, n1, n2, n3)",
+        "(n0, n1, n2, n3) if negate else (n0, n1, n2, n3)",
         [T_GEO + "test_hull_facets_4d_of_the_4_cube"],
     ),
-    # _scan4 yields a subset with no point off its hyperplane: a zero normal
+    # the 4D read-out takes a subset with no point off its hyperplane: a zero normal
     (
         GEO,
-        "        elif -1 not in sides:\n            continue\n",
-        "",
+        "        if above == (-1 in seen):\n",
+        "        if above and -1 in seen:\n",
         [T_GEO + "test_hull_facets_4d_of_the_4_cube"],
     ),
-    # _scan4 leaves the points with side 0 out of the incident ones
-    (GEO, "        if 0 in sides:\n", "        if False:\n", [T_GEO + "test_hull_facets_4d_of_the_4_cube"]),
+    # the 4D read-out leaves the points with side 0 out of the incident ones
+    (
+        GEO,
+        "*(q for q, s in sides if not s)",
+        "*()",
+        [T_GEO + "test_hull_facets_4d_of_the_4_cube"],
+    ),
+    # the facet memo is keyed by the sign table less its last orientation
+    (
+        GEO,
+        "_facet_spec(len(pts), tuple(signs))",
+        "_facet_spec(len(pts), (*signs[:-1], 0))",
+        [T_GEO + "test_hull_memos_give_the_reference_facets_cold_and_warm"],
+    ),
+    # a 4D facet normal that the first pass did not compute comes out negated
+    (
+        GEO,
+        "_normal4(pts, subset) if rank is None",
+        "[-c for c in _normal4(pts, subset)] if rank is None",
+        [T_GEO + "test_hull_memos_give_the_reference_facets_cold_and_warm"],
+    ),
+    # the triangulation cache is keyed by the facet count alone
+    (
+        GEO,
+        "@lru_cache(maxsize=256)\ndef _pulling_simplices(",
+        "def _by_count(pull):\n"
+        "    held = {}\n"
+        "    cached = lambda facets, d: held.setdefault((len(facets), d), pull(facets, d))\n"
+        "    cached.cache_clear = held.clear\n"
+        "    return cached\n\n\n"
+        "@_by_count\ndef _pulling_simplices(",
+        [T_GEO + "test_hull_memos_give_the_reference_facets_cold_and_warm"],
+    ),
     # a sign flipped in the written-out 3D determinant
     (
         GEO,
