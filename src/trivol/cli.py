@@ -182,14 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidBounds("--max-bound must be at least 1")
     if args.trials < 1:
         raise InvalidBounds("--trials must be at least 1")
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("TRIVOL_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise InvalidBounds(f"TRIVOL_SEED must be an integer, got {text!r}") from None
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     for suite in verify.SUITES:
         boxes = (verify.random_box(rng, args.max_bound) for _ in range(args.trials))
         cases, counterexample = suite(boxes)
@@ -197,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {counterexample[1]}")
             return 1
         print(f"ok {suite.name} ({cases} cases)")
-    print(f"all checks passed ({args.trials} trials, seed {seed})")
+    print(f"all checks passed ({args.trials} trials, seed {args.seed})")
     return 0
 
 
@@ -205,13 +198,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """CSV of closed-form volumes over the product of the grid's values.
 
     Each axis's (a_i, b_i) pairs are cleared to ints and checked with
-    Box3Bounds' rule once per grid. A row orders its axes by the ordering
-    keys of its cleared ints, as omega_normalize does, checks the ordering
-    condition and evaluates one integer polynomial, the closed form on the
-    cleared bounds; one gcd reduces the volume to the int ratio it prints.
-    A pair formats its bound texts when a row first uses it, before that
-    row's volume, so errors come in row order. Nothing is written on an
-    error; a file error names the file and the key.
+    Box3Bounds' rule once per grid; each row's perm and volume come from
+    the cleared ints of its three pairs. A pair formats its bound texts
+    when a row first uses it, before that row's volume, so errors come in
+    row order. Nothing is written on an error; a file error names the file
+    and the key.
     """
     path = args.file
     doc = _load_json(path)
@@ -248,10 +239,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return pair[0]
 
     def axis_pair(lo: Fraction, hi: Fraction) -> list:
-        """[texts of lo and hi once formatted, is an interval, A, B, D, lo, hi]:
-        the pair cleared, then checked by Box3Bounds' 0 <= A < B."""
-        ilo, ihi, d = trilinear._cleared_axis(lo, hi)
-        return [None, 0 <= ilo < ihi, ilo, ihi, d, lo, hi]
+        """[texts of lo and hi once formatted, A, B, D, is an interval, lo, hi]:
+        the pair cleared and checked by Box3Bounds' rule."""
+        return [None, *trilinear._cleared_axis(lo, hi), lo, hi]
 
     axes = [[axis_pair(lo, hi) for lo, hi in product(grids[k], grids[k + 1])] for k in (0, 2, 4)]
 
@@ -259,20 +249,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     skipped = 0
     for row in product(*axes):
         p1, p2, p3 = row
-        if not (p1[1] and p2[1] and p3[1]):
+        if not (p1[4] and p2[4] and p3[4]):
             if drop_invalid:
                 skipped += 1
                 continue
             Box3Bounds((p1[5], p2[5], p3[5]), (p1[6], p2[6], p3[6]))  # raises InvalidBounds
-        ia, ib = (p1[2], p2[2], p3[2]), (p1[3], p2[3], p3[3])
-        (i, j, k), perm = trilinear._axis_order(trilinear._ordering_keys(ia, ib))
-        s1, s2, s3 = row[i], row[j], row[k]
-        ia, ib, d = (s1[2], s2[2], s3[2]), (s1[3], s2[3], s3[3]), (s1[4], s2[4], s3[4])
-        if not trilinear._ratios_ordered(ia, ib):
-            raise InternalDisagreement(f"sorted axes break the ordering condition: {ia}, {ib}")
+        perm, p, q = trilinear._formula_row(
+            (p1[1], p2[1], p3[1]), (p1[2], p2[2], p3[2]), (p1[3], p2[3], p3[3])
+        )
         bounds = (p1[0] or texts(p1)) + (p2[0] or texts(p2)) + (p3[0] or texts(p3))
-        volume = fmt(*trilinear._formula_ratio(ia, ib, d))
-        rows.append(bounds + (volume, _PERM_TEXT[perm]))
+        rows.append(bounds + (fmt(p, q), _PERM_TEXT[perm]))
 
     out = args.out
     try:
@@ -331,9 +317,17 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, whose usage
+    errors are one ``error: <prog>: <message>`` line, as every exit 2 is."""
+
+    def error(self, message: str):
+        raise InvalidBounds(f"{self.prog}: {message}")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trivol",
         description=(
             "Exact volume of the convex hull of the graph of y = x1*x2*x3 "
@@ -354,11 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the property suites on random boxes")
     p_verify.add_argument("--trials", type=int, default=200, help="boxes per suite")
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        help="RNG seed (default: $TRIVOL_SEED or 0)",
-    )
+    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p_verify.add_argument(
         "--max-bound", type=int, default=10, help="bounds drawn from integers 0..M"
     )
@@ -407,13 +397,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_bounds_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
         # by name, so a handler rebound in this module after the parser was built runs
         code = globals()[args.handler](args)
         sys.stdout.flush()  # a closed reader or a full disk shows up here, not at exit
         return code
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code is not None else 0
     except OSError as exc:
         # stdout failed (input and --out errors arrive as InvalidBounds); the rest
         # of the buffered output goes nowhere, so the exit flush stays quiet

@@ -35,9 +35,9 @@ Fractions. The public Fraction functions divide their result once.
 each axis's denominators cleared, which turns every value into an int
 until one division per reported value at the end. A :class:`Box3Bounds`
 clears its axes once, when built (``cleared``); the axis order in
-``omega_normalize``, the pipeline, ``closed_form_volume`` and
-``extreme_points`` read those ints, as does ``trivol sweep``, which
-clears each axis pair once with :func:`_cleared_axis`.
+``omega_normalize``, the pipeline and ``closed_form_volume`` read those
+ints. ``trivol sweep`` clears each axis pair once with
+:func:`_cleared_axis` and computes each row with :func:`_formula_row`.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class Box3Bounds:
         if len(self.a) != 3 or len(self.b) != 3:
             raise InvalidBounds("bounds need exactly three intervals")
         a, b = tuple(map(parse_rational, self.a)), tuple(map(parse_rational, self.b))
-        ia, ib, d = zip(*map(_cleared_axis, a, b))
+        ia, ib, d, interval = zip(*map(_cleared_axis, a, b))
         self.__dict__.update(a=a, b=b, cleared=(ia, ib, d))
-        for axis, (lo, hi, ilo, ihi) in enumerate(zip(a, b, ia, ib), start=1):
-            if not (0 <= ilo < ihi):
+        for axis, (lo, hi, ok) in enumerate(zip(a, b, interval), start=1):
+            if not ok:
                 raise InvalidBounds(f"need 0 <= a{axis} < b{axis}, got a{axis}={lo}, b{axis}={hi}")
 
     def _permuted(self, order: tuple[int, int, int]) -> Box3Bounds:
@@ -362,14 +362,17 @@ def _hull_volume24(a: tuple, b: tuple):
     return (b1 - a1) * (b2 - a2) * (b3 - a3) * core
 
 
-def _cleared_axis(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """One axis's bounds times D, the lcm of their denominators, and D.
+def _cleared_axis(lo: Fraction, hi: Fraction) -> tuple[int, int, int, bool]:
+    """One axis's bounds times D, the lcm of their denominators, D, and
+    whether the axis is an interval of a box: 0 <= A < B on the scaled
+    bounds A, B, the one place that rule is written.
 
     With axis i scaled by D_i, every ordering key scales by the same
     D1*D2*D3, so the integer box keeps the ordering condition.
     """
     d = lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+    ilo, ihi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    return ilo, ihi, d, 0 <= ilo < ihi
 
 
 def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
@@ -382,19 +385,26 @@ def hull_volume_formula(a: tuple, b: tuple) -> Fraction:
     as :func:`closed_form_volume` does.
     """
     a, b = map(parse_rational, a), map(parse_rational, b)
-    ia, ib, (d1, d2, d3) = zip(*map(_cleared_axis, a, b))
+    ia, ib, (d1, d2, d3), _ = zip(*map(_cleared_axis, a, b))
     return Fraction(_hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2)
 
 
-def _formula_ratio(ia: tuple, ib: tuple, d: tuple) -> tuple[int, int]:
-    """Closed-form hull volume from cleared bounds ``ia``, ``ib`` and the
-    per-axis scales ``d``, as its numerator and denominator in lowest
-    terms, with no Fraction built: the volume on the integer box is
-    (D1*D2*D3)^2 times larger, so it divides once, by one gcd."""
-    d1, d2, d3 = d
-    n, q = _hull_volume24(ia, ib), 24 * (d1 * d2 * d3) ** 2
+def _formula_row(a: tuple, b: tuple, d: tuple) -> tuple[tuple[int, int, int], int, int]:
+    """One row of ``trivol sweep``: from cleared bounds ``a``, ``b`` and the
+    per-axis scales ``d``, the row's ``perm`` and its closed-form volume
+    p/q in lowest terms, with no box and no Fraction built.
+
+    The axes are ordered and checked as :func:`omega_normalize` does. The
+    volume on the integer box is (D1*D2*D3)^2 times larger, so it divides
+    once, by one gcd.
+    """
+    (i, j, k), perm = _axis_order(_ordering_keys(a, b))
+    a, b = (a[i], a[j], a[k]), (b[i], b[j], b[k])
+    if not _ratios_ordered(a, b):
+        raise InternalDisagreement(f"sorted axes break the ordering condition: {a}, {b}")
+    n, q = _hull_volume24(a, b), 24 * (d[0] * d[1] * d[2]) ** 2
     g = gcd(n, q)
-    return n // g, q // g
+    return perm, n // g, q // g
 
 
 def closed_form_volume(box: Box3Bounds) -> Fraction:
@@ -528,11 +538,12 @@ def extreme_points(box: Box3Bounds) -> tuple[Point4, ...]:
 
     Corners are enumerated in lexicographic order of the choice vector
     (low before high per axis), so the first point uses all lower bounds
-    and the last all upper bounds. Each y is a product of cleared ints over D1*D2*D3.
+    and the last all upper bounds. Each y is the product of the corner's
+    numerators over the product of its denominators, read off ``box.a``
+    and ``box.b`` alone.
     """
-    ia, ib, (d1, d2, d3) = box.cleared
-    axes = zip(zip(box.a, ia), zip(box.b, ib))  # per axis (bound, cleared bound), low then high
+    axes = [[(v, v.numerator, v.denominator) for v in pair] for pair in zip(box.a, box.b)]
     return tuple(
-        (Fraction(c1 * c2 * c3, d1 * d2 * d3), v1, v2, v3)
-        for (v1, c1), (v2, c2), (v3, c3) in product(*axes)
+        (Fraction(n1 * n2 * n3, d1 * d2 * d3), v1, v2, v3)
+        for (v1, n1, d1), (v2, n2, d2), (v3, n3, d3) in product(*axes)
     )

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import ast
 import dataclasses
 import errno
 import io
@@ -117,10 +118,15 @@ def test_volume_decimal_is_null_outside_float_range(capsys):
 
 
 def test_volume_missing_source_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "volume")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "nonsense")
-    assert code == 2
+    # a usage error is one line naming the command, not argparse's usage block
+    assert bad_input(capsys, "volume").startswith("error: trivol volume: one of the arguments ")
+    assert bad_input(capsys, "nonsense").startswith("error: trivol: argument command: ")
+    assert bad_input(capsys, "verify", "--trials", "x") == (
+        "error: trivol verify: argument --trials: invalid int value: 'x'\n"
+    )
+    # --help still prints the whole help
+    code, out, err = run_cli(capsys, "volume", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: trivol volume ")
 
 
 def test_volume_disagreement_exits_3(capsys, monkeypatch):
@@ -311,16 +317,11 @@ def test_verify_passes_cleanly(capsys):
     )
 
 
-def test_verify_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("TRIVOL_SEED", "123")
-    code, out, _ = run_cli(capsys, "verify", "--trials", "2")
-    assert code == 0
-    assert "seed 123" in out
-
-
-def test_verify_rejects_a_non_integer_seed_env(capsys, monkeypatch):
+def test_verify_seeds_from_its_option_alone(capsys, monkeypatch):
     monkeypatch.setenv("TRIVOL_SEED", "abc")
-    assert "TRIVOL_SEED" in bad_input(capsys, "verify", "--trials", "2")
+    code, out, err = run_cli(capsys, "verify", "--trials", "2")
+    assert (code, err) == (0, "")
+    assert out.endswith("all checks passed (2 trials, seed 0)\n")
 
 
 def test_verify_rejects_a_negative_trial_count(capsys):
@@ -835,6 +836,28 @@ def test_a_sort_that_breaks_the_ordering_condition_exits_3(tmp_path, capsys, mon
     # inside verify the same bug is a suite's counterexample
     code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "0")
     assert code == 1 and out.splitlines()[-1].startswith("FAIL ")
+
+
+def test_cli_reaches_trilinear_privately_only_for_the_sweep_kernels():
+    # each rule of a row lives in trilinear: cli clears a pair and computes a row there
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "trilinear"
+        and node.attr.startswith("_")
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("trilinear", "trivol.trilinear")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert (private, imported) == ({"_cleared_axis", "_formula_row"}, set())
 
 
 def test_main_dispatches_to_a_handler_rebound_after_the_first_call(tmp_path, capsys, monkeypatch):

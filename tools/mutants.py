@@ -205,9 +205,25 @@ MUTANTS = [
     # the cleared axis reports twice its lcm: caught by a cross-route test
     (
         TRI,
-        "hi.numerator * (d // hi.denominator), d\n",
-        "hi.numerator * (d // hi.denominator), 2 * d\n",
+        "    return ilo, ihi, d, ",
+        "    return ilo, ihi, 2 * d, ",
         ["tests/test_cli.py::test_volume_all_methods_unit_box"],
+    ),
+    # the interval rule rejects a zero lower bound
+    (TRI, "0 <= ilo < ihi", "0 < ilo < ihi", ["tests/test_cli.py::test_sweep_csv_and_determinism"]),
+    # a sweep row skips its ordering check
+    (
+        TRI,
+        "    if not _ratios_ordered(a, b):\n        raise InternalDisagreement(f\"sorted axes break",
+        "    if False:\n        raise InternalDisagreement(f\"sorted axes break",
+        ["tests/test_cli.py::test_a_sort_that_breaks_the_ordering_condition_exits_3"],
+    ),
+    # a sweep row reads its upper bounds in input order, not sorted order
+    (
+        TRI,
+        "a, b = (a[i], a[j], a[k]), (b[i], b[j], b[k])",
+        "a, b = (a[i], a[j], a[k]), b",
+        ["tests/test_cli.py::test_sweep_matches_the_per_row_library_route"],
     ),
     # a tie between the second and third ordering keys breaks the wrong way
     (
